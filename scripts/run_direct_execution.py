@@ -13,15 +13,12 @@ from pathlib import Path
 
 from choiqpt import (
     Circuit,
+    circuit_probabilities,
     ga,
-    measure_probabilities,
     noise_model_from_calibration,
     parse_calibration,
     sample_counts,
-    simulate,
-    to_native,
 )
-from choiqpt.simulator import apply_measure_noise
 from choiqpt.viz import svg_counts_bar
 
 
@@ -30,12 +27,8 @@ def data_file(name: str) -> str:
 
 
 def run(circuit, noise, shots, seed):
-    prepared = to_native(circuit) if noise is not None else circuit
-    rho = simulate(prepared, noise)
-    rho = apply_measure_noise(rho, noise, circuit.num_qubits)
-    probs = measure_probabilities(rho, "Z" * circuit.num_qubits)
     confusion = noise.confusion_for(circuit.num_qubits) if noise is not None else None
-    return sample_counts(probs, shots, seed, confusion=confusion)
+    return sample_counts(circuit_probabilities(circuit, noise), shots, seed, confusion=confusion)
 
 
 def main():

@@ -46,6 +46,7 @@ from .noise import (
 )
 from .simulator import (
     CountsTable,
+    circuit_probabilities,
     ground_state,
     measure_probabilities,
     sample_counts,

@@ -18,9 +18,9 @@ from pathlib import Path
 
 from . import viz
 from .channels import choi_to_chi, is_cptp, matrix_csv, matrix_to_json_dict
-from .gates import load_circuit, to_native, verify_gate_identities
+from .gates import load_circuit, verify_gate_identities
 from .noise import noise_model_from_calibration, parse_calibration
-from .simulator import apply_measure_noise, measure_probabilities, sample_counts, simulate
+from .simulator import circuit_probabilities, sample_counts
 from .tomography import ReconstructionOptions, qpt
 
 
@@ -118,10 +118,7 @@ def cmd_run(args) -> int:
 def cmd_execute(args) -> int:
     circuit = load_circuit(args.circuit)
     noise = _load_noise(args, circuit.num_qubits)
-    run_circuit = to_native(circuit) if noise is not None else circuit
-    rho = simulate(run_circuit, noise)
-    rho = apply_measure_noise(rho, noise, circuit.num_qubits)
-    probs = measure_probabilities(rho, "Z" * circuit.num_qubits)
+    probs = circuit_probabilities(circuit, noise)
     confusion = noise.confusion_for(circuit.num_qubits) if noise is not None else None
     table = sample_counts(probs, args.shots, args.seed, confusion=confusion)
     out = Path(args.out)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Circuit, embed_operator, gate_unitary
+from .gates import Circuit, embed_operator, gate_unitary, to_native
 from .linalg import as_complex_matrix, dagger, kron_all
 from .noise import NoiseModel
 
@@ -124,6 +124,20 @@ def measure_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
         raise ValueError(f"probabilities sum to {total:.6g}, state is not normalized")
     np.clip(probs, 0.0, None, out=probs)
     return probs / probs.sum()
+
+
+def circuit_probabilities(c: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
+    """Z-basis outcome probabilities of a circuit run from the ground state.
+
+    With a noise model the circuit is first lowered to the native gate set
+    so calibrated per-gate noise applies, and readout decay acts before the
+    read-out.  Readout confusion is left to the caller, which applies it to
+    sampled bits (:func:`sample_counts`) or to exact probabilities.
+    """
+    if noise is not None:
+        c = to_native(c)
+    rho = apply_measure_noise(simulate(c, noise), noise, c.num_qubits)
+    return measure_probabilities(rho, "Z" * c.num_qubits)
 
 
 @dataclass(frozen=True)

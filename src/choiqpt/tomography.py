@@ -6,8 +6,11 @@ The pipeline mirrors how one characterizes a gate on hardware:
    complete product set),
 2. measure every qubit in each of the X/Y/Z bases (all outcomes kept),
 3. run the target between preparation and basis rotation, collecting counts,
-4. solve the Born-rule linear system for the Choi matrix by least squares
-   over a Hermitian operator basis,
+4. invert the Born-rule linear system for the Choi matrix qubit by qubit:
+   the plan is a tensor product of one 4-preparation x 3-setting plan per
+   qubit, so the least-squares solution applies the pseudo-inverse of the
+   24 x 16 one-qubit design matrix along each qubit axis of the frequency
+   tensor (no dense 24^K x 16^K system is ever built),
 5. optionally project the estimate onto the CPTP set (Dykstra-corrected
    alternating projections between the PSD cone and the trace-preserving
    affine subspace).
@@ -22,22 +25,15 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .channels import ChoiMatrix, choi_from_unitary, pauli_basis
-from .gates import Circuit, GateApplication, circuit_unitary, ga, to_native
+from .gates import Circuit, GateApplication, circuit_unitary, ga
 from .linalg import dagger, frobenius, kron_all, partial_trace
 from .metrics import FidelityReport, fidelity_report
 from .noise import NoiseModel
-from .simulator import (
-    CountsTable,
-    apply_measure_noise,
-    measure_probabilities,
-    sample_counts,
-    simulate,
-)
+from .simulator import _MEAS_ROT, CountsTable, circuit_probabilities, sample_counts
 
 _C = np.complex128
 
@@ -49,12 +45,6 @@ _KETS = {
     "1": np.array([0, 1], dtype=_C),
     "+": np.array([1, 1], dtype=_C) / math.sqrt(2),
     "i": np.array([1, 1j], dtype=_C) / math.sqrt(2),
-}
-
-_MEAS_ROT = {
-    "Z": np.eye(2, dtype=_C),
-    "X": np.array([[1, 1], [1, -1]], dtype=_C) / math.sqrt(2),
-    "Y": (np.array([[1, 1], [1, -1]], dtype=_C) / math.sqrt(2)) @ np.diag([1, -1j]),
 }
 
 
@@ -141,11 +131,8 @@ def outcome_projector(setting: str, outcome: int) -> np.ndarray:
     mats = []
     num_qubits = len(setting)
     for q, basis in enumerate(setting.upper()):
-        r = _MEAS_ROT[basis]
-        bit = (outcome >> (num_qubits - 1 - q)) & 1
-        e = np.zeros((2, 2), dtype=_C)
-        e[bit, bit] = 1.0
-        mats.append(dagger(r) @ e @ r)
+        row = _MEAS_ROT[basis][(outcome >> (num_qubits - 1 - q)) & 1]
+        mats.append(np.outer(row.conj(), row))  # R^dag |bit><bit| R
     return kron_all(mats)
 
 
@@ -162,6 +149,12 @@ class TomographyDataset:
         missing = [key for key in self.plan.jobs() if key not in self.frequencies]
         if missing:
             raise ValueError(f"dataset is missing {len(missing)} plan job(s), e.g. {missing[0]}")
+        d = 2**self.plan.num_qubits
+        for key in self.plan.jobs():
+            if np.shape(self.frequencies[key]) != (d,):
+                raise ValueError(
+                    f"job {key} has {np.size(self.frequencies[key])} frequencies, expected {d}"
+                )
 
     def to_dict(self) -> dict:
         jobs = []
@@ -210,11 +203,10 @@ def execute_plan(
 ) -> TomographyDataset:
     """Simulate every (preparation, setting) job of the plan.
 
-    With noise, the composed circuit (preparation + target + basis change)
-    is lowered to the native gate set so calibrated per-gate noise applies,
-    readout decay acts before sampling, and counts pass through the
-    confusion matrices.  ``exact=True`` records exact outcome probabilities
-    instead of sampled counts.
+    Each composed circuit (preparation + target + basis change) runs through
+    :func:`choiqpt.simulator.circuit_probabilities`; with noise, counts then
+    pass through the confusion matrices.  ``exact=True`` records exact
+    outcome probabilities instead of sampled counts.
     """
     if target.num_qubits != plan.num_qubits:
         raise ValueError("target width does not match the plan")
@@ -225,11 +217,7 @@ def execute_plan(
         circ = prep_circuit(prep, plan.num_qubits).extended(
             target, measurement_circuit(setting, plan.num_qubits)
         )
-        if noise is not None:
-            circ = to_native(circ)
-        rho = simulate(circ, noise)
-        rho = apply_measure_noise(rho, noise, plan.num_qubits)
-        probs = measure_probabilities(rho, "Z" * plan.num_qubits)
+        probs = circuit_probabilities(circ, noise)
         if exact:
             if confusion is not None:
                 probs = kron_all(confusion).real @ probs
@@ -256,51 +244,58 @@ def execute_plan(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _design(
-    preparations: tuple[str, ...], settings: tuple[str, ...], num_qubits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Design matrix A and Hermitian basis stack B for the Born-rule system.
+def _per_qubit_tokens(plan: TomographyPlan) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Per-qubit preparation and setting tokens whose K-fold products are the plan."""
 
-    Row order follows the plan (preparation-major, then setting, then
-    outcome).  ``A[r, a] = Tr[(prep^T (x) projector) B_a]`` with ``B_a`` the
-    Pauli operators on 2K wires scaled to an orthonormal Hermitian basis, so
-    any least-squares solution is Hermitian by construction.
-    """
-    d = 2**num_qubits
-    basis = pauli_basis(2 * num_qubits)
-    bstack = np.stack(basis.operators).astype(_C) / d  # orthonormal: Tr(BaBb) = delta
-    vb = bstack.reshape(len(basis.operators), -1)  # rows vec(B_a)
-    rows = []
-    for prep in preparations:
-        rho_t = prep_density(prep).T
-        for setting in settings:
-            for outcome in range(d):
-                op = np.kron(rho_t, outcome_projector(setting, outcome))
-                rows.append(op.T.reshape(-1))  # vec(op^T) . vec(B) = Tr(op B)
-    a = (np.stack(rows) @ vb.T).real
-    return a, bstack
+    def power(tokens):
+        return tuple("".join(t) for t in itertools.product(tokens, repeat=plan.num_qubits))
+
+    preps = tuple(dict.fromkeys(label[-1] for label in plan.preparations))
+    settings = tuple(dict.fromkeys(label[-1] for label in plan.settings))
+    if power(preps) != plan.preparations or power(settings) != plan.settings:
+        raise ValueError("plan is not a full product of one per-qubit token list")
+    return preps, settings
 
 
 def linear_inversion(dataset: TomographyDataset) -> ChoiMatrix:
     """Least-squares Choi estimate from measured frequencies.
 
-    Exact probabilities recover the true Choi matrix to solver precision;
-    finite-shot input yields a Hermitian but possibly non-PSD estimate.
-    Raises if the plan's design matrix is rank deficient (the plan does not
-    span the operator space).
+    The K-qubit design matrix is a row- and column-permuted
+    ``kron(A1, ..., A1)`` of the one-qubit design ``A1[(p, s, b), (a, c)] =
+    Tr[(prep_p^T (x) projector_sb) (P_a (x) P_c) / 2]`` over the normalised
+    Pauli operators on (input, output), so its pseudo-inverse is applied one
+    qubit axis at a time.  Exact probabilities recover the true Choi matrix
+    to solver precision; finite-shot input yields a Hermitian but possibly
+    non-PSD estimate.  Raises if the plan is not a product plan or ``A1`` is
+    rank deficient (the plan does not span the operator space).
     """
     plan = dataset.plan
-    d = 2**plan.num_qubits
-    a, bstack = _design(plan.preparations, plan.settings, plan.num_qubits)
-    f = np.concatenate([dataset.frequencies[key] for key in plan.jobs()])
-    x, _, rank, _ = np.linalg.lstsq(a, f, rcond=None)
-    if rank < d**4:
+    k = plan.num_qubits
+    preps, settings = _per_qubit_tokens(plan)
+    ops = np.stack(pauli_basis(2).operators) / 2  # (P_a (x) P_c) / 2 on (input, output)
+    rows = [
+        np.kron(prep_density(p).T, outcome_projector(s, b))
+        for p in preps for s in settings for b in (0, 1)
+    ]
+    a1 = np.einsum("rij,aji->ra", np.stack(rows), ops).real
+    rank = np.linalg.matrix_rank(a1)
+    if rank < 16:
         raise ValueError(
-            f"design matrix rank {rank} < {d**4}: plan is not informationally complete"
+            f"per-qubit design matrix rank {rank} < 16: plan is not informationally complete"
         )
-    c = np.tensordot(x, bstack, axes=1)
-    return ChoiMatrix(d, d, c)
+    # dual[(p, s, b)] = sum_a pinv(A1)[a, (p, s, b)] ops[a], with axes
+    # (in row, out row, in col, out col) on one qubit's (input, output) pair
+    dual = np.tensordot(np.linalg.pinv(a1), ops.reshape(16, 2, 2, 2, 2), axes=(0, 0))
+    dual = dual.reshape(len(preps), len(settings), 2, 2, 2, 2, 2)
+    f = np.stack([dataset.frequencies[key] for key in plan.jobs()])
+    x = f.reshape((len(preps),) * k + (len(settings),) * k + (2,) * k)
+    for remaining in range(k, 0, -1):
+        # leading qubit's (prep, setting, outcome) axes -> its 4 operator axes at the end
+        x = np.tensordot(x, dual, axes=((0, remaining, 2 * remaining), (0, 1, 2)))
+    # axes now (in row, out row, in col, out col) per qubit; Choi order is inputs first
+    x = x.transpose([4 * q + role for role in range(4) for q in range(k)])
+    d = 2**k
+    return ChoiMatrix(d, d, x.reshape(d * d, d * d))
 
 
 # ---------------------------------------------------------------------------

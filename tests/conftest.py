@@ -1,4 +1,5 @@
 import importlib.resources
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +36,19 @@ def random_effect(rng: np.random.Generator, d: int) -> np.ndarray:
     """Random POVM-style effect: PSD with eigenvalues in [0, 1]."""
     v = random_unitary(rng, d)
     return v @ np.diag(rng.uniform(0, 1, size=d)).astype(complex) @ v.conj().T
+
+
+class Stopwatch:
+    def __init__(self, limit_s: float):
+        self.limit = limit_s
+        self.start = time.perf_counter()
+
+    @property
+    def elapsed(self) -> float:
+        return time.perf_counter() - self.start
+
+    def check(self):
+        assert self.elapsed < self.limit, f"runtime {self.elapsed:.1f}s over {self.limit}s limit"
 
 
 def data_path(name: str) -> str:

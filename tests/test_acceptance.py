@@ -2,7 +2,6 @@
 PASS line with its headline numbers after the assertions hold."""
 
 import json
-import time
 
 import numpy as np
 
@@ -36,22 +35,16 @@ from choiqpt.metrics import process_fidelity
 from choiqpt.noise import depolarizing_kraus
 from choiqpt.simulator import apply_measure_noise, measure_probabilities, sample_counts, simulate
 from choiqpt.tomography import project_cptp, qpt
-from conftest import data_path, random_density, random_effect, random_hermitian, random_kraus_ops
+from conftest import (
+    Stopwatch,
+    data_path,
+    random_density,
+    random_effect,
+    random_hermitian,
+    random_kraus_ops,
+)
 
 SQSCZ_CIRCUIT = Circuit(2, (ga("SQSCZ", (0, 1)),))
-
-
-class Stopwatch:
-    def __init__(self, limit_s: float):
-        self.limit = limit_s
-        self.start = time.perf_counter()
-
-    @property
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.start
-
-    def check(self):
-        assert self.elapsed < self.limit, f"runtime {self.elapsed:.1f}s over {self.limit}s limit"
 
 
 def report(num: int, text: str):

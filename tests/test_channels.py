@@ -217,6 +217,34 @@ def test_chi_rejects_nonorthogonal_basis():
         choi_to_chi(choi_from_unitary(np.eye(2)), basis=bad)
 
 
+def ptm_loop(c: ChoiMatrix) -> np.ndarray:
+    """Oracle: R[m,n] = Tr(W_m E(W_n)) / d, one channel application per column."""
+    d = c.dim_in
+    ops = pauli_basis(int(round(np.log2(d)))).operators
+    r = np.zeros((len(ops), len(ops)), dtype=complex)
+    for j, wn in enumerate(ops):
+        out = apply_choi(c, wn)
+        for i, wm in enumerate(ops):
+            r[i, j] = np.trace(wm @ out) / d
+    return r
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_ptm_matches_loop_oracle(d):
+    rng = np.random.default_rng(d)
+    for _ in range(10):
+        c = kraus_to_choi(KrausSet(tuple(random_kraus_ops(rng, d))))
+        want = ptm_loop(c)
+        assert np.abs(want.imag).max() < 1e-12
+        assert np.abs(choi_to_ptm(c).matrix - want.real).max() < 1e-12
+
+
+def test_ptm_rejects_imaginary_residue():
+    c = choi_from_unitary(np.eye(2))
+    with pytest.raises(ValueError, match="imaginary"):
+        choi_to_ptm(ChoiMatrix(2, 2, c.matrix + 1e-3j * np.eye(4)))
+
+
 def test_ptm_identity():
     ptm = choi_to_ptm(choi_from_unitary(np.eye(4)))
     assert np.abs(ptm.matrix - np.eye(16)).max() < 1e-12

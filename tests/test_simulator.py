@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choiqpt.gates import Circuit, circuit_unitary, ga
+from choiqpt.gates import Circuit, circuit_unitary, ga, to_native
 from choiqpt.noise import NoiseModel, depolarizing_kraus
 from choiqpt.simulator import (
     CountsTable,
     apply_measure_noise,
+    circuit_probabilities,
     ground_state,
     measure_probabilities,
     sample_counts,
@@ -150,6 +151,16 @@ def test_apply_measure_noise_decays_excited_population(perth_noise):
     # both qubits relax a little over the readout window
     assert 0.98 < p11 < 1.0
     assert abs(np.trace(out) - 1) < 1e-10
+
+
+def test_circuit_probabilities_is_the_composed_pipeline(perth_noise):
+    circuit = Circuit(2, (ga("SQSCZ", (0, 1)),))
+    clean = measure_probabilities(simulate(circuit), "ZZ")
+    assert np.array_equal(circuit_probabilities(circuit), clean)
+    rho = apply_measure_noise(simulate(to_native(circuit), perth_noise), perth_noise, 2)
+    noisy = circuit_probabilities(circuit, perth_noise)
+    assert np.array_equal(noisy, measure_probabilities(rho, "ZZ"))
+    assert noisy[0] < 1.0
 
 
 def test_counts_table_roundtrip_and_invariant():

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from choiqpt.channels import ChoiMatrix, choi_from_unitary, is_cptp
+from choiqpt.channels import (
+    ChoiMatrix,
+    KrausSet,
+    choi_from_unitary,
+    is_cptp,
+    kraus_to_choi,
+    outcome_probability,
+    pauli_basis,
+)
 from choiqpt.gates import Circuit, circuit_unitary, ga, gate_unitary
 from choiqpt.linalg import frobenius
 from choiqpt.noise import NoiseModel, depolarizing_kraus
@@ -12,7 +20,6 @@ from choiqpt.tomography import (
     ReconstructionOptions,
     TomographyDataset,
     TomographyPlan,
-    _design,
     build_plan,
     execute_plan,
     linear_inversion,
@@ -23,9 +30,56 @@ from choiqpt.tomography import (
     project_cptp,
     qpt,
 )
-from conftest import random_hermitian
+from conftest import Stopwatch, random_hermitian, random_kraus_ops
 
 SQSCZ_CIRCUIT = Circuit(2, (ga("SQSCZ", (0, 1)),))
+
+
+def dense_design(plan: TomographyPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: dense design matrix A and Hermitian basis stack B on 2K wires.
+
+    Row order follows the plan (preparation-major, then setting, then
+    outcome).  ``A[r, a] = Tr[(prep^T (x) projector) B_a]`` with ``B_a`` the
+    Pauli operators on 2K wires scaled to an orthonormal Hermitian basis.
+    """
+    d = 2**plan.num_qubits
+    basis = pauli_basis(2 * plan.num_qubits)
+    bstack = np.stack(basis.operators).astype(complex) / d  # Tr(BaBb) = delta
+    vb = bstack.reshape(len(basis.operators), -1)
+    rows = []
+    for prep in plan.preparations:
+        rho_t = prep_density(prep).T
+        for setting in plan.settings:
+            for outcome in range(d):
+                op = np.kron(rho_t, outcome_projector(setting, outcome))
+                rows.append(op.T.reshape(-1))  # vec(op^T) . vec(B) = Tr(op B)
+    return (np.stack(rows) @ vb.T).real, bstack
+
+
+def dense_inversion(dataset: TomographyDataset) -> np.ndarray:
+    """Oracle: least-squares Choi estimate from the dense design matrix."""
+    a, bstack = dense_design(dataset.plan)
+    f = np.concatenate([dataset.frequencies[key] for key in dataset.plan.jobs()])
+    x = np.linalg.lstsq(a, f, rcond=None)[0]
+    return np.tensordot(x, bstack, axes=1)
+
+
+def channel_dataset(choi: ChoiMatrix, plan: TomographyPlan, seed: int | None) -> TomographyDataset:
+    """Exact (``seed=None``) or sampled frequencies of a channel given by its Choi matrix."""
+    d = 2**plan.num_qubits
+    freqs, counts = {}, None if seed is None else {}
+    for idx, (prep, setting) in enumerate(plan.jobs()):
+        probs = np.array([
+            outcome_probability(choi, prep_density(prep), outcome_projector(setting, b))
+            for b in range(d)
+        ])
+        if seed is None:
+            freqs[(prep, setting)] = probs
+        else:
+            tab = sample_counts(probs, plan.shots, np.random.SeedSequence((seed, idx)))
+            counts[(prep, setting)] = tab
+            freqs[(prep, setting)] = tab.as_vector(plan.num_qubits) / plan.shots
+    return TomographyDataset(plan, freqs, counts, {})
 
 
 def test_plan_sizes():
@@ -39,13 +93,26 @@ def test_plan_sizes():
 
 
 def test_design_matrix_spans_operator_space():
-    plan = build_plan(2, shots=1)
-    a, _ = _design(plan.preparations, plan.settings, 2)
+    a, _ = dense_design(build_plan(2, shots=1))
     assert a.shape == (576, 256)
     assert np.linalg.matrix_rank(a) == 256
-    plan1 = build_plan(1, shots=1)
-    a1, _ = _design(plan1.preparations, plan1.settings, 1)
+    a1, _ = dense_design(build_plan(1, shots=1))
     assert np.linalg.matrix_rank(a1) == 16
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2])
+@pytest.mark.parametrize("seed", [None, 4])
+def test_per_qubit_inversion_matches_dense_oracle(num_qubits, seed):
+    rng = np.random.default_rng(num_qubits)
+    plan = build_plan(num_qubits, shots=2000)
+    d = 2**num_qubits
+    for _ in range(3):
+        choi = kraus_to_choi(KrausSet(tuple(random_kraus_ops(rng, d))))
+        ds = channel_dataset(choi, plan, seed)
+        est = linear_inversion(ds).matrix
+        assert np.abs(est - dense_inversion(ds)).max() < 1e-12
+        if seed is None:
+            assert np.abs(est - choi.matrix).max() < 1e-12
 
 
 def test_prep_circuits_match_closed_forms():
@@ -121,6 +188,14 @@ def test_dataset_requires_all_jobs():
         TomographyDataset(plan, {}, None, {})
 
 
+def test_dataset_rejects_bad_frequency_length():
+    d = execute_plan(build_plan(2, shots=1), SQSCZ_CIRCUIT, exact=True).to_dict()
+    d["jobs"][5]["frequencies"] = d["jobs"][5]["frequencies"][:3]
+    job = (d["jobs"][5]["prep"], d["jobs"][5]["setting"])
+    with pytest.raises(ValueError, match=rf"job \({job[0]!r}, {job[1]!r}\) has 3 frequencies"):
+        TomographyDataset.from_dict(d)
+
+
 def test_linear_inversion_recovers_exact_choi():
     for circuit in (SQSCZ_CIRCUIT, Circuit(2)):
         plan = build_plan(2, shots=1)
@@ -143,6 +218,14 @@ def test_linear_inversion_rank_deficient_plan():
     ds = TomographyDataset(deficient, freqs, None, {})
     with pytest.raises(ValueError, match="rank"):
         linear_inversion(ds)
+
+
+def test_linear_inversion_rejects_non_product_plan():
+    plan = build_plan(2, shots=16)
+    partial = TomographyPlan(2, plan.preparations[:-1], plan.settings, 16)
+    freqs = {key: np.full(4, 0.25) for key in partial.jobs()}
+    with pytest.raises(ValueError, match="product"):
+        linear_inversion(TomographyDataset(partial, freqs, None, {}))
 
 
 def test_project_cptp_fixed_point():
@@ -176,6 +259,14 @@ def test_qpt_exact_self_consistency():
     result = qpt(SQSCZ_CIRCUIT, exact=True)
     assert result.report.process_fidelity >= 1 - 1e-9
     assert result.converged
+
+
+def test_qpt_exact_three_qubits():
+    sw = Stopwatch(30.0)
+    target = Circuit(3, (ga("SQSCZ", (0, 1)), ga("H", 2)))
+    result = qpt(target, exact=True)
+    assert result.report.process_fidelity >= 1 - 1e-9
+    sw.check()
 
 
 def test_qpt_no_cptp_option():
