@@ -3,76 +3,23 @@
 
 Environments: exact probabilities (no sampling), a clean simulator sampled
 at 11,000 shots per setting, and the calibrated-noise simulator sampled at
-4,000 shots.  Writes per-environment reports and Choi/chi visualizations.
+4,000 shots.  Every run is one ``qpt run`` writing its usual artifacts to
+``<out>/<environment>/seed<N>/``; the exact environment runs once, with
+the first seed.  ``<out>/summary.json`` maps each environment to its
+process fidelities, one per seed.
 
     python scripts/run_qpt_experiments.py --out results/ --seeds 0 1 2
 """
 
 import argparse
-import importlib.resources
 import json
+import sys
 from pathlib import Path
 
-import numpy as np
+import choiqpt
+from choiqpt import cli
 
-from choiqpt import (
-    Circuit,
-    choi_to_chi,
-    ga,
-    noise_model_from_calibration,
-    parse_calibration,
-    qpt,
-)
-from choiqpt.channels import matrix_to_json_dict
-from choiqpt.viz import svg_city, svg_hinton
-
-
-def data_file(name: str) -> str:
-    return str(importlib.resources.files("choiqpt").joinpath(f"data/{name}"))
-
-
-def run_environment(tag, circuit, out_dir, *, noise=None, shots=0, seeds=(0,), exact=False):
-    fids = []
-    last = None
-    for seed in seeds:
-        last = qpt(circuit, noise=noise, shots=shots, seed=seed, exact=exact)
-        fids.append(last.report.process_fidelity)
-        if exact:
-            break
-    fids = np.array(fids)
-    env_dir = out_dir / tag
-    env_dir.mkdir(parents=True, exist_ok=True)
-    (env_dir / "report.json").write_text(
-        json.dumps(
-            {
-                "fidelities": fids.tolist(),
-                "mean": float(fids.mean()),
-                "std": float(fids.std()),
-                "shots": shots,
-                "seeds": list(seeds[: len(fids)]),
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-    (env_dir / "choi.json").write_text(
-        json.dumps(matrix_to_json_dict(last.choi.matrix, last.choi.dim_in), indent=2) + "\n"
-    )
-    labels = [f"{k:02b}{r:02b}" for k in range(4) for r in range(4)]
-    (env_dir / "choi_re_city.svg").write_text(
-        svg_city(last.choi.matrix.real, labels, f"Re C ({tag})")
-    )
-    (env_dir / "choi_im_city.svg").write_text(
-        svg_city(last.choi.matrix.imag, labels, f"Im C ({tag})")
-    )
-    chi = choi_to_chi(last.choi)
-    (env_dir / "chi_re_hinton.svg").write_text(
-        svg_hinton(chi.matrix.real, chi.labels, f"Re chi ({tag})")
-    )
-    (env_dir / "chi_im_hinton.svg").write_text(
-        svg_hinton(chi.matrix.imag, chi.labels, f"Im chi ({tag})")
-    )
-    return fids
+DATA = Path(choiqpt.__file__).parent / "data"
 
 
 def main():
@@ -81,23 +28,33 @@ def main():
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
     parser.add_argument("--clean-shots", type=int, default=11_000)
     parser.add_argument("--noisy-shots", type=int, default=4_000)
-    parser.add_argument("--calib", default=data_file("ibm_perth_tab1.json"))
+    parser.add_argument("--calib", default=str(DATA / "ibm_perth_tab1.json"))
     args = parser.parse_args()
 
-    circuit = Circuit(2, (ga("SQSCZ", (0, 1)),))
-    noise = noise_model_from_calibration(parse_calibration(args.calib), num_qubits=2)
-
-    print(f"{'environment':<28}{'shots':>8}{'runs':>6}{'mean F_P':>12}{'min':>10}{'max':>10}")
-    rows = [
-        ("exact probabilities", dict(exact=True, shots=0)),
-        ("clean simulator", dict(shots=args.clean_shots)),
-        ("calibrated noise", dict(noise=noise, shots=args.noisy_shots)),
+    environments = [
+        ("exact_probabilities", 0, ["--exact"], args.seeds[:1]),
+        ("clean_simulator", args.clean_shots, [], args.seeds),
+        ("calibrated_noise", args.noisy_shots, ["--calib", args.calib], args.seeds),
     ]
-    for tag, kwargs in rows:
-        fids = run_environment(tag.replace(" ", "_"), circuit, args.out, seeds=args.seeds, **kwargs)
+    summary = {}
+    for env, shots, flags, seeds in environments:
+        summary[env] = []
+        for seed in seeds:
+            run_dir = args.out / env / f"seed{seed}"
+            argv = ["run", "--circuit", str(DATA / "sqscz_circuit.json"), "--seed", str(seed)]
+            argv += ["--out", str(run_dir), *flags] + (["--shots", str(shots)] if shots else [])
+            if code := cli.main(argv):
+                sys.exit(code)
+            report = json.loads((run_dir / "report.json").read_text())
+            summary[env].append(report["process_fidelity"])
+    (args.out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+
+    print(f"\n{'environment':<28}{'shots':>8}{'runs':>6}{'mean F_P':>12}{'min':>10}{'max':>10}")
+    for env, shots, _, _ in environments:
+        fids = summary[env]
         print(
-            f"{tag:<28}{kwargs.get('shots', 0):>8}{len(fids):>6}"
-            f"{fids.mean():>12.5f}{fids.min():>10.5f}{fids.max():>10.5f}"
+            f"{env.replace('_', ' '):<28}{shots:>8}{len(fids):>6}"
+            f"{sum(fids) / len(fids):>12.5f}{min(fids):>10.5f}{max(fids):>10.5f}"
         )
     print(f"\nartifacts in {args.out}/")
 

@@ -236,10 +236,11 @@ def choi_to_chi(c: ChoiMatrix, basis: PauliBasis | None = None) -> ChiMatrix:
         num_qubits = int(round(np.log2(d)))
         if 2**num_qubits != d:
             raise ValueError("default Pauli basis needs a power-of-two dimension")
-        basis = pauli_basis(num_qubits)
-    if basis.dim != d:
-        raise ValueError("basis dimension does not match the channel")
-    _check_orthogonal_basis(basis)
+        basis = pauli_basis(num_qubits)  # orthogonal by construction
+    else:
+        if basis.dim != d:
+            raise ValueError("basis dimension does not match the channel")
+        _check_orthogonal_basis(basis)
     v = _pauli_choi_vectors(basis)
     chi = (v.conj() @ c.matrix @ v.T) / d**2
     return ChiMatrix(chi, basis.labels)

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import viz
-from .channels import choi_to_chi, is_cptp, matrix_csv, matrix_to_json_dict
+from .channels import choi_to_chi, matrix_csv, matrix_to_json_dict
 from .gates import load_circuit, verify_gate_identities
 from .noise import noise_model_from_calibration, parse_calibration
 from .simulator import circuit_probabilities, sample_counts
@@ -105,11 +105,11 @@ def cmd_run(args) -> int:
     _write(out / "chi_re_hinton.svg", viz.svg_hinton(chi.matrix.real, chi.labels, "Re chi"))
     _write(out / "chi_im_hinton.svg", viz.svg_hinton(chi.matrix.imag, chi.labels, "Im chi"))
 
-    rep = is_cptp(result.choi)
+    rep = result.report
     print(
-        f"process fidelity {result.report.process_fidelity:.6f}  "
-        f"avg gate fidelity {result.report.average_gate_fidelity:.6f}  "
-        f"min eig {rep.min_eig:.2e}  tp dev {rep.tp_dev:.2e}"
+        f"process fidelity {rep.process_fidelity:.6f}  "
+        f"avg gate fidelity {rep.average_gate_fidelity:.6f}  "
+        f"min eig {rep.min_eigenvalue:.2e}  tp dev {rep.tp_deviation:.2e}"
     )
     print(f"outputs written to {out}/")
     return 0

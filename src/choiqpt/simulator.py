@@ -9,21 +9,35 @@ which downstream determinism guarantees rely on.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Circuit, embed_operator, gate_unitary, to_native
+from .gates import Circuit, circuit_unitary, embed_operator, ga, to_native
 from .linalg import as_complex_matrix, dagger, kron_all
 from .noise import NoiseModel
 
 _C = np.complex128
 
-_MEAS_ROT = {
-    "Z": np.eye(2, dtype=_C),
-    "X": gate_unitary("H"),
-    "Y": gate_unitary("H") @ dagger(gate_unitary("Ph", (np.pi / 2,))),  # H S^dag
-}
+# Per-qubit basis change for each Pauli measurement basis, as (gate, *params)
+# entries applied in order: it rotates the basis's +1/-1 eigenstates onto
+# |0>/|1>.  The only definition of the bases (table order is plan order);
+# the rotation matrices derive from it.
+MEAS_GATES = {"X": (("H",),), "Y": (("Ph", -math.pi / 2), ("H",)), "Z": ()}
+
+
+def _token_circuit(label: str, table: dict, num_qubits: int | None, kind: str) -> Circuit:
+    """Circuit applying ``table[token]`` to qubit q for the q-th token of ``label``."""
+    gates = []
+    for q, token in enumerate(label):
+        if token not in table:
+            raise ValueError(f"unknown {kind} {token!r}")
+        gates.extend(ga(name, q, *params) for name, *params in table[token])
+    return Circuit(num_qubits or len(label), tuple(gates))
+
+
+_MEAS_ROT = {b: circuit_unitary(_token_circuit(b, MEAS_GATES, 1, "")) for b in MEAS_GATES}
 
 
 def ground_state(num_qubits: int) -> np.ndarray:
@@ -105,9 +119,9 @@ def measure_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
     """Outcome probabilities for a per-qubit Pauli measurement setting.
 
     ``setting`` is a string over {X, Y, Z}, one letter per qubit.  Each
-    qubit is rotated into the computational frame (H for X, S^dag then H
-    for Y, nothing for Z) and the diagonal is read out.  Outcome index
-    treats qubit 0 as the most significant bit.
+    qubit is rotated into the computational frame by its :data:`MEAS_GATES`
+    entry and the diagonal is read out.  Outcome index treats qubit 0 as
+    the most significant bit.
     """
     rho = as_complex_matrix(rho)
     num_qubits = len(setting)

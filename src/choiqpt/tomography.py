@@ -3,8 +3,11 @@
 The pipeline mirrors how one characterizes a gate on hardware:
 
 1. prepare each qubit in one of {|0>, |1>, |+>, |+i>} (informationally
-   complete product set),
+   complete product set) by the gates of its token in ``_PREP_GATES``,
 2. measure every qubit in each of the X/Y/Z bases (all outcomes kept),
+   rotated into the computational frame by ``simulator.MEAS_GATES``; both
+   the circuits that run and the states and projectors that linear
+   inversion assumes derive from these two gate tables,
 3. run the target between preparation and basis rotation, collecting counts,
 4. invert the Born-rule linear system for the Choi matrix qubit by qubit:
    the plan is a tensor product of one 4-preparation x 3-setting plan per
@@ -29,23 +32,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChoiMatrix, choi_from_unitary, pauli_basis
-from .gates import Circuit, GateApplication, circuit_unitary, ga
+from .gates import Circuit, circuit_unitary
 from .linalg import dagger, frobenius, kron_all, partial_trace
 from .metrics import FidelityReport, fidelity_report
 from .noise import NoiseModel
-from .simulator import _MEAS_ROT, CountsTable, circuit_probabilities, sample_counts
+from .simulator import (
+    _MEAS_ROT,
+    MEAS_GATES,
+    CountsTable,
+    _token_circuit,
+    circuit_probabilities,
+    sample_counts,
+)
 
 _C = np.complex128
 
-PREP_TOKENS = ("0", "1", "+", "i")
-SETTING_TOKENS = ("X", "Y", "Z")
+# Per-qubit preparation from |0> for each token, as (gate, *params) entries
+# applied in order; 'i' is the +1 eigenstate of Y.  Table order is plan order.
+_PREP_GATES = {"0": (), "1": (("X",),), "+": (("H",),), "i": (("H",), ("Ph", math.pi / 2))}
 
-_KETS = {
-    "0": np.array([1, 0], dtype=_C),
-    "1": np.array([0, 1], dtype=_C),
-    "+": np.array([1, 1], dtype=_C) / math.sqrt(2),
-    "i": np.array([1, 1j], dtype=_C) / math.sqrt(2),
-}
+PREP_TOKENS = tuple(_PREP_GATES)
+SETTING_TOKENS = tuple(MEAS_GATES)
 
 
 @dataclass(frozen=True)
@@ -78,52 +85,19 @@ def build_plan(num_qubits: int, shots: int = 4000) -> TomographyPlan:
 
 
 def prep_circuit(label: str, num_qubits: int | None = None) -> Circuit:
-    """Circuit preparing the labeled product state from |0...0>.
-
-    Tokens per qubit: '0' nothing, '1' an X gate, '+' a Hadamard,
-    'i' Hadamard then Ph(pi/2) (the +1 eigenstate of Y).
-    """
-    num_qubits = num_qubits or len(label)
-    gates: list[GateApplication] = []
-    for q, token in enumerate(label):
-        if token == "0":
-            continue
-        if token == "1":
-            gates.append(ga("X", q))
-        elif token == "+":
-            gates.append(ga("H", q))
-        elif token == "i":
-            gates.append(ga("H", q))
-            gates.append(ga("Ph", q, math.pi / 2))
-        else:
-            raise ValueError(f"unknown preparation token {token!r}")
-    return Circuit(num_qubits, tuple(gates))
+    """Circuit preparing the labeled product state from |0...0> (see ``_PREP_GATES``)."""
+    return _token_circuit(label, _PREP_GATES, num_qubits, "preparation token")
 
 
 def prep_density(label: str) -> np.ndarray:
-    """Density matrix of the labeled product state (closed form)."""
-    kets = [_KETS[t] for t in label]
-    psi = kets[0]
-    for k in kets[1:]:
-        psi = np.kron(psi, k)
+    """Density matrix of the labeled product state, from its preparation circuit."""
+    psi = circuit_unitary(prep_circuit(label))[:, 0]
     return np.outer(psi, psi.conj())
 
 
 def measurement_circuit(setting: str, num_qubits: int | None = None) -> Circuit:
     """Basis-change circuit rotating the setting into the computational frame."""
-    num_qubits = num_qubits or len(setting)
-    gates: list[GateApplication] = []
-    for q, basis in enumerate(setting.upper()):
-        if basis == "Z":
-            continue
-        if basis == "X":
-            gates.append(ga("H", q))
-        elif basis == "Y":
-            gates.append(ga("Ph", q, -math.pi / 2))
-            gates.append(ga("H", q))
-        else:
-            raise ValueError(f"unknown measurement basis {basis!r}")
-    return Circuit(num_qubits, tuple(gates))
+    return _token_circuit(setting.upper(), MEAS_GATES, num_qubits, "measurement basis")
 
 
 def outcome_projector(setting: str, outcome: int) -> np.ndarray:
@@ -182,7 +156,9 @@ class TomographyDataset:
         counts: dict[tuple[str, str], CountsTable] | None = None
         jobs = {(j["prep"], j["setting"]): j for j in d["jobs"]}
         for key in plan.jobs():
-            job = jobs[key]
+            job = jobs.get(key)
+            if job is None:  # left for __post_init__ to report
+                continue
             if "counts" in job:
                 tab = CountsTable.from_dict(job["counts"])
                 if counts is None:

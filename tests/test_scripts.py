@@ -1,0 +1,62 @@
+import json
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from choiqpt.cli import main
+from conftest import data_path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(monkeypatch, name: str, *argv: str) -> None:
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+
+
+def test_qpt_experiments_layout_and_summary(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "exp"
+    run_script(
+        monkeypatch, "run_qpt_experiments.py",
+        "--out", str(out), "--seeds", "3", "--clean-shots", "300", "--noisy-shots", "300",
+    )
+    summary = json.loads((out / "summary.json").read_text())
+    assert list(summary) == ["exact_probabilities", "clean_simulator", "calibrated_noise"]
+    for env, fids in summary.items():
+        assert len(fids) == 1
+        report = json.loads((out / env / "seed3" / "report.json").read_text())
+        assert report["process_fidelity"] == fids[0]
+        assert report["seed"] == 3
+        for fname in ("dataset.json", "choi.json", "choi_re.csv", "chi_re_hinton.svg"):
+            assert (out / env / "seed3" / fname).is_file()
+    assert summary["exact_probabilities"][0] == pytest.approx(1.0, abs=1e-9)
+    assert summary["calibrated_noise"][0] < summary["clean_simulator"][0]
+    assert "calibrated noise" in capsys.readouterr().out
+
+
+def test_direct_execution_matches_cli(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "direct"
+    run_script(monkeypatch, "run_direct_execution.py", "--shots", "500", "--seed", "4",
+               "--out", str(out))
+    table = capsys.readouterr().out
+    ref = tmp_path / "ref"
+    circuit = data_path("sqscz_circuit.json")
+    flags = ["--circuit", circuit, "--shots", "500", "--seed", "4"]
+    assert main(["execute", *flags, "--out", str(ref / "clean")]) == 0
+    assert main(["execute", *flags, "--calib", data_path("ibm_perth_tab1.json"),
+                 "--out", str(ref / "noisy")]) == 0
+    for backend in ("clean", "noisy"):
+        got = (out / backend / "counts.json").read_text()
+        assert got == (ref / backend / "counts.json").read_text()
+        assert (out / backend / "counts.svg").is_file()
+    noisy = json.loads((out / "noisy" / "counts.json").read_text())["counts"]
+    assert f"{'00':<10}{500:>10}{noisy['00']:>10}" in table
+
+
+def test_script_exits_with_cli_error_code(tmp_path, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, "run_direct_execution.py", "--shots", "10",
+                   "--calib", str(tmp_path / "missing.json"), "--out", str(tmp_path / "d"))
+    assert exc.value.code == 2

@@ -15,7 +15,7 @@ from choiqpt.channels import (
 from choiqpt.gates import Circuit, circuit_unitary, ga, gate_unitary
 from choiqpt.linalg import frobenius
 from choiqpt.noise import NoiseModel, depolarizing_kraus
-from choiqpt.simulator import sample_counts, simulate
+from choiqpt.simulator import measure_probabilities, sample_counts, simulate
 from choiqpt.tomography import (
     ReconstructionOptions,
     TomographyDataset,
@@ -30,7 +30,7 @@ from choiqpt.tomography import (
     project_cptp,
     qpt,
 )
-from conftest import Stopwatch, random_hermitian, random_kraus_ops
+from conftest import Stopwatch, random_density, random_hermitian, random_kraus_ops
 
 SQSCZ_CIRCUIT = Circuit(2, (ga("SQSCZ", (0, 1)),))
 
@@ -115,14 +115,47 @@ def test_per_qubit_inversion_matches_dense_oracle(num_qubits, seed):
             assert np.abs(est - choi.matrix).max() < 1e-12
 
 
+# closed-form single-qubit states of the preparation tokens
+KETS = {
+    "0": np.array([1, 0], dtype=complex),
+    "1": np.array([0, 1], dtype=complex),
+    "+": np.array([1, 1], dtype=complex) / np.sqrt(2),
+    "i": np.array([1, 1j], dtype=complex) / np.sqrt(2),
+}
+PAULIS = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1.0, -1.0]).astype(complex),
+}
+
+
 def test_prep_circuits_match_closed_forms():
-    y = gate_unitary("Ph", (np.pi / 2,)) @ gate_unitary("X") @ gate_unitary("Ph", (-np.pi / 2,))
     for label in build_plan(2, 1).preparations:
-        rho_circ = simulate(prep_circuit(label))
-        assert np.abs(rho_circ - prep_density(label)).max() < 1e-12, label
+        psi = np.kron(KETS[label[0]], KETS[label[1]])
+        rho = np.outer(psi, psi.conj())
+        assert np.abs(prep_density(label) - rho).max() < 1e-12, label
+        assert np.abs(simulate(prep_circuit(label)) - rho).max() < 1e-12, label
     # the +i token is the +1 eigenstate of Y
-    rho = prep_density("i")
-    assert np.trace(y @ rho).real == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(PAULIS["Y"] @ prep_density("i")).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_unknown_tokens_rejected():
+    with pytest.raises(ValueError, match="unknown preparation token 'x'"):
+        prep_circuit("0x")
+    with pytest.raises(ValueError, match="unknown measurement basis 'Q'"):
+        measurement_circuit("zq")
+
+
+def test_measurement_matches_pauli_eigenprojectors():
+    # outcome bit 0 (1) of basis P on a qubit is the eigenprojector (I + P)/2 ((I - P)/2)
+    rho = random_density(np.random.default_rng(11), 4)
+    for setting in build_plan(2, 1).settings:
+        for b in range(4):
+            bits = (b >> 1, b & 1)
+            want = np.kron(*[(np.eye(2) + (-1) ** k * PAULIS[p]) / 2 for p, k in zip(setting, bits)])
+            assert np.abs(outcome_projector(setting, b) - want).max() < 1e-12, (setting, b)
+            prob = measure_probabilities(rho, setting)[b]
+            assert abs(prob - np.trace(want @ rho).real) < 1e-12, (setting, b)
 
 
 def test_outcome_projectors_resolve_identity():
@@ -134,10 +167,7 @@ def test_outcome_projectors_resolve_identity():
 def test_measurement_circuit_diagonalizes_setting():
     # rotating by the measurement circuit then reading Z equals projecting
     # onto the setting's projectors
-    rng = np.random.default_rng(3)
-    from conftest import random_density
-
-    rho = random_density(rng, 4)
+    rho = random_density(np.random.default_rng(3), 4)
     for setting in ("XZ", "YY"):
         circ = measurement_circuit(setting, 2)
         rotated = simulate(circ, initial=rho)
@@ -186,6 +216,13 @@ def test_dataset_requires_all_jobs():
     plan = build_plan(1, shots=16)
     with pytest.raises(ValueError):
         TomographyDataset(plan, {}, None, {})
+
+
+def test_dataset_from_dict_missing_job_is_value_error():
+    d = execute_plan(build_plan(1, shots=1), Circuit(1), exact=True).to_dict()
+    del d["jobs"][0]
+    with pytest.raises(ValueError, match=r"missing 1 plan job\(s\), e.g. \('0', 'X'\)"):
+        TomographyDataset.from_dict(d)
 
 
 def test_dataset_rejects_bad_frequency_length():
