@@ -7,6 +7,7 @@ so trace-preserving channels have ``Tr C = d`` and the input factor comes
 first in the tensor product.  The chi matrix expands a channel over the
 bare (unnormalized) Pauli operators, ``E(rho) = sum chi_mn W_m rho W_n^dag``,
 which makes the identity channel's chi a single unit entry at (II, II).
+The superoperator acts on row-major vectorised density matrices.
 The Pauli ordering is lexicographic: II, IX, IY, IZ, XI, ..., ZZ.
 """
 
@@ -201,6 +202,18 @@ def kraus_to_choi(kraus: KrausSet) -> ChoiMatrix:
         v = k.T.reshape(d * d)
         c += np.outer(v, v.conj())
     return ChoiMatrix(d, d, c)
+
+
+def kraus_superop(operators) -> np.ndarray:
+    """Superoperator ``S = sum_k K_k (x) conj(K_k)`` of a stack of Kraus operators.
+
+    ``S`` acts on the row-major vectorisation ``vec(rho)[i*d + j] = rho[i, j]``,
+    so ``vec(E(rho)) = S vec(rho)`` and composed channels multiply their
+    superoperators (Wood, Biamonte & Cory, arXiv:1111.6950).
+    """
+    k = np.asarray(operators, dtype=_C)
+    d = k.shape[-1]
+    return np.einsum("kac,kbd->abcd", k, k.conj()).reshape(d * d, d * d)
 
 
 def choi_to_kraus(c: ChoiMatrix, cutoff: float = 1e-10, neg_tol: float = 1e-7) -> KrausSet:

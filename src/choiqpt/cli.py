@@ -89,7 +89,7 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     _write(out / "dataset.json", result.dataset.to_json() + "\n")
     _write(out / "choi.json", _json_dumps(matrix_to_json_dict(result.choi.matrix, result.choi.dim_in)))
-    report = result.report_dict(shots=args.shots, seed=args.seed)
+    report = result.report_dict(shots=None if args.exact else args.shots, seed=args.seed)
     report["method"] = method
     report["exact"] = args.exact
     report["noise"] = noise.label if noise is not None else None

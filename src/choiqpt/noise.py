@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import KrausSet, pauli_basis
+from .channels import KrausSet, kraus_superop, pauli_basis
+from .gates import gate_unitary
 from .linalg import kron_all
 
 _C = np.complex128
@@ -232,9 +233,32 @@ class NoiseModel:
     readout_confusion: dict[int, np.ndarray]
     gate_durations: dict[str, float]
     label: str = "calibrated"
+    _superops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def kraus_for(self, name: str, qubits: tuple[int, ...]) -> KrausSet | None:
         return self.gate_noise.get((name, tuple(qubits)))
+
+    def superop_for(
+        self, name: str, qubits: tuple[int, ...], params: tuple[float, ...] = ()
+    ) -> np.ndarray | None:
+        """Superoperator of gate ``name`` followed by its noise on ``qubits``; None if noiseless.
+
+        Built once as ``(sum_k K_k (x) conj(K_k)) (U (x) conj(U))`` and cached
+        per ``gate_noise`` entry, so the cache never outgrows the model; other
+        ``params`` or a replaced Kraus set rebuild the entry.  ``"measure"``
+        has no gate, so its entry is the readout decay alone.
+        """
+        key = (name, tuple(qubits))
+        ks = self.gate_noise.get(key)
+        if ks is None:
+            return None
+        hit = self._superops.get(key)
+        if hit is None or hit[0] is not ks or hit[1] != params:
+            ops = np.stack(ks.operators)
+            if name != "measure":
+                ops = ops @ gate_unitary(name, params)
+            hit = self._superops[key] = (ks, params, kraus_superop(ops))
+        return hit[2]
 
     def measure_kraus(self, qubit: int) -> KrausSet | None:
         return self.gate_noise.get(("measure", (qubit,)))

@@ -1,9 +1,16 @@
 """Density-matrix circuit simulation with optional noise and shot sampling.
 
 States are plain ``numpy`` density matrices (Hermitian, unit trace, PSD
-within tolerance).  Sampling uses numpy's PCG64 generator seeded either by
-an integer or a ``SeedSequence``; a fixed seed reproduces counts exactly,
-which downstream determinism guarantees rely on.
+within tolerance), alone or stacked on a leading batch axis.  Each gate
+application, with its noise, acts as one cached local superoperator
+``(sum_k K_k (x) conj(K_k)) (U (x) conj(U))`` (noisy ones cached on the
+:class:`NoiseModel`, noiseless ones per gate and parameters), applied with
+one ``tensordot`` on the gate's row and column axes of the ``(2,) * 2K``
+state tensor; readout decay acts the same way.
+
+Sampling uses numpy's PCG64 generator seeded either by an integer or a
+``SeedSequence``; a fixed seed reproduces counts exactly, which downstream
+determinism guarantees rely on.
 """
 
 from __future__ import annotations
@@ -11,11 +18,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .gates import Circuit, circuit_unitary, embed_operator, ga, to_native
-from .linalg import as_complex_matrix, dagger, kron_all
+from .channels import kraus_superop
+from .gates import Circuit, ga, gate_unitary, to_native
+from .linalg import as_complex_matrix, dagger
 from .noise import NoiseModel
 
 _C = np.complex128
@@ -23,7 +32,7 @@ _C = np.complex128
 # Per-qubit basis change for each Pauli measurement basis, as (gate, *params)
 # entries applied in order: it rotates the basis's +1/-1 eigenstates onto
 # |0>/|1>.  The only definition of the bases (table order is plan order);
-# the rotation matrices derive from it.
+# the rotation matrices in ``tomography`` derive from it.
 MEAS_GATES = {"X": (("H",),), "Y": (("Ph", -math.pi / 2), ("H",)), "Z": ()}
 
 
@@ -35,9 +44,6 @@ def _token_circuit(label: str, table: dict, num_qubits: int | None, kind: str) -
             raise ValueError(f"unknown {kind} {token!r}")
         gates.extend(ga(name, q, *params) for name, *params in table[token])
     return Circuit(num_qubits or len(label), tuple(gates))
-
-
-_MEAS_ROT = {b: circuit_unitary(_token_circuit(b, MEAS_GATES, 1, "")) for b in MEAS_GATES}
 
 
 def ground_state(num_qubits: int) -> np.ndarray:
@@ -62,15 +68,28 @@ def validate_density_matrix(
     return rho
 
 
-def apply_kraus(
-    rho: np.ndarray, operators, qubits: tuple[int, ...], num_qubits: int
-) -> np.ndarray:
-    """Apply a Kraus channel on a subset of wires of the register."""
-    out = np.zeros_like(rho)
-    for k in operators:
-        full = embed_operator(k, qubits, num_qubits)
-        out += full @ rho @ dagger(full)
-    return out
+@lru_cache(maxsize=64)
+def _unitary_superop(name: str, params: tuple[float, ...]) -> np.ndarray:
+    return kraus_superop(gate_unitary(name, params)[None])
+
+
+def _apply(rho: np.ndarray, s: np.ndarray, qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """Contract a local superoperator with the given wires of a ``(B, 2, ..., 2)`` state tensor."""
+    m = len(qubits)
+    axes = [1 + q for q in qubits] + [1 + num_qubits + q for q in qubits]
+    out = np.tensordot(s.reshape((2,) * (4 * m)), rho, axes=(range(2 * m, 4 * m), axes))
+    return np.moveaxis(out, range(2 * m), axes)
+
+
+def _run(rho: np.ndarray, c: Circuit, noise: NoiseModel | None) -> np.ndarray:
+    """Apply the circuit's gates, each followed by its noise entry, to a state or a stack."""
+    t = rho.reshape((-1,) + (2,) * (2 * c.num_qubits))
+    for g in c.gates:
+        s = noise.superop_for(g.name, g.qubits, g.params) if noise is not None else None
+        if s is None:
+            s = _unitary_superop(g.name, g.params)
+        t = _apply(t, s, g.qubits, c.num_qubits)
+    return t.reshape(rho.shape)
 
 
 def simulate(
@@ -80,9 +99,9 @@ def simulate(
 ) -> np.ndarray:
     """Run a circuit on a density matrix, gate by gate.
 
-    Each gate conjugates the state by its embedded unitary, then (when a
-    noise model is given) applies that gate's Kraus set on the same wires.
-    Gates without a noise entry run clean, so lower circuits with
+    Each gate acts as its cached superoperator: the unitary, then (when a
+    noise model is given) that gate's Kraus set on the same wires.  Gates
+    without a noise entry run clean, so lower circuits with
     :func:`choiqpt.gates.to_native` before noisy simulation.
     """
     dim = 2**c.num_qubits
@@ -94,25 +113,30 @@ def simulate(
             raise ValueError(
                 f"initial state dim {rho.shape[0]} does not match circuit width {c.num_qubits}"
             )
-    for g in c.gates:
-        u = embed_operator(g.unitary(), g.qubits, c.num_qubits)
-        rho = u @ rho @ dagger(u)
-        if noise is not None:
-            ks = noise.kraus_for(g.name, g.qubits)
-            if ks is not None:
-                rho = apply_kraus(rho, ks.operators, g.qubits, c.num_qubits)
-    return rho
+    return _run(rho, c, noise)
+
+
+def evolve(states: np.ndarray, c: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
+    """Execute a circuit on a ``(B, d, d)`` stack of states.
+
+    With a noise model the circuit is first lowered to the native gate set
+    so calibrated per-gate noise applies.  States are not validated.
+    """
+    if noise is not None:
+        c = to_native(c)
+    return _run(states, c, noise)
 
 
 def apply_measure_noise(rho: np.ndarray, noise: NoiseModel | None, num_qubits: int) -> np.ndarray:
-    """Decay over the readout window, applied right before sampling."""
+    """Decay over the readout window, applied right before sampling (state or stack)."""
     if noise is None:
         return rho
+    t = rho.reshape((-1,) + (2,) * (2 * num_qubits))
     for q in range(num_qubits):
-        ks = noise.measure_kraus(q)
-        if ks is not None:
-            rho = apply_kraus(rho, ks.operators, (q,), num_qubits)
-    return rho
+        s = noise.superop_for("measure", (q,))
+        if s is not None:
+            t = _apply(t, s, (q,), num_qubits)
+    return t.reshape(rho.shape)
 
 
 def measure_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
@@ -127,17 +151,24 @@ def measure_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
     num_qubits = len(setting)
     if rho.shape != (2**num_qubits, 2**num_qubits):
         raise ValueError(f"state dim {rho.shape[0]} does not match setting {setting!r}")
-    try:
-        rot = kron_all(_MEAS_ROT[b] for b in setting.upper())
-    except KeyError as exc:
-        raise ValueError(f"bad measurement basis {exc} in {setting!r}") from None
-    rotated = rot @ rho @ dagger(rot)
-    probs = np.real(np.diag(rotated)).copy()
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {total:.6g}, state is not normalized")
-    np.clip(probs, 0.0, None, out=probs)
-    return probs / probs.sum()
+    basis_change = _token_circuit(setting.upper(), MEAS_GATES, None, "measurement basis")
+    return z_probabilities(_run(rho, basis_change, None))
+
+
+def z_probabilities(states: np.ndarray, noise: NoiseModel | None = None) -> np.ndarray:
+    """Computational-basis outcome probabilities of a state or a ``(B, d, d)`` stack.
+
+    Readout decay acts first when a noise model is given.  Each vector must
+    sum to 1 within 1e-9; it is then clipped at 0 and renormalised.
+    """
+    rho = apply_measure_noise(states, noise, states.shape[-1].bit_length() - 1)
+    probs = np.diagonal(rho, axis1=-2, axis2=-1).real
+    total = probs.sum(axis=-1)
+    if np.abs(total - 1.0).max() > 1e-9:
+        bad = total.flat[np.abs(total - 1.0).argmax()]
+        raise ValueError(f"probabilities sum to {bad:.6g}, state is not normalized")
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def circuit_probabilities(c: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
@@ -148,10 +179,7 @@ def circuit_probabilities(c: Circuit, noise: NoiseModel | None = None) -> np.nda
     read-out.  Readout confusion is left to the caller, which applies it to
     sampled bits (:func:`sample_counts`) or to exact probabilities.
     """
-    if noise is not None:
-        c = to_native(c)
-    rho = apply_measure_noise(simulate(c, noise), noise, c.num_qubits)
-    return measure_probabilities(rho, "Z" * c.num_qubits)
+    return z_probabilities(evolve(ground_state(c.num_qubits)[None], c, noise), noise)[0]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,11 @@ The pipeline mirrors how one characterizes a gate on hardware:
    rotated into the computational frame by ``simulator.MEAS_GATES``; both
    the circuits that run and the states and projectors that linear
    inversion assumes derive from these two gate tables,
-3. run the target between preparation and basis rotation, collecting counts,
+3. run the target between preparation and basis rotation, collecting counts;
+   the simulation uses the plan's product structure instead of composing
+   4^K x 3^K circuits: the 4^K preparation circuits run once each, the
+   target once on the stack of prepared states, and each of the 3^K basis
+   changes (with readout decay) once on the stack of target outputs,
 4. invert the Born-rule linear system for the Choi matrix qubit by qubit:
    the plan is a tensor product of one 4-preparation x 3-setting plan per
    qubit, so the least-squares solution applies the pseudo-inverse of the
@@ -37,12 +41,13 @@ from .linalg import dagger, frobenius, kron_all, partial_trace
 from .metrics import FidelityReport, fidelity_report
 from .noise import NoiseModel
 from .simulator import (
-    _MEAS_ROT,
     MEAS_GATES,
     CountsTable,
     _token_circuit,
-    circuit_probabilities,
+    evolve,
+    ground_state,
     sample_counts,
+    z_probabilities,
 )
 
 _C = np.complex128
@@ -50,6 +55,9 @@ _C = np.complex128
 # Per-qubit preparation from |0> for each token, as (gate, *params) entries
 # applied in order; 'i' is the +1 eigenstate of Y.  Table order is plan order.
 _PREP_GATES = {"0": (), "1": (("X",),), "+": (("H",),), "i": (("H",), ("Ph", math.pi / 2))}
+
+# One-qubit rotation of each measurement basis into the computational frame.
+_MEAS_ROT = {b: circuit_unitary(_token_circuit(b, MEAS_GATES, 1, "")) for b in MEAS_GATES}
 
 PREP_TOKENS = tuple(_PREP_GATES)
 SETTING_TOKENS = tuple(MEAS_GATES)
@@ -179,34 +187,41 @@ def execute_plan(
 ) -> TomographyDataset:
     """Simulate every (preparation, setting) job of the plan.
 
-    Each composed circuit (preparation + target + basis change) runs through
-    :func:`choiqpt.simulator.circuit_probabilities`; with noise, counts then
-    pass through the confusion matrices.  ``exact=True`` records exact
-    outcome probabilities instead of sampled counts.
+    Nothing is simulated per job: the preparations, the target and each
+    basis change run once each on stacks of states through
+    :func:`choiqpt.simulator.evolve`.  With noise, counts then pass through
+    the confusion matrices.  ``exact=True`` records exact outcome
+    probabilities instead of sampled counts.
     """
     if target.num_qubits != plan.num_qubits:
         raise ValueError("target width does not match the plan")
+    k = plan.num_qubits
+    ground = ground_state(k)[None]
+    prepared = np.concatenate(
+        [evolve(ground, prep_circuit(p, k), noise) for p in plan.preparations]
+    )
+    outputs = evolve(prepared, target, noise)
+    probs = np.stack(
+        [
+            z_probabilities(evolve(outputs, measurement_circuit(s, k), noise), noise)
+            for s in plan.settings
+        ],
+        axis=1,
+    )
+    # axes (prep, setting, outcome) flatten to preparation-major, setting-minor job order
+    probs = probs.reshape(plan.num_jobs, 2**k)
     freqs: dict[tuple[str, str], np.ndarray] = {}
     counts: dict[tuple[str, str], CountsTable] | None = None if exact else {}
-    confusion = noise.confusion_for(plan.num_qubits) if noise is not None else None
-    for job_index, (prep, setting) in enumerate(plan.jobs()):
-        circ = prep_circuit(prep, plan.num_qubits).extended(
-            target, measurement_circuit(setting, plan.num_qubits)
-        )
-        probs = circuit_probabilities(circ, noise)
+    confusion = noise.confusion_for(k) if noise is not None else None
+    for job_index, (key, p) in enumerate(zip(plan.jobs(), probs)):
         if exact:
-            if confusion is not None:
-                probs = kron_all(confusion).real @ probs
-            freqs[(prep, setting)] = probs
+            freqs[key] = p if confusion is None else kron_all(confusion).real @ p
         else:
             tab = sample_counts(
-                probs,
-                plan.shots,
-                np.random.SeedSequence((seed, job_index)),
-                confusion=confusion,
+                p, plan.shots, np.random.SeedSequence((seed, job_index)), confusion=confusion
             )
-            counts[(prep, setting)] = tab
-            freqs[(prep, setting)] = tab.as_vector(plan.num_qubits) / plan.shots
+            counts[key] = tab
+            freqs[key] = tab.as_vector(k) / plan.shots
     metadata = {
         "seed": seed,
         "exact": exact,

@@ -4,7 +4,10 @@ import time
 import numpy as np
 import pytest
 
-from choiqpt import noise_model_from_calibration, parse_calibration
+from choiqpt import ground_state, noise_model_from_calibration, parse_calibration, to_native
+from choiqpt.gates import embed_operator
+from choiqpt.linalg import kron_all
+from choiqpt.tomography import measurement_circuit, prep_circuit
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -36,6 +39,56 @@ def random_effect(rng: np.random.Generator, d: int) -> np.ndarray:
     """Random POVM-style effect: PSD with eigenvalues in [0, 1]."""
     v = random_unitary(rng, d)
     return v @ np.diag(rng.uniform(0, 1, size=d)).astype(complex) @ v.conj().T
+
+
+def apply_kraus(rho: np.ndarray, operators, qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """Kraus channel on some wires, each operator embedded in the full register (oracle)."""
+    out = np.zeros_like(rho)
+    for k in operators:
+        full = embed_operator(k, qubits, num_qubits)
+        out += full @ rho @ full.conj().T
+    return out
+
+
+def oracle_simulate(c, noise=None, initial=None) -> np.ndarray:
+    """Gate-by-gate density-matrix simulation with embedded unitaries and Kraus sums (oracle)."""
+    rho = ground_state(c.num_qubits) if initial is None else initial
+    for g in c.gates:
+        u = embed_operator(g.unitary(), g.qubits, c.num_qubits)
+        rho = u @ rho @ u.conj().T
+        ks = noise.kraus_for(g.name, g.qubits) if noise is not None else None
+        if ks is not None:
+            rho = apply_kraus(rho, ks.operators, g.qubits, c.num_qubits)
+    return rho
+
+
+def oracle_measure_noise(rho: np.ndarray, noise, num_qubits: int) -> np.ndarray:
+    for q in range(num_qubits):
+        ks = noise.measure_kraus(q)
+        if ks is not None:
+            rho = apply_kraus(rho, ks.operators, (q,), num_qubits)
+    return rho
+
+
+def oracle_job_frequencies(plan, target, noise, job_indices) -> dict:
+    """Exact frequencies of the given plan jobs, one composed circuit per job (oracle)."""
+    k = plan.num_qubits
+    jobs = list(plan.jobs())
+    out = {}
+    for i in job_indices:
+        prep, setting = jobs[i]
+        circ = prep_circuit(prep, k).extended(target, measurement_circuit(setting, k))
+        if noise is not None:
+            circ = to_native(circ)
+        rho = oracle_simulate(circ, noise)
+        if noise is not None:
+            rho = oracle_measure_noise(rho, noise, k)
+        p = np.clip(np.real(np.diag(rho)), 0.0, None)
+        p = p / p.sum()
+        if noise is not None:
+            p = kron_all(noise.confusion_for(k)).real @ p
+        out[(prep, setting)] = p
+    return out
 
 
 class Stopwatch:

@@ -17,6 +17,7 @@ from choiqpt.channels import (
     choi_to_kraus,
     choi_to_ptm,
     is_cptp,
+    kraus_superop,
     kraus_to_choi,
     matrix_csv,
     outcome_probability,
@@ -154,6 +155,15 @@ def test_kraus_choi_roundtrip(seed):
     c = kraus_to_choi(KrausSet(tuple(random_kraus_ops(rng, 4, n_env=4))))
     back = kraus_to_choi(choi_to_kraus(c))
     assert frobenius(back.matrix - c.matrix) < 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_kraus_superop_acts_on_row_major_vec(d):
+    rng = np.random.default_rng(d)
+    ks = KrausSet(tuple(random_kraus_ops(rng, d)))
+    rho = random_density(rng, d)
+    s = kraus_superop(ks.operators)
+    assert np.abs(s @ rho.reshape(-1) - ks.apply(rho).reshape(-1)).max() < 1e-12
 
 
 def test_choi_to_kraus_rejects_negative():

@@ -64,6 +64,14 @@ def test_run_sampled_deterministic(tmp_path):
         assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
 
 
+def test_report_has_shots_only_when_sampled(tmp_path):
+    circuit = data_path("identity2_circuit.json")
+    assert run_cli("run", "--circuit", circuit, "--exact", "--out", str(tmp_path / "e")) == 0
+    assert "shots" not in json.loads((tmp_path / "e" / "report.json").read_text())
+    assert run_cli("run", "--circuit", circuit, "--shots", "200", "--out", str(tmp_path / "s")) == 0
+    assert json.loads((tmp_path / "s" / "report.json").read_text())["shots"] == 200
+
+
 def test_run_no_cptp_flag(tmp_path):
     out = tmp_path / "raw"
     assert run_cli(

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choiqpt.channels import is_cptp, kraus_to_choi
+from choiqpt.channels import is_cptp, kraus_superop, kraus_to_choi
+from choiqpt.gates import PAULI_X
 from choiqpt.noise import (
     MEDIAN_CNOT_ERROR,
+    NoiseModel,
     compose_kraus,
     confusion_matrix,
     damping_kraus,
@@ -201,3 +203,14 @@ def test_compose_kraus_order():
     first_damp = compose_kraus(a, flip).apply(rho)
     first_flip = compose_kraus(flip, a).apply(rho)
     assert not np.allclose(first_damp, first_flip)
+
+
+def test_superop_for_caches_per_entry_and_follows_the_model():
+    model = NoiseModel({("X", (0,)): depolarizing_kraus(0.1, 1)}, {}, {})
+    first = model.superop_for("X", (0,))
+    assert model.superop_for("X", (0,)) is first
+    assert model.superop_for("X", (1,)) is None and model.superop_for("RZ", (0,), (0.3,)) is None
+    model.gate_noise[("X", (0,))] = depolarizing_kraus(0.5, 1)
+    ops = [k @ PAULI_X for k in depolarizing_kraus(0.5, 1).operators]
+    assert np.abs(model.superop_for("X", (0,)) - kraus_superop(ops)).max() < 1e-15
+    assert len(model._superops) == 1

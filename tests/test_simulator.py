@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choiqpt.gates import Circuit, circuit_unitary, ga, to_native
+from choiqpt.channels import KrausSet
+from choiqpt.gates import GATE_DEFS, Circuit, circuit_unitary, ga, to_native
 from choiqpt.noise import NoiseModel, depolarizing_kraus
 from choiqpt.simulator import (
     CountsTable,
     apply_measure_noise,
     circuit_probabilities,
+    evolve,
     ground_state,
     measure_probabilities,
     sample_counts,
     simulate,
     validate_density_matrix,
 )
-from conftest import random_density
+from conftest import oracle_measure_noise, oracle_simulate, random_density, random_kraus_ops
 
 
 def state(bits: str) -> np.ndarray:
@@ -62,6 +64,51 @@ def test_noiseless_simulation_matches_unitary_conjugation(seed):
     u = circuit_unitary(c)
     assert np.abs(simulate(c, initial=rho0) - u @ rho0 @ u.conj().T).max() < 1e-10
     assert abs(np.trace(simulate(c, initial=rho0)) - 1) < 1e-8
+
+
+def random_noisy_circuit(rng: np.random.Generator, num_qubits: int) -> tuple[Circuit, NoiseModel]:
+    """Random 1- and 2-qubit gates on any ordered wires, with random CPTP noise on every
+    gate key and on each qubit's readout.  RX acts twice on wire 0 with different
+    angles, so one noise entry serves two parameter sets."""
+    one = [name for name, (arity, _, _) in GATE_DEFS.items() if arity == 1]
+    two = [name for name, (arity, _, _) in GATE_DEFS.items() if arity == 2]
+    gates = [ga("RX", 0, float(rng.uniform(-np.pi, np.pi)))]
+    for _ in range(int(rng.integers(4, 12))):
+        if num_qubits > 1 and rng.random() < 0.4:
+            wires = tuple(int(q) for q in rng.choice(num_qubits, size=2, replace=False))
+            gates.append(ga(str(rng.choice(two)), wires))
+        else:
+            name = str(rng.choice(one))
+            params = rng.uniform(-np.pi, np.pi, size=GATE_DEFS[name][1])
+            gates.append(ga(name, int(rng.integers(num_qubits)), *params))
+    if num_qubits == 3:
+        gates.append(ga("CNOT", (2, 0)))
+    gates.append(ga("RX", 0, float(rng.uniform(-np.pi, np.pi))))
+    keys = {(g.name, g.qubits) for g in gates} | {("measure", (q,)) for q in range(num_qubits)}
+    gate_noise = {
+        key: KrausSet(tuple(random_kraus_ops(rng, 2 ** len(key[1]), n_env=int(rng.integers(1, 4)))))
+        for key in sorted(keys)
+    }
+    return Circuit(num_qubits, tuple(gates)), NoiseModel(gate_noise, {}, {})
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_simulate_matches_kraus_oracle_on_random_circuits(seed):
+    rng = np.random.default_rng(seed)
+    k = 1 + seed % 3
+    c, noise = random_noisy_circuit(rng, k)
+    rho0 = random_density(rng, 2**k)
+    for model in (None, noise):
+        want = oracle_simulate(c, model, initial=rho0)
+        assert np.abs(simulate(c, model, initial=rho0) - want).max() <= 1e-12
+    decayed = apply_measure_noise(simulate(c, noise, initial=rho0), noise, k)
+    assert np.abs(decayed - oracle_measure_noise(want, noise, k)).max() <= 1e-12
+    # a stack of states, with a leading batch axis, evolves state by state
+    stack = np.stack([random_density(rng, 2**k) for _ in range(3)])
+    got = apply_measure_noise(evolve(stack, c), noise, k)
+    for rho, out in zip(stack, got):
+        want = oracle_measure_noise(oracle_simulate(c, None, initial=rho), noise, k)
+        assert np.abs(out - want).max() <= 1e-12
 
 
 def test_simulate_width_mismatch():

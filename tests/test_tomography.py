@@ -12,10 +12,15 @@ from choiqpt.channels import (
     outcome_probability,
     pauli_basis,
 )
-from choiqpt.gates import Circuit, circuit_unitary, ga, gate_unitary
+from choiqpt.gates import Circuit, circuit_unitary, ga, gate_unitary, to_native
 from choiqpt.linalg import frobenius
-from choiqpt.noise import NoiseModel, depolarizing_kraus
-from choiqpt.simulator import measure_probabilities, sample_counts, simulate
+from choiqpt.noise import (
+    NoiseModel,
+    depolarizing_kraus,
+    noise_model_from_calibration,
+    parse_calibration,
+)
+from choiqpt.simulator import _unitary_superop, measure_probabilities, sample_counts, simulate
 from choiqpt.tomography import (
     ReconstructionOptions,
     TomographyDataset,
@@ -30,7 +35,13 @@ from choiqpt.tomography import (
     project_cptp,
     qpt,
 )
-from conftest import Stopwatch, random_density, random_hermitian, random_kraus_ops
+from conftest import (
+    Stopwatch,
+    oracle_job_frequencies,
+    random_density,
+    random_hermitian,
+    random_kraus_ops,
+)
 
 SQSCZ_CIRCUIT = Circuit(2, (ga("SQSCZ", (0, 1)),))
 
@@ -189,6 +200,48 @@ def test_execute_sqscz_splits_01():
     assert tab.counts["00"] == 0 and tab.counts["11"] == 0
     assert abs(tab.frequency("01") - 0.5) < 0.05
     assert abs(tab.frequency("10") - 0.5) < 0.05
+
+
+ORACLE_TARGETS = {
+    1: Circuit(1, (ga("RX", 0, 0.7), ga("H", 0))),
+    2: Circuit(2, (ga("SQSCZ", (1, 0)), ga("RZ", 0, 0.3))),
+    3: Circuit(3, (ga("SQSCZ", (2, 0)), ga("H", 1), ga("CNOT", (1, 2)))),
+}
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_execute_plan_matches_composed_circuit_oracle(num_qubits, noisy, tab1_path):
+    target = ORACLE_TARGETS[num_qubits]
+    noise = None
+    if noisy:
+        noise = noise_model_from_calibration(parse_calibration(tab1_path), num_qubits=num_qubits)
+    plan = build_plan(num_qubits)
+    data = execute_plan(plan, target, noise=noise, exact=True)
+    jobs = range(plan.num_jobs)
+    if num_qubits == 3:  # the oracle needs over a minute for all 1,728 noisy jobs
+        jobs = np.random.default_rng(3).choice(plan.num_jobs, size=48, replace=False)
+    for key, want in oracle_job_frequencies(plan, target, noise, jobs).items():
+        assert np.abs(data.frequencies[key] - want).max() <= 1e-12, key
+
+
+def test_superop_caches_stay_small(tab1_path):
+    noise = noise_model_from_calibration(parse_calibration(tab1_path), num_qubits=2)
+    _unitary_superop.cache_clear()
+    qpt(SQSCZ_CIRCUIT, noise=noise, shots=1000, seed=0)
+    plan = build_plan(2)
+    applications = {
+        (g.name, g.qubits, g.params)
+        for prep, setting in plan.jobs()
+        for g in to_native(
+            prep_circuit(prep, 2).extended(SQSCZ_CIRCUIT, measurement_circuit(setting, 2))
+        ).gates
+    }
+    clean_entries = _unitary_superop.cache_info().currsize
+    assert len(noise._superops) + clean_entries <= len(applications)
+    # noiseless gates act on at most 2 wires: 16 x 16 complex entries each
+    noisy_bytes = sum(entry[-1].nbytes for entry in noise._superops.values())
+    assert noisy_bytes + clean_entries * 16 * 16 * 16 < 1_000_000
 
 
 def test_execute_plan_deterministic():
