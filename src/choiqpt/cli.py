@@ -118,9 +118,7 @@ def cmd_run(args) -> int:
 def cmd_execute(args) -> int:
     circuit = load_circuit(args.circuit)
     noise = _load_noise(args, circuit.num_qubits)
-    probs = circuit_probabilities(circuit, noise)
-    confusion = noise.confusion_for(circuit.num_qubits) if noise is not None else None
-    table = sample_counts(probs, args.shots, args.seed, confusion=confusion)
+    table = sample_counts(circuit_probabilities(circuit, noise), args.shots, args.seed)
     out = Path(args.out)
     _write(out / "counts.json", table.to_json() + "\n")
     _write(out / "counts.svg", viz.svg_counts_bar(table.counts, table.shots, "Measured outcomes"))

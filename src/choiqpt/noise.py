@@ -9,7 +9,8 @@ that reading.
 
 The model applied per gate is depolarizing (at the reported gate error)
 composed after T1/T2 damping over the gate duration, plus a per-qubit
-column-stochastic readout confusion matrix applied to measured bits.
+column-stochastic readout confusion matrix, which the simulator's read-out
+applies to outcome probabilities (``simulator.apply_confusion``).
 Reported errors exist only for SX/X and CNOT; RZ and Ph are virtual
 (zero duration, zero error).  Missing CNOT pairs fall back to the fleet
 median error.
@@ -139,8 +140,8 @@ def parse_calibration(source) -> DeviceCalibration:
             name.upper(): float(ns) * 1e-9
             for name, ns in raw.get("durations_ns", {}).items()
         }
-    except KeyError as exc:
-        raise ValueError(f"calibration record missing field {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed calibration record: {exc}") from exc
     return DeviceCalibration(tuple(qubits), cnot, durations)
 
 

@@ -6,7 +6,9 @@ application, with its noise, acts as one cached local superoperator
 ``(sum_k K_k (x) conj(K_k)) (U (x) conj(U))`` (noisy ones cached on the
 :class:`NoiseModel`, noiseless ones per gate and parameters), applied with
 one ``tensordot`` on the gate's row and column axes of the ``(2,) * 2K``
-state tensor; readout decay acts the same way.
+state tensor; readout decay acts the same way.  Readout confusion acts on
+outcome probabilities (:func:`apply_confusion`), so one multinomial draw
+samples the recorded outcomes.
 
 Sampling uses numpy's PCG64 generator seeded either by an integer or a
 ``SeedSequence``; a fixed seed reproduces counts exactly, which downstream
@@ -155,29 +157,49 @@ def measure_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
     return z_probabilities(_run(rho, basis_change, None))
 
 
+def apply_confusion(probs: np.ndarray, confusion) -> np.ndarray:
+    """Recorded-outcome probabilities ``(C_0 (x) ... (x) C_{K-1}) p`` of a vector or a stack.
+
+    Qubit q's column-stochastic 2x2 matrix acts along its axis of ``probs``
+    viewed as ``(..., 2, ..., 2)``; no 2^K x 2^K matrix is built.
+    """
+    probs = np.asarray(probs, dtype=float)
+    k = len(confusion)
+    t = probs.reshape(probs.shape[:-1] + (2,) * k)
+    for q, m in enumerate(confusion):
+        m = np.asarray(m, dtype=float)
+        if m.shape != (2, 2) or np.abs(m.sum(axis=0) - 1.0).max() > 1e-12:
+            raise ValueError(f"confusion matrix for qubit {q} is not column-stochastic")
+        axis = t.ndim - k + q
+        t = np.moveaxis(np.tensordot(m, t, axes=(1, axis)), 0, axis)
+    return t.reshape(probs.shape)
+
+
 def z_probabilities(states: np.ndarray, noise: NoiseModel | None = None) -> np.ndarray:
-    """Computational-basis outcome probabilities of a state or a ``(B, d, d)`` stack.
+    """Recorded computational-basis outcome probabilities of a state or a ``(B, d, d)`` stack.
 
     Readout decay acts first when a noise model is given.  Each vector must
-    sum to 1 within 1e-9; it is then clipped at 0 and renormalised.
+    sum to 1 within 1e-9; it is then clipped at 0, renormalised and, with
+    noise, mapped through the readout confusion.
     """
-    rho = apply_measure_noise(states, noise, states.shape[-1].bit_length() - 1)
+    num_qubits = states.shape[-1].bit_length() - 1
+    rho = apply_measure_noise(states, noise, num_qubits)
     probs = np.diagonal(rho, axis1=-2, axis2=-1).real
     total = probs.sum(axis=-1)
     if np.abs(total - 1.0).max() > 1e-9:
         bad = total.flat[np.abs(total - 1.0).argmax()]
         raise ValueError(f"probabilities sum to {bad:.6g}, state is not normalized")
     probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum(axis=-1, keepdims=True)
+    probs = probs / probs.sum(axis=-1, keepdims=True)
+    return probs if noise is None else apply_confusion(probs, noise.confusion_for(num_qubits))
 
 
 def circuit_probabilities(c: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
-    """Z-basis outcome probabilities of a circuit run from the ground state.
+    """Probabilities of the recorded Z-basis outcomes of a circuit run from the ground state.
 
     With a noise model the circuit is first lowered to the native gate set
-    so calibrated per-gate noise applies, and readout decay acts before the
-    read-out.  Readout confusion is left to the caller, which applies it to
-    sampled bits (:func:`sample_counts`) or to exact probabilities.
+    so calibrated per-gate noise applies, and readout decay and confusion
+    act in the read-out (:func:`z_probabilities`).
     """
     return z_probabilities(evolve(ground_state(c.num_qubits)[None], c, noise), noise)[0]
 
@@ -213,25 +235,6 @@ class CountsTable:
         return cls(int(d["shots"]), {k: int(v) for k, v in d["counts"].items()})
 
 
-def _flip_counts(vec: np.ndarray, confusion, num_qubits: int, rng) -> np.ndarray:
-    """Push sampled counts through per-qubit readout bit flips."""
-    for q in range(num_qubits):
-        m = np.asarray(confusion[q], dtype=float)
-        if m.shape != (2, 2) or np.abs(m.sum(axis=0) - 1.0).max() > 1e-12:
-            raise ValueError(f"confusion matrix for qubit {q} is not column-stochastic")
-        out = np.zeros_like(vec)
-        shift = num_qubits - 1 - q
-        for idx in range(vec.size):
-            n = int(vec[idx])
-            bit = (idx >> shift) & 1
-            flip_p = m[1 - bit, bit]
-            n_flip = int(rng.binomial(n, flip_p))
-            out[idx ^ (1 << shift)] += n_flip
-            out[idx] += n - n_flip
-        vec = out
-    return vec
-
-
 def sample_counts(
     probs: np.ndarray,
     shots: int,
@@ -242,8 +245,8 @@ def sample_counts(
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; identical
     seeds give identical tables.  When ``confusion`` (a sequence of 2x2
-    column-stochastic matrices, one per qubit) is given, every sampled
-    outcome bit is independently flipped per its matrix before tallying.
+    column-stochastic matrices, one per qubit) is given, :func:`apply_confusion`
+    maps ``probs`` before the draw, as if each sampled bit flipped per its matrix.
     """
     probs = np.asarray(probs, dtype=float)
     if shots <= 0:
@@ -255,13 +258,9 @@ def sample_counts(
         raise ValueError("probability vector length must be a power of two")
     if abs(probs.sum() - 1.0) > 1e-8:
         raise ValueError(f"probabilities sum to {probs.sum():.6g}")
-    p = np.clip(probs, 0.0, None)
+    p = probs if confusion is None else apply_confusion(probs, confusion)
+    p = np.clip(p, 0.0, None)
     p = p / p.sum()
-    rng = np.random.default_rng(seed)
-    vec = rng.multinomial(shots, p).astype(float)
-    if confusion is not None:
-        vec = _flip_counts(vec, confusion, num_qubits, rng)
-    counts = {
-        format(i, f"0{num_qubits}b"): int(vec[i]) for i in range(vec.size)
-    }
+    vec = np.random.default_rng(seed).multinomial(shots, p)
+    counts = {format(i, f"0{num_qubits}b"): int(vec[i]) for i in range(vec.size)}
     return CountsTable(shots, counts)

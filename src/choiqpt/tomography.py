@@ -137,6 +137,8 @@ class TomographyDataset:
                 raise ValueError(
                     f"job {key} has {np.size(self.frequencies[key])} frequencies, expected {d}"
                 )
+            if self.counts is not None and key not in self.counts:
+                raise ValueError(f"job {key} has no counts, but other jobs of the dataset do")
 
     def to_dict(self) -> dict:
         jobs = []
@@ -189,9 +191,9 @@ def execute_plan(
 
     Nothing is simulated per job: the preparations, the target and each
     basis change run once each on stacks of states through
-    :func:`choiqpt.simulator.evolve`.  With noise, counts then pass through
-    the confusion matrices.  ``exact=True`` records exact outcome
-    probabilities instead of sampled counts.
+    :func:`choiqpt.simulator.evolve`; with noise, the read-out applies
+    readout decay and confusion to outcome probabilities.  ``exact=True``
+    records these probabilities instead of sampled counts.
     """
     if target.num_qubits != plan.num_qubits:
         raise ValueError("target width does not match the plan")
@@ -212,16 +214,12 @@ def execute_plan(
     probs = probs.reshape(plan.num_jobs, 2**k)
     freqs: dict[tuple[str, str], np.ndarray] = {}
     counts: dict[tuple[str, str], CountsTable] | None = None if exact else {}
-    confusion = noise.confusion_for(k) if noise is not None else None
     for job_index, (key, p) in enumerate(zip(plan.jobs(), probs)):
         if exact:
-            freqs[key] = p if confusion is None else kron_all(confusion).real @ p
+            freqs[key] = p
         else:
-            tab = sample_counts(
-                p, plan.shots, np.random.SeedSequence((seed, job_index)), confusion=confusion
-            )
-            counts[key] = tab
-            freqs[key] = tab.as_vector(k) / plan.shots
+            counts[key] = sample_counts(p, plan.shots, np.random.SeedSequence((seed, job_index)))
+            freqs[key] = counts[key].as_vector(k) / plan.shots
     metadata = {
         "seed": seed,
         "exact": exact,

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -130,3 +131,19 @@ def test_malformed_circuit_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"gates": "what"}')
     assert run_cli("run", "--circuit", str(bad)) == 2
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda c: c["qubits"][0].update(t1_us=None), lambda c: c.update(qubits=5)],
+    ids=["null_t1", "qubits_not_a_list"],
+)
+def test_malformed_calibration_is_input_error(tmp_path, capsys, edit):
+    calib = json.loads(Path(data_path("ibm_perth_tab1.json")).read_text())
+    edit(calib)
+    bad = tmp_path / "calib.json"
+    bad.write_text(json.dumps(calib))
+    circuit = data_path("sqscz_circuit.json")
+    for cmd in ("run", "execute"):
+        assert run_cli(cmd, "--circuit", circuit, "--calib", str(bad), "--out", str(tmp_path)) == 2
+        assert "malformed calibration record" in capsys.readouterr().err

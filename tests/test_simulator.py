@@ -4,9 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from choiqpt.channels import KrausSet
 from choiqpt.gates import GATE_DEFS, Circuit, circuit_unitary, ga, to_native
+from choiqpt.linalg import kron_all
 from choiqpt.noise import NoiseModel, depolarizing_kraus
 from choiqpt.simulator import (
     CountsTable,
+    apply_confusion,
     apply_measure_noise,
     circuit_probabilities,
     evolve,
@@ -183,6 +185,25 @@ def test_sample_counts_confusion_statistics(perth_noise):
     sigma = np.sqrt(expected * (1 - expected) / shots)
     assert abs(table.frequency("00") - expected) < 5 * sigma
     assert sum(table.counts.values()) == shots
+    # a general distribution: every recorded outcome follows (C_0 (x) C_1) p
+    p = np.array([0.45, 0.05, 0.2, 0.3])
+    recorded = apply_confusion(p, confusion)
+    table = sample_counts(p, shots, seed=12, confusion=confusion)
+    sigma = np.sqrt(recorded * (1 - recorded) / shots)
+    assert np.all(np.abs(table.as_vector(2) / shots - recorded) < 5 * sigma)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_apply_confusion_matches_kron(k):
+    rng = np.random.default_rng(100 + k)
+    confusion = []
+    for _ in range(k):
+        flips = rng.uniform(0, 0.5, size=2)
+        confusion.append(np.array([[1 - flips[0], flips[1]], [flips[0], 1 - flips[1]]]))
+    probs = rng.dirichlet(np.ones(2**k), size=(3, 5))
+    expected = probs @ kron_all(confusion).real.T
+    assert np.abs(apply_confusion(probs, confusion) - expected).max() < 1e-12
+    assert np.abs(apply_confusion(probs[0, 0], confusion) - expected[0, 0]).max() < 1e-12
 
 
 def test_sample_counts_rejects_bad_confusion():
@@ -206,7 +227,8 @@ def test_circuit_probabilities_is_the_composed_pipeline(perth_noise):
     assert np.array_equal(circuit_probabilities(circuit), clean)
     rho = apply_measure_noise(simulate(to_native(circuit), perth_noise), perth_noise, 2)
     noisy = circuit_probabilities(circuit, perth_noise)
-    assert np.array_equal(noisy, measure_probabilities(rho, "ZZ"))
+    recorded = apply_confusion(measure_probabilities(rho, "ZZ"), perth_noise.confusion_for(2))
+    assert np.array_equal(noisy, recorded)
     assert noisy[0] < 1.0
 
 

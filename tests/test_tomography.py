@@ -278,6 +278,22 @@ def test_dataset_from_dict_missing_job_is_value_error():
         TomographyDataset.from_dict(d)
 
 
+def test_dataset_mixed_counts_and_frequencies_is_value_error():
+    d = execute_plan(build_plan(1, shots=64), Circuit(1, (ga("H", 0),)), seed=3).to_dict()
+    job = d["jobs"][4]
+    job["frequencies"] = [c / 64 for _, c in sorted(job.pop("counts")["counts"].items())]
+    key = (job["prep"], job["setting"])
+    with pytest.raises(ValueError, match=rf"job \({key[0]!r}, {key[1]!r}\) has no counts"):
+        TomographyDataset.from_dict(d)
+
+
+def test_exact_mode_rejects_non_stochastic_confusion():
+    bad = np.array([[0.9, 0.2], [0.2, 0.8]])
+    model = NoiseModel(gate_noise={}, readout_confusion={0: bad, 1: bad}, gate_durations={})
+    with pytest.raises(ValueError, match="confusion matrix for qubit 0 is not column-stochastic"):
+        execute_plan(build_plan(2, shots=1), SQSCZ_CIRCUIT, noise=model, exact=True)
+
+
 def test_dataset_rejects_bad_frequency_length():
     d = execute_plan(build_plan(2, shots=1), SQSCZ_CIRCUIT, exact=True).to_dict()
     d["jobs"][5]["frequencies"] = d["jobs"][5]["frequencies"][:3]
