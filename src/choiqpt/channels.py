@@ -64,15 +64,6 @@ def pauli_basis(num_qubits: int) -> PauliBasis:
     return PauliBasis(tuple(labels), tuple(ops))
 
 
-def _check_orthogonal_basis(basis: PauliBasis) -> None:
-    d = basis.dim
-    for i, a in enumerate(basis.operators):
-        for j, b in enumerate(basis.operators):
-            want = d if i == j else 0.0
-            if abs(np.trace(dagger(a) @ b) - want) > 1e-9:
-                raise ValueError("operator basis is not orthogonal with Tr(Wm^dag Wn) = d delta_mn")
-
-
 @dataclass(frozen=True)
 class ChoiMatrix:
     """Bipartite operator characterizing a channel (input factor first)."""
@@ -119,10 +110,6 @@ class KrausSet:
     @property
     def dim(self) -> int:
         return self.operators[0].shape[0]
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = as_complex_matrix(rho)
-        return sum(k @ rho @ dagger(k) for k in self.operators)
 
 
 @dataclass(frozen=True)
@@ -242,29 +229,22 @@ def _pauli_choi_vectors(basis: PauliBasis) -> np.ndarray:
     return np.array([w.T.reshape(d * d) for w in basis.operators])
 
 
-def choi_to_chi(c: ChoiMatrix, basis: PauliBasis | None = None) -> ChiMatrix:
-    """Expand a channel over the Pauli basis: chi_mn = <w_m| C |w_n> / d^2."""
+def choi_to_chi(c: ChoiMatrix) -> ChiMatrix:
+    """Expand a channel over the Pauli basis of its qubits: chi_mn = <w_m| C |w_n> / d^2."""
     d = c.dim_in
-    if basis is None:
-        num_qubits = int(round(np.log2(d)))
-        if 2**num_qubits != d:
-            raise ValueError("default Pauli basis needs a power-of-two dimension")
-        basis = pauli_basis(num_qubits)  # orthogonal by construction
-    else:
-        if basis.dim != d:
-            raise ValueError("basis dimension does not match the channel")
-        _check_orthogonal_basis(basis)
+    num_qubits = int(round(np.log2(d)))
+    if 2**num_qubits != d:
+        raise ValueError("Pauli basis needs a power-of-two dimension")
+    basis = pauli_basis(num_qubits)
     v = _pauli_choi_vectors(basis)
     chi = (v.conj() @ c.matrix @ v.T) / d**2
     return ChiMatrix(chi, basis.labels)
 
 
-def chi_to_choi(chi: ChiMatrix, basis: PauliBasis | None = None) -> ChoiMatrix:
+def chi_to_choi(chi: ChiMatrix) -> ChoiMatrix:
     n = chi.matrix.shape[0]
     d = int(round(np.sqrt(n)))
-    if basis is None:
-        basis = pauli_basis(int(round(np.log2(d))))
-    v = _pauli_choi_vectors(basis)
+    v = _pauli_choi_vectors(pauli_basis(int(round(np.log2(d)))))
     c = v.T @ np.asarray(chi.matrix, dtype=_C) @ v.conj()
     return ChoiMatrix(d, d, c)
 

@@ -170,35 +170,19 @@ def ga(name: str, qubits, *params: float) -> GateApplication:
     return GateApplication(name, tuple(qubits), tuple(params))
 
 
-def embed_operator(op: np.ndarray, qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
-    """Embed an operator acting on the given wires into the full register.
-
-    ``qubits`` is ordered: the operator's first tensor factor lives on
-    ``qubits[0]``.  Identity acts on all remaining wires.
-    """
-    op = as_complex_matrix(op)
-    m = len(qubits)
-    if op.shape != (2**m, 2**m):
-        raise ValueError(f"operator shape {op.shape} does not match {m} qubit(s)")
-    if max(qubits) >= num_qubits:
-        raise ValueError(f"qubits {qubits} exceed register width {num_qubits}")
-    if m == num_qubits and qubits == tuple(range(num_qubits)):
-        return op
-    rest = [q for q in range(num_qubits) if q not in qubits]
-    full = np.kron(op, np.eye(2 ** len(rest), dtype=_C))
-    order = list(qubits) + rest
-    perm = [order.index(q) for q in range(num_qubits)]
-    axes = perm + [p + num_qubits for p in perm]
-    t = full.reshape((2,) * (2 * num_qubits))
-    return t.transpose(axes).reshape(2**num_qubits, 2**num_qubits)
-
-
 def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Total unitary of a circuit (first listed gate applied first)."""
-    u = np.eye(2**c.num_qubits, dtype=_C)
+    """Total unitary of a circuit (first listed gate applied first).
+
+    Each gate's matrix is contracted with its wires' row axes of the
+    ``(2,) * 2K`` unitary tensor, as the simulator applies superoperators.
+    """
+    k = c.num_qubits
+    u = np.eye(2**k, dtype=_C).reshape((2,) * (2 * k))
     for g in c.gates:
-        u = embed_operator(g.unitary(), g.qubits, c.num_qubits) @ u
-    return u
+        m = len(g.qubits)
+        out = np.tensordot(g.unitary().reshape((2,) * (2 * m)), u, axes=(range(m, 2 * m), g.qubits))
+        u = np.moveaxis(out, range(m), g.qubits)
+    return u.reshape(2**k, 2**k)
 
 
 def equal_up_to_global_phase(

@@ -1,8 +1,9 @@
 """Dense complex linear algebra shared by the whole package.
 
 Everything here operates on plain ``numpy`` arrays of dtype complex128.
-The largest objects in the package are 16x16 (two-qubit Choi matrices), so
-all routines are dense and exact; there is no sparse or GPU path.
+Choi matrices are 4^K x 4^K (16x16 for two qubits, 64x64 and 256x256 for
+three and four), so all routines are dense and exact; there is no sparse
+or GPU path.
 """
 
 from __future__ import annotations
@@ -30,11 +31,6 @@ def as_complex_matrix(m) -> np.ndarray:
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conjugate(np.transpose(m))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with entry ((i*rb+k),(j*cb+l)) = a[i,j]*b[k,l]."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
 def kron_all(mats) -> np.ndarray:

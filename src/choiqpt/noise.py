@@ -140,7 +140,7 @@ def parse_calibration(source) -> DeviceCalibration:
             name.upper(): float(ns) * 1e-9
             for name, ns in raw.get("durations_ns", {}).items()
         }
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed calibration record: {exc}") from exc
     return DeviceCalibration(tuple(qubits), cnot, durations)
 

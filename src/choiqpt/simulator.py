@@ -212,6 +212,8 @@ class CountsTable:
     counts: dict[str, int]
 
     def __post_init__(self):
+        if any(n < 0 for n in self.counts.values()):
+            raise ValueError("counts must be non-negative")
         if sum(self.counts.values()) != self.shots:
             raise ValueError("counts do not sum to the shot total")
 

@@ -7,7 +7,8 @@ The pipeline mirrors how one characterizes a gate on hardware:
 2. measure every qubit in each of the X/Y/Z bases (all outcomes kept),
    rotated into the computational frame by ``simulator.MEAS_GATES``; both
    the circuits that run and the states and projectors that linear
-   inversion assumes derive from these two gate tables,
+   inversion assumes derive from these two gate tables, and every plan is
+   the full 4^K x 3^K product of their tokens,
 3. run the target between preparation and basis rotation, collecting counts;
    the simulation uses the plan's product structure instead of composing
    4^K x 3^K circuits: the 4^K preparation circuits run once each, the
@@ -16,8 +17,9 @@ The pipeline mirrors how one characterizes a gate on hardware:
 4. invert the Born-rule linear system for the Choi matrix qubit by qubit:
    the plan is a tensor product of one 4-preparation x 3-setting plan per
    qubit, so the least-squares solution applies the pseudo-inverse of the
-   24 x 16 one-qubit design matrix along each qubit axis of the frequency
-   tensor (no dense 24^K x 16^K system is ever built),
+   24 x 16 one-qubit design matrix, built once from the token tables,
+   along each qubit axis of the frequency tensor (no dense 24^K x 16^K
+   system is ever built),
 5. optionally project the estimate onto the CPTP set (Dykstra-corrected
    alternating projections between the PSD cone and the trace-preserving
    affine subspace).
@@ -63,14 +65,30 @@ PREP_TOKENS = tuple(_PREP_GATES)
 SETTING_TOKENS = tuple(MEAS_GATES)
 
 
+def _product_labels(tokens: tuple[str, ...], num_qubits: int) -> tuple[str, ...]:
+    return tuple("".join(t) for t in itertools.product(tokens, repeat=num_qubits))
+
+
 @dataclass(frozen=True)
 class TomographyPlan:
-    """Full factorial preparation x measurement schedule."""
+    """Full factorial schedule: every K-fold product of ``PREP_TOKENS`` (4^K
+    preparations) crossed with every K-fold product of ``SETTING_TOKENS``
+    (3^K settings), each job run for ``shots`` shots."""
 
     num_qubits: int
-    preparations: tuple[str, ...]
-    settings: tuple[str, ...]
     shots: int
+
+    def __post_init__(self):
+        if self.num_qubits < 1:
+            raise ValueError("num_qubits must be at least 1")
+
+    @property
+    def preparations(self) -> tuple[str, ...]:
+        return _product_labels(PREP_TOKENS, self.num_qubits)
+
+    @property
+    def settings(self) -> tuple[str, ...]:
+        return _product_labels(SETTING_TOKENS, self.num_qubits)
 
     @property
     def num_jobs(self) -> int:
@@ -84,12 +102,8 @@ class TomographyPlan:
 
 
 def build_plan(num_qubits: int, shots: int = 4000) -> TomographyPlan:
-    """All 4^K product preparations crossed with all 3^K Pauli settings."""
-    if num_qubits < 1:
-        raise ValueError("num_qubits must be at least 1")
-    preps = tuple("".join(p) for p in itertools.product(PREP_TOKENS, repeat=num_qubits))
-    settings = tuple("".join(s) for s in itertools.product(SETTING_TOKENS, repeat=num_qubits))
-    return TomographyPlan(num_qubits, preps, settings, shots)
+    """The 4^K x 3^K :class:`TomographyPlan` on ``num_qubits`` wires."""
+    return TomographyPlan(num_qubits, shots)
 
 
 def prep_circuit(label: str, num_qubits: int | None = None) -> Circuit:
@@ -161,23 +175,34 @@ class TomographyDataset:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TomographyDataset":
-        plan = build_plan(int(d["num_qubits"]), int(d["shots"]))
         freqs: dict[tuple[str, str], np.ndarray] = {}
         counts: dict[tuple[str, str], CountsTable] | None = None
-        jobs = {(j["prep"], j["setting"]): j for j in d["jobs"]}
-        for key in plan.jobs():
-            job = jobs.get(key)
-            if job is None:  # left for __post_init__ to report
-                continue
-            if "counts" in job:
-                tab = CountsTable.from_dict(job["counts"])
-                if counts is None:
-                    counts = {}
-                counts[key] = tab
-                freqs[key] = tab.as_vector(plan.num_qubits) / tab.shots
-            else:
-                freqs[key] = np.asarray(job["frequencies"], dtype=float)
-        return cls(plan, freqs, counts, dict(d.get("metadata", {})))
+        try:
+            plan = build_plan(int(d["num_qubits"]), int(d["shots"]))
+            outcomes = set(_product_labels(("0", "1"), plan.num_qubits))
+            jobs = {(j["prep"], j["setting"]): j for j in d["jobs"]}
+            for key in plan.jobs():
+                job = jobs.get(key)
+                if job is None:  # left for __post_init__ to report
+                    continue
+                if "counts" in job:
+                    tab = CountsTable.from_dict(job["counts"])
+                    unknown = sorted(set(tab.counts) - outcomes)
+                    if unknown:
+                        raise ValueError(
+                            f"job {key} has counts for {unknown}, "
+                            f"which are not {plan.num_qubits}-bit outcomes"
+                        )
+                    if counts is None:
+                        counts = {}
+                    counts[key] = tab
+                    freqs[key] = tab.as_vector(plan.num_qubits) / tab.shots
+                else:
+                    freqs[key] = np.asarray(job["frequencies"], dtype=float)
+            metadata = dict(d.get("metadata", {}))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed dataset record: {exc}") from exc
+        return cls(plan, freqs, counts, metadata)
 
 
 def execute_plan(
@@ -233,54 +258,51 @@ def execute_plan(
 # ---------------------------------------------------------------------------
 
 
-def _per_qubit_tokens(plan: TomographyPlan) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Per-qubit preparation and setting tokens whose K-fold products are the plan."""
+def _one_qubit_dual() -> np.ndarray:
+    """Dual frame of the one-qubit design ``A1``, axes (prep, setting, outcome, operator).
 
-    def power(tokens):
-        return tuple("".join(t) for t in itertools.product(tokens, repeat=plan.num_qubits))
+    ``A1[(p, s, b), (a, c)] = Tr[(prep_p^T (x) projector_sb) (P_a (x) P_c) / 2]``
+    over the normalised Pauli operators on one qubit's (input, output) pair
+    and the rows of ``PREP_TOKENS`` x ``SETTING_TOKENS`` x {0, 1}.  The dual
+    row ``(p, s, b)`` is ``sum_a pinv(A1)[a, (p, s, b)] ops[a]`` with operator
+    axes (in row, out row, in col, out col).  Raises if ``A1`` is rank
+    deficient, i.e. the token tables do not span the operator space.
+    """
+    ops = np.stack(pauli_basis(2).operators) / 2  # (P_a (x) P_c) / 2 on (input, output)
+    rows = [
+        np.kron(prep_density(p).T, outcome_projector(s, b))
+        for p in PREP_TOKENS for s in SETTING_TOKENS for b in (0, 1)
+    ]
+    a1 = np.einsum("rij,aji->ra", np.stack(rows), ops).real
+    rank = np.linalg.matrix_rank(a1)
+    if rank < 16:
+        raise ValueError(
+            f"one-qubit design matrix rank {rank} < 16: tokens are not informationally complete"
+        )
+    dual = np.tensordot(np.linalg.pinv(a1), ops.reshape(16, 2, 2, 2, 2), axes=(0, 0))
+    return dual.reshape(len(PREP_TOKENS), len(SETTING_TOKENS), 2, 2, 2, 2, 2)
 
-    preps = tuple(dict.fromkeys(label[-1] for label in plan.preparations))
-    settings = tuple(dict.fromkeys(label[-1] for label in plan.settings))
-    if power(preps) != plan.preparations or power(settings) != plan.settings:
-        raise ValueError("plan is not a full product of one per-qubit token list")
-    return preps, settings
+
+_DUAL = _one_qubit_dual()
 
 
 def linear_inversion(dataset: TomographyDataset) -> ChoiMatrix:
     """Least-squares Choi estimate from measured frequencies.
 
     The K-qubit design matrix is a row- and column-permuted
-    ``kron(A1, ..., A1)`` of the one-qubit design ``A1[(p, s, b), (a, c)] =
-    Tr[(prep_p^T (x) projector_sb) (P_a (x) P_c) / 2]`` over the normalised
-    Pauli operators on (input, output), so its pseudo-inverse is applied one
-    qubit axis at a time.  Exact probabilities recover the true Choi matrix
-    to solver precision; finite-shot input yields a Hermitian but possibly
-    non-PSD estimate.  Raises if the plan is not a product plan or ``A1`` is
-    rank deficient (the plan does not span the operator space).
+    ``kron(A1, ..., A1)`` of the one-qubit design (see
+    :func:`_one_qubit_dual`), so its pseudo-inverse is applied one qubit
+    axis at a time.  Exact probabilities recover the true Choi matrix to
+    solver precision; finite-shot input yields a Hermitian but possibly
+    non-PSD estimate.
     """
     plan = dataset.plan
     k = plan.num_qubits
-    preps, settings = _per_qubit_tokens(plan)
-    ops = np.stack(pauli_basis(2).operators) / 2  # (P_a (x) P_c) / 2 on (input, output)
-    rows = [
-        np.kron(prep_density(p).T, outcome_projector(s, b))
-        for p in preps for s in settings for b in (0, 1)
-    ]
-    a1 = np.einsum("rij,aji->ra", np.stack(rows), ops).real
-    rank = np.linalg.matrix_rank(a1)
-    if rank < 16:
-        raise ValueError(
-            f"per-qubit design matrix rank {rank} < 16: plan is not informationally complete"
-        )
-    # dual[(p, s, b)] = sum_a pinv(A1)[a, (p, s, b)] ops[a], with axes
-    # (in row, out row, in col, out col) on one qubit's (input, output) pair
-    dual = np.tensordot(np.linalg.pinv(a1), ops.reshape(16, 2, 2, 2, 2), axes=(0, 0))
-    dual = dual.reshape(len(preps), len(settings), 2, 2, 2, 2, 2)
     f = np.stack([dataset.frequencies[key] for key in plan.jobs()])
-    x = f.reshape((len(preps),) * k + (len(settings),) * k + (2,) * k)
+    x = f.reshape((len(PREP_TOKENS),) * k + (len(SETTING_TOKENS),) * k + (2,) * k)
     for remaining in range(k, 0, -1):
         # leading qubit's (prep, setting, outcome) axes -> its 4 operator axes at the end
-        x = np.tensordot(x, dual, axes=((0, remaining, 2 * remaining), (0, 1, 2)))
+        x = np.tensordot(x, _DUAL, axes=((0, remaining, 2 * remaining), (0, 1, 2)))
     # axes now (in row, out row, in col, out col) per qubit; Choi order is inputs first
     x = x.transpose([4 * q + role for role in range(4) for q in range(k)])
     d = 2**k

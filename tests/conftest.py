@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from choiqpt import ground_state, noise_model_from_calibration, parse_calibration, to_native
-from choiqpt.gates import embed_operator
 from choiqpt.linalg import kron_all
 from choiqpt.tomography import measurement_circuit, prep_circuit
 
@@ -39,6 +38,20 @@ def random_effect(rng: np.random.Generator, d: int) -> np.ndarray:
     """Random POVM-style effect: PSD with eigenvalues in [0, 1]."""
     v = random_unitary(rng, d)
     return v @ np.diag(rng.uniform(0, 1, size=d)).astype(complex) @ v.conj().T
+
+
+def embed_operator(op: np.ndarray, qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """Operator on the ordered wires ``qubits`` as a full-register matrix (oracle).
+
+    Built as ``kron(op, I)`` with the tensor factors then permuted so that the
+    operator's first factor lands on ``qubits[0]``.
+    """
+    rest = [q for q in range(num_qubits) if q not in qubits]
+    full = np.kron(op, np.eye(2 ** len(rest)))
+    order = list(qubits) + rest
+    perm = [order.index(q) for q in range(num_qubits)]
+    t = full.reshape((2,) * (2 * num_qubits))
+    return t.transpose(perm + [p + num_qubits for p in perm]).reshape(2**num_qubits, 2**num_qubits)
 
 
 def apply_kraus(rho: np.ndarray, operators, qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:

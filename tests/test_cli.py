@@ -135,8 +135,12 @@ def test_malformed_circuit_is_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "edit",
-    [lambda c: c["qubits"][0].update(t1_us=None), lambda c: c.update(qubits=5)],
-    ids=["null_t1", "qubits_not_a_list"],
+    [
+        lambda c: c["qubits"][0].update(t1_us=None),
+        lambda c: c.update(qubits=5),
+        lambda c: c.update(durations_ns=[35]),
+    ],
+    ids=["null_t1", "qubits_not_a_list", "durations_not_an_object"],
 )
 def test_malformed_calibration_is_input_error(tmp_path, capsys, edit):
     calib = json.loads(Path(data_path("ibm_perth_tab1.json")).read_text())

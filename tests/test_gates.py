@@ -12,7 +12,6 @@ from choiqpt.gates import (
     circuit_to_dict,
     circuit_unitary,
     cnot_from_sqscz,
-    embed_operator,
     equal_up_to_global_phase,
     ga,
     gate_unitary,
@@ -22,7 +21,7 @@ from choiqpt.gates import (
     to_native,
     verify_gate_identities,
 )
-from conftest import random_unitary
+from conftest import embed_operator, random_unitary
 
 SQSCZ = gate_unitary("SQSCZ")
 CNOT = gate_unitary("CNOT")
@@ -98,6 +97,25 @@ def test_empty_circuit_identity():
 def test_cnot_involution():
     c = Circuit(2, (ga("CNOT", (0, 1)), ga("CNOT", (0, 1))))
     assert np.abs(circuit_unitary(c) - np.eye(4)).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "num_qubits, reverse", [(1, False), (2, False), (2, True), (3, False), (3, True)]
+)
+def test_circuit_unitary_matches_kron_embedding_oracle(num_qubits, reverse):
+    rng = np.random.default_rng(10 * num_qubits + reverse)
+    names = [name for name in sorted(GATE_DEFS) if GATE_DEFS[name][0] <= num_qubits]
+    for _ in range(10):
+        gates = []
+        for name in rng.permutation(names * 2):
+            arity, n_params, _ = GATE_DEFS[name]
+            wires = sorted(rng.choice(num_qubits, size=arity, replace=False).tolist())
+            gates.append(ga(name, wires[::-1] if reverse else wires, *rng.uniform(-4, 4, n_params)))
+        c = Circuit(num_qubits, tuple(gates))
+        oracle = np.eye(2**num_qubits, dtype=complex)
+        for g in c.gates:
+            oracle = embed_operator(g.unitary(), g.qubits, num_qubits) @ oracle
+        assert np.abs(circuit_unitary(c) - oracle).max() <= 1e-12
 
 
 def test_embed_reversed_cnot():

@@ -7,7 +7,7 @@ from choiqpt.linalg import (
     as_complex_matrix,
     dagger,
     eig_hermitian,
-    kron,
+    kron_all,
     partial_trace,
     psd_sqrt,
 )
@@ -26,18 +26,18 @@ def test_as_complex_matrix_rejects_nonfinite():
 
 
 def test_kron_identity():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
+    assert np.array_equal(kron_all([I2, I2]), np.eye(4))
 
 
 def test_kron_xx_permutation():
-    xx = kron(X, X)
+    xx = kron_all([X, X])
     assert xx[0, 3] == 1
     assert xx[3, 0] == 1
     assert xx[0, 0] == 0
 
 
 def test_kron_sqrt_swap_with_identity_is_unitary():
-    u = kron(SQRT_SWAP_MATRIX, I2)
+    u = kron_all([SQRT_SWAP_MATRIX, I2])
     assert u.shape == (8, 8)
     assert np.abs(dagger(u) @ u - np.eye(8)).max() < 1e-12
 
@@ -51,10 +51,11 @@ def test_kron_associative(seed):
         (rng.integers(-4, 5, size=(2, 2)) + 1j * rng.integers(-4, 5, size=(2, 2))).astype(complex)
         for _ in range(3)
     )
-    assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
+    assert np.array_equal(kron_all([kron_all([a, b]), c]), kron_all([a, kron_all([b, c])]))
     # and up to last-ulp rounding for arbitrary complex entries
     a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-    assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), rtol=1e-13, atol=1e-15)
+    left, right = kron_all([kron_all([a, b]), c]), kron_all([a, kron_all([b, c])])
+    assert np.allclose(left, right, rtol=1e-13, atol=1e-15)
 
 
 def test_partial_trace_product_state():

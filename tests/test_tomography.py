@@ -287,6 +287,28 @@ def test_dataset_mixed_counts_and_frequencies_is_value_error():
         TomographyDataset.from_dict(d)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["jobs"][2]["counts"].update(counts={"0": 20, "1": -4}), "non-negative"),
+        (
+            lambda d: d["jobs"][2]["counts"].update(counts={"0": 10, "zz": 6}),
+            r"job \('0', 'Z'\) has counts for \['zz'\]",
+        ),
+        (lambda d: d.pop("num_qubits"), "malformed dataset record"),
+        (lambda d: d.pop("jobs"), "malformed dataset record"),
+        (lambda d: d["jobs"][0].pop("prep"), "malformed dataset record"),
+        (lambda d: d["jobs"][0].pop("setting"), "malformed dataset record"),
+    ],
+    ids=["negative_count", "unknown_outcome", "no_num_qubits", "no_jobs", "no_prep", "no_setting"],
+)
+def test_dataset_from_dict_rejects_impossible_records(edit, message):
+    d = execute_plan(build_plan(1, shots=16), Circuit(1, (ga("H", 0),)), seed=3).to_dict()
+    edit(d)
+    with pytest.raises(ValueError, match=message):
+        TomographyDataset.from_dict(d)
+
+
 def test_exact_mode_rejects_non_stochastic_confusion():
     bad = np.array([[0.9, 0.2], [0.2, 0.8]])
     model = NoiseModel(gate_noise={}, readout_confusion={0: bad, 1: bad}, gate_durations={})
@@ -316,22 +338,6 @@ def test_linear_inversion_sampled_is_hermitian():
     ds = execute_plan(plan, SQSCZ_CIRCUIT, seed=21)
     est = linear_inversion(ds)
     assert np.abs(est.matrix - est.matrix.conj().T).max() < 1e-12
-
-
-def test_linear_inversion_rank_deficient_plan():
-    deficient = TomographyPlan(1, ("0", "1"), ("Z",), 16)
-    freqs = {(p, "Z"): np.array([1.0, 0.0]) for p in ("0", "1")}
-    ds = TomographyDataset(deficient, freqs, None, {})
-    with pytest.raises(ValueError, match="rank"):
-        linear_inversion(ds)
-
-
-def test_linear_inversion_rejects_non_product_plan():
-    plan = build_plan(2, shots=16)
-    partial = TomographyPlan(2, plan.preparations[:-1], plan.settings, 16)
-    freqs = {key: np.full(4, 0.25) for key in partial.jobs()}
-    with pytest.raises(ValueError, match="product"):
-        linear_inversion(TomographyDataset(partial, freqs, None, {}))
 
 
 def test_project_cptp_fixed_point():
