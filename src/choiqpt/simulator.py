@@ -234,7 +234,10 @@ class CountsTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CountsTable":
-        return cls(int(d["shots"]), {k: int(v) for k, v in d["counts"].items()})
+        counts = {k: int(v) for k, v in d["counts"].items()}
+        if counts != d["counts"]:
+            raise ValueError(f"counts {d['counts']} are not all whole numbers")
+        return cls(int(d["shots"]), counts)
 
 
 def sample_counts(

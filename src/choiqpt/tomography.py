@@ -9,8 +9,9 @@ The pipeline mirrors how one characterizes a gate on hardware:
    the circuits that run and the states and projectors that linear
    inversion assumes derive from these two gate tables, and every plan is
    the full 4^K x 3^K product of their tokens,
-3. run the target between preparation and basis rotation, collecting counts;
-   the simulation uses the plan's product structure instead of composing
+3. run the target between preparation and basis rotation; the frequencies
+   are one (4^K, 3^K, 2^K) array, axes (preparation, setting, outcome).
+   The simulation uses the plan's product structure instead of composing
    4^K x 3^K circuits: the 4^K preparation circuits run once each, the
    target once on the stack of prepared states, and each of the 3^K basis
    changes (with readout decay) once on the stack of target outputs,
@@ -39,7 +40,7 @@ import numpy as np
 
 from .channels import ChoiMatrix, choi_from_unitary, pauli_basis
 from .gates import Circuit, circuit_unitary
-from .linalg import dagger, frobenius, kron_all, partial_trace
+from .linalg import dagger, frobenius, kron_all
 from .metrics import FidelityReport, fidelity_report
 from .noise import NoiseModel
 from .simulator import (
@@ -51,8 +52,6 @@ from .simulator import (
     sample_counts,
     z_probabilities,
 )
-
-_C = np.complex128
 
 # Per-qubit preparation from |0> for each token, as (gate, *params) entries
 # applied in order; 'i' is the +1 eigenstate of Y.  Table order is plan order.
@@ -134,34 +133,32 @@ def outcome_projector(setting: str, outcome: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TomographyDataset:
-    """Frequencies (and raw counts when sampled) for every plan job."""
+    """Frequencies of every plan job as one ``(4^K, 3^K, 2^K)`` array with axes
+    (preparation, setting, outcome) in plan order; ``counts`` maps each job to
+    its sampled :class:`CountsTable`, or is ``None`` for exact probabilities."""
 
     plan: TomographyPlan
-    frequencies: dict[tuple[str, str], np.ndarray]
+    frequencies: np.ndarray
     counts: dict[tuple[str, str], CountsTable] | None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        missing = [key for key in self.plan.jobs() if key not in self.frequencies]
-        if missing:
-            raise ValueError(f"dataset is missing {len(missing)} plan job(s), e.g. {missing[0]}")
-        d = 2**self.plan.num_qubits
-        for key in self.plan.jobs():
-            if np.shape(self.frequencies[key]) != (d,):
-                raise ValueError(
-                    f"job {key} has {np.size(self.frequencies[key])} frequencies, expected {d}"
-                )
-            if self.counts is not None and key not in self.counts:
-                raise ValueError(f"job {key} has no counts, but other jobs of the dataset do")
+        k = self.plan.num_qubits
+        shape = (len(PREP_TOKENS) ** k, len(SETTING_TOKENS) ** k, 2**k)
+        if np.shape(self.frequencies) != shape:
+            raise ValueError(f"frequencies have shape {np.shape(self.frequencies)}, not {shape}")
+        if self.counts is not None and self.counts.keys() != set(self.plan.jobs()):
+            raise ValueError("counts do not cover exactly the plan's jobs")
 
     def to_dict(self) -> dict:
         jobs = []
-        for prep, setting in self.plan.jobs():
+        rows = np.reshape(self.frequencies, (self.plan.num_jobs, -1))
+        for (prep, setting), row in zip(self.plan.jobs(), rows):
             entry: dict = {"prep": prep, "setting": setting}
             if self.counts is not None:
                 entry["counts"] = self.counts[(prep, setting)].to_dict()
             else:
-                entry["frequencies"] = [float(f) for f in self.frequencies[(prep, setting)]]
+                entry["frequencies"] = [float(f) for f in row]
             jobs.append(entry)
         return {
             "num_qubits": self.plan.num_qubits,
@@ -175,34 +172,38 @@ class TomographyDataset:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TomographyDataset":
-        freqs: dict[tuple[str, str], np.ndarray] = {}
-        counts: dict[tuple[str, str], CountsTable] | None = None
         try:
             plan = build_plan(int(d["num_qubits"]), int(d["shots"]))
-            outcomes = set(_product_labels(("0", "1"), plan.num_qubits))
+            k, keys = plan.num_qubits, list(plan.jobs())
             jobs = {(j["prep"], j["setting"]): j for j in d["jobs"]}
-            for key in plan.jobs():
-                job = jobs.get(key)
-                if job is None:  # left for __post_init__ to report
-                    continue
-                if "counts" in job:
-                    tab = CountsTable.from_dict(job["counts"])
+            missing = [key for key in keys if key not in jobs]
+            if missing:
+                raise ValueError(f"dataset is missing {len(missing)} plan job(s), e.g. {missing[0]}")
+            outcomes = set(_product_labels(("0", "1"), k))
+            counts = {} if any("counts" in jobs[key] for key in keys) else None
+            rows = []
+            for key in keys:
+                if counts is not None:
+                    if "counts" not in jobs[key]:
+                        raise ValueError(f"job {key} has no counts, but other jobs of the dataset do")
+                    counts[key] = tab = CountsTable.from_dict(jobs[key]["counts"])
                     unknown = sorted(set(tab.counts) - outcomes)
                     if unknown:
-                        raise ValueError(
-                            f"job {key} has counts for {unknown}, "
-                            f"which are not {plan.num_qubits}-bit outcomes"
-                        )
-                    if counts is None:
-                        counts = {}
-                    counts[key] = tab
-                    freqs[key] = tab.as_vector(plan.num_qubits) / tab.shots
-                else:
-                    freqs[key] = np.asarray(job["frequencies"], dtype=float)
+                        msg = f"job {key} has counts for {unknown}, which are not {k}-bit outcomes"
+                        raise ValueError(msg)
+                    rows.append(tab.as_vector(k) / tab.shots)
+                    continue
+                f = np.asarray(jobs[key]["frequencies"], dtype=float)
+                if f.shape != (2**k,):
+                    raise ValueError(f"job {key} has {f.size} frequencies, expected {2**k}")
+                if not (f.min() >= -1e-9 and abs(f.sum() - 1.0) <= 1e-9):
+                    raise ValueError(f"job {key} frequencies {f.tolist()} are not probabilities")
+                rows.append(f)
             metadata = dict(d.get("metadata", {}))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed dataset record: {exc}") from exc
-        return cls(plan, freqs, counts, metadata)
+        shape = (len(plan.preparations), len(plan.settings), 2**k)
+        return cls(plan, np.reshape(rows, shape), counts, metadata)
 
 
 def execute_plan(
@@ -218,38 +219,32 @@ def execute_plan(
     basis change run once each on stacks of states through
     :func:`choiqpt.simulator.evolve`; with noise, the read-out applies
     readout decay and confusion to outcome probabilities.  ``exact=True``
-    records these probabilities instead of sampled counts.
+    records this ``(4^K, 3^K, 2^K)`` probability array as the frequencies;
+    otherwise the frequencies are the stacked count vectors, per shot.
     """
     if target.num_qubits != plan.num_qubits:
         raise ValueError("target width does not match the plan")
     k = plan.num_qubits
-    ground = ground_state(k)[None]
     prepared = np.concatenate(
-        [evolve(ground, prep_circuit(p, k), noise) for p in plan.preparations]
+        [evolve(ground_state(k)[None], prep_circuit(p, k), noise) for p in plan.preparations]
     )
     outputs = evolve(prepared, target, noise)
-    probs = np.stack(
+    freqs = np.stack(
         [
             z_probabilities(evolve(outputs, measurement_circuit(s, k), noise), noise)
             for s in plan.settings
         ],
         axis=1,
     )
-    # axes (prep, setting, outcome) flatten to preparation-major, setting-minor job order
-    probs = probs.reshape(plan.num_jobs, 2**k)
-    freqs: dict[tuple[str, str], np.ndarray] = {}
-    counts: dict[tuple[str, str], CountsTable] | None = None if exact else {}
-    for job_index, (key, p) in enumerate(zip(plan.jobs(), probs)):
-        if exact:
-            freqs[key] = p
-        else:
-            counts[key] = sample_counts(p, plan.shots, np.random.SeedSequence((seed, job_index)))
-            freqs[key] = counts[key].as_vector(k) / plan.shots
-    metadata = {
-        "seed": seed,
-        "exact": exact,
-        "noise": noise.label if noise is not None else None,
-    }
+    counts = None
+    if not exact:  # the flattened (prep, setting) axes are in preparation-major job order
+        rows = freqs.reshape(plan.num_jobs, 2**k)
+        counts = {
+            key: sample_counts(rows[i], plan.shots, np.random.SeedSequence((seed, i)))
+            for i, key in enumerate(plan.jobs())
+        }
+        freqs = np.reshape([t.as_vector(k) for t in counts.values()], freqs.shape) / plan.shots
+    metadata = {"seed": seed, "exact": exact, "noise": noise.label if noise is not None else None}
     return TomographyDataset(plan, freqs, counts, metadata)
 
 
@@ -296,10 +291,9 @@ def linear_inversion(dataset: TomographyDataset) -> ChoiMatrix:
     solver precision; finite-shot input yields a Hermitian but possibly
     non-PSD estimate.
     """
-    plan = dataset.plan
-    k = plan.num_qubits
-    f = np.stack([dataset.frequencies[key] for key in plan.jobs()])
-    x = f.reshape((len(PREP_TOKENS),) * k + (len(SETTING_TOKENS),) * k + (2,) * k)
+    k = dataset.plan.num_qubits
+    shape = (len(PREP_TOKENS),) * k + (len(SETTING_TOKENS),) * k + (2,) * k
+    x = np.reshape(dataset.frequencies, shape)
     for remaining in range(k, 0, -1):
         # leading qubit's (prep, setting, outcome) axes -> its 4 operator axes at the end
         x = np.tensordot(x, _DUAL, axes=((0, remaining, 2 * remaining), (0, 1, 2)))
@@ -323,9 +317,10 @@ class ProjectionResult:
 
 
 def _project_tp(m: np.ndarray, d: int) -> np.ndarray:
-    """Orthogonal projection onto the affine subspace Tr_out C = I."""
-    tr_out = partial_trace(m, d, d, keep="a")
-    return m + np.kron((np.eye(d) - tr_out) / d, np.eye(d, dtype=_C))
+    """Orthogonal projection onto Tr_out C = I: add ``(I - Tr_out C) / d`` (x) I."""
+    t = m.reshape(d, d, d, d)
+    shift = (np.eye(d) - np.einsum("ijkj->ik", t)) / d
+    return (t + shift[:, None, :, None] * np.eye(d)[None, :, None, :]).reshape(m.shape)
 
 
 def project_cptp(raw: ChoiMatrix, tol: float = 1e-10, max_iter: int = 2000) -> ProjectionResult:

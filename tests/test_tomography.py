@@ -13,7 +13,7 @@ from choiqpt.channels import (
     pauli_basis,
 )
 from choiqpt.gates import Circuit, circuit_unitary, ga, gate_unitary, to_native
-from choiqpt.linalg import frobenius
+from choiqpt.linalg import frobenius, partial_trace
 from choiqpt.noise import (
     NoiseModel,
     depolarizing_kraus,
@@ -25,6 +25,7 @@ from choiqpt.tomography import (
     ReconstructionOptions,
     TomographyDataset,
     TomographyPlan,
+    _project_tp,
     build_plan,
     execute_plan,
     linear_inversion,
@@ -70,7 +71,7 @@ def dense_design(plan: TomographyPlan) -> tuple[np.ndarray, np.ndarray]:
 def dense_inversion(dataset: TomographyDataset) -> np.ndarray:
     """Oracle: least-squares Choi estimate from the dense design matrix."""
     a, bstack = dense_design(dataset.plan)
-    f = np.concatenate([dataset.frequencies[key] for key in dataset.plan.jobs()])
+    f = dataset.frequencies.reshape(-1)
     x = np.linalg.lstsq(a, f, rcond=None)[0]
     return np.tensordot(x, bstack, axes=1)
 
@@ -78,18 +79,19 @@ def dense_inversion(dataset: TomographyDataset) -> np.ndarray:
 def channel_dataset(choi: ChoiMatrix, plan: TomographyPlan, seed: int | None) -> TomographyDataset:
     """Exact (``seed=None``) or sampled frequencies of a channel given by its Choi matrix."""
     d = 2**plan.num_qubits
-    freqs, counts = {}, None if seed is None else {}
+    rows, counts = [], None if seed is None else {}
     for idx, (prep, setting) in enumerate(plan.jobs()):
         probs = np.array([
             outcome_probability(choi, prep_density(prep), outcome_projector(setting, b))
             for b in range(d)
         ])
         if seed is None:
-            freqs[(prep, setting)] = probs
+            rows.append(probs)
         else:
             tab = sample_counts(probs, plan.shots, np.random.SeedSequence((seed, idx)))
             counts[(prep, setting)] = tab
-            freqs[(prep, setting)] = tab.as_vector(plan.num_qubits) / plan.shots
+            rows.append(tab.as_vector(plan.num_qubits) / plan.shots)
+    freqs = np.reshape(rows, (len(plan.preparations), len(plan.settings), d))
     return TomographyDataset(plan, freqs, counts, {})
 
 
@@ -221,8 +223,9 @@ def test_execute_plan_matches_composed_circuit_oracle(num_qubits, noisy, tab1_pa
     jobs = range(plan.num_jobs)
     if num_qubits == 3:  # the oracle needs over a minute for all 1,728 noisy jobs
         jobs = np.random.default_rng(3).choice(plan.num_jobs, size=48, replace=False)
-    for key, want in oracle_job_frequencies(plan, target, noise, jobs).items():
-        assert np.abs(data.frequencies[key] - want).max() <= 1e-12, key
+    for (prep, setting), want in oracle_job_frequencies(plan, target, noise, jobs).items():
+        got = data.frequencies[plan.preparations.index(prep), plan.settings.index(setting)]
+        assert np.abs(got - want).max() <= 1e-12, (prep, setting)
 
 
 def test_superop_caches_stay_small(tab1_path):
@@ -253,7 +256,7 @@ def test_execute_plan_deterministic():
     assert a.to_json() != c.to_json()
 
 
-def test_dataset_roundtrip_sampled_and_exact():
+def test_dataset_roundtrip_sampled_and_exact(perth_noise):
     plan = build_plan(1, shots=128)
     target = Circuit(1, (ga("H", 0),))
     ds = execute_plan(plan, target, seed=3)
@@ -263,12 +266,33 @@ def test_dataset_roundtrip_sampled_and_exact():
     back = TomographyDataset.from_dict(json.loads(exact.to_json()))
     assert back.to_json() == exact.to_json()
     assert back.counts is None
+    plan = build_plan(2, shots=256)
+    for ds in (
+        execute_plan(plan, SQSCZ_CIRCUIT, noise=perth_noise, seed=3),
+        execute_plan(plan, SQSCZ_CIRCUIT, noise=perth_noise, exact=True),
+    ):
+        d = json.loads(ds.to_json())
+        back = TomographyDataset.from_dict(d)
+        assert np.array_equal(back.frequencies, ds.frequencies)
+        assert back.counts == ds.counts
+        # job keys, not record order, place each row in the array
+        d["jobs"].reverse()
+        assert np.array_equal(TomographyDataset.from_dict(d).frequencies, ds.frequencies)
 
 
 def test_dataset_requires_all_jobs():
     plan = build_plan(1, shots=16)
     with pytest.raises(ValueError):
         TomographyDataset(plan, {}, None, {})
+
+
+def test_dataset_counts_must_cover_exactly_the_plan_jobs():
+    ds = execute_plan(build_plan(1, shots=16), Circuit(1), seed=2)
+    fewer = dict(list(ds.counts.items())[1:])
+    more = {**ds.counts, ("0", "W"): ds.counts[("0", "Z")]}
+    for counts in (fewer, more):
+        with pytest.raises(ValueError, match="counts do not cover exactly the plan's jobs"):
+            TomographyDataset(ds.plan, ds.frequencies, counts, {})
 
 
 def test_dataset_from_dict_missing_job_is_value_error():
@@ -287,6 +311,18 @@ def test_dataset_mixed_counts_and_frequencies_is_value_error():
         TomographyDataset.from_dict(d)
 
 
+def _as_frequency_record(values):
+    """Edit making a sampled 1-qubit record a frequency record, job 2 set to ``values``."""
+
+    def edit(d):
+        for job in d["jobs"]:
+            tab = job.pop("counts")
+            job["frequencies"] = [tab["counts"][b] / tab["shots"] for b in ("0", "1")]
+        d["jobs"][2]["frequencies"] = values
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -299,8 +335,17 @@ def test_dataset_mixed_counts_and_frequencies_is_value_error():
         (lambda d: d.pop("jobs"), "malformed dataset record"),
         (lambda d: d["jobs"][0].pop("prep"), "malformed dataset record"),
         (lambda d: d["jobs"][0].pop("setting"), "malformed dataset record"),
+        (_as_frequency_record([1.25, -0.25]), r"job \('0', 'Z'\) frequencies .* not probabilities"),
+        (_as_frequency_record([0.5, 0.1]), r"job \('0', 'Z'\) frequencies .* not probabilities"),
+        (
+            lambda d: d["jobs"][2]["counts"].update(counts={"0": 8.7, "1": 8.6}),
+            "not all whole numbers",
+        ),
     ],
-    ids=["negative_count", "unknown_outcome", "no_num_qubits", "no_jobs", "no_prep", "no_setting"],
+    ids=[
+        "negative_count", "unknown_outcome", "no_num_qubits", "no_jobs", "no_prep", "no_setting",
+        "frequency_below_zero", "frequencies_sum_below_one", "fractional_count",
+    ],
 )
 def test_dataset_from_dict_rejects_impossible_records(edit, message):
     d = execute_plan(build_plan(1, shots=16), Circuit(1, (ga("H", 0),)), seed=3).to_dict()
@@ -338,6 +383,16 @@ def test_linear_inversion_sampled_is_hermitian():
     ds = execute_plan(plan, SQSCZ_CIRCUIT, seed=21)
     est = linear_inversion(ds)
     assert np.abs(est.matrix - est.matrix.conj().T).max() < 1e-12
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_tp_step_matches_kron_oracle(num_qubits):
+    d = 2**num_qubits
+    m = random_hermitian(np.random.default_rng(num_qubits), d * d)
+    want = m + np.kron((np.eye(d) - partial_trace(m, d, d, keep="a")) / d, np.eye(d))
+    got = _project_tp(m, d)
+    assert np.abs(got - want).max() <= 1e-15
+    assert np.abs(partial_trace(got, d, d, keep="a") - np.eye(d)).max() <= 1e-12
 
 
 def test_project_cptp_fixed_point():
@@ -404,22 +459,20 @@ def test_qpt_fidelity_monotone_in_depolarizing_strength():
 
 
 def test_reconstruction_error_shrinks_with_more_shots():
-    plan_probs = {}
     plan = build_plan(2, shots=1)
     exact = execute_plan(plan, SQSCZ_CIRCUIT, exact=True)
     truth = choi_from_unitary(circuit_unitary(SQSCZ_CIRCUIT)).matrix
-    for key in plan.jobs():
-        plan_probs[key] = exact.frequencies[key]
+    plan_probs = exact.frequencies.reshape(plan.num_jobs, -1)
 
     def reconstruct(shots, seed):
         plan_s = build_plan(2, shots=shots)
-        freqs = {}
+        freqs = []
         counts = {}
         for idx, key in enumerate(plan_s.jobs()):
-            tab = sample_counts(plan_probs[key], shots, np.random.SeedSequence((seed, idx)))
+            tab = sample_counts(plan_probs[idx], shots, np.random.SeedSequence((seed, idx)))
             counts[key] = tab
-            freqs[key] = tab.as_vector(2) / shots
-        ds = TomographyDataset(plan_s, freqs, counts, {})
+            freqs.append(tab.as_vector(2) / shots)
+        ds = TomographyDataset(plan_s, np.reshape(freqs, exact.frequencies.shape), counts, {})
         return linear_inversion(ds).matrix
 
     wins = 0
