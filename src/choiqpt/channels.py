@@ -22,7 +22,6 @@ import numpy as np
 
 from .linalg import (
     PSD_TOL,
-    UNITARY_TOL,
     as_complex_matrix,
     dagger,
     eig_hermitian,
@@ -140,7 +139,7 @@ def choi_from_unitary(u: np.ndarray) -> ChoiMatrix:
     and ``Tr C = d``.
     """
     u = as_complex_matrix(u)
-    if not is_unitary(u, UNITARY_TOL):
+    if not is_unitary(u):
         raise ValueError("input matrix is not unitary within tolerance")
     d = u.shape[0]
     v = u.T.reshape(d * d)  # v[(k, r)] = u[r, k]
@@ -203,20 +202,19 @@ def kraus_superop(operators) -> np.ndarray:
     return np.einsum("kac,kbd->abcd", k, k.conj()).reshape(d * d, d * d)
 
 
-def choi_to_kraus(c: ChoiMatrix, cutoff: float = 1e-10, neg_tol: float = 1e-7) -> KrausSet:
+def choi_to_kraus(c: ChoiMatrix) -> KrausSet:
     """Extract Kraus operators from the Choi eigendecomposition.
 
-    Eigenvalues below ``cutoff`` are dropped; negatives within ``-neg_tol``
-    are clipped to zero, anything more negative means the map is not CP and
-    raises.
+    Eigenvalues at or below 1e-10 are dropped (negatives down to -1e-7 are
+    numerical noise); anything below -1e-7 means the map is not CP and raises.
     """
     w, v = eig_hermitian(c.matrix)
-    if w.min() < -neg_tol:
+    if w.min() < -1e-7:
         raise ValueError(f"Choi matrix is not PSD (min eigenvalue {w.min():.3e})")
     d_in, d_out = c.dim_in, c.dim_out
     ops = []
     for lam, vec in zip(w, v.T):
-        if lam <= cutoff:
+        if lam <= 1e-10:
             continue
         k = np.sqrt(lam) * vec.reshape(d_in, d_out).T
         ops.append(k)
@@ -276,22 +274,17 @@ class CptpReport:
     hermitian_dev: float
     min_eig: float
     tp_dev: float
-    tol: float
 
     @property
     def passes(self) -> bool:
-        return (
-            self.hermitian_dev <= self.tol
-            and self.min_eig >= -self.tol
-            and self.tp_dev <= max(self.tol, 1e-8)
-        )
+        return self.hermitian_dev <= PSD_TOL and self.min_eig >= -PSD_TOL and self.tp_dev <= 1e-8
 
 
-def is_cptp(c: ChoiMatrix, tol: float = PSD_TOL) -> CptpReport:
-    """Report Hermiticity deviation, min eigenvalue, and the TP residual.
+def is_cptp(c: ChoiMatrix) -> CptpReport:
+    """Report Hermiticity deviation, min eigenvalue, and the TP residual ``||Tr_out C - I||_F``.
 
-    The TP residual is ``||Tr_out C - I||_F``; complete positivity is the
-    minimum eigenvalue of the symmetrized matrix.
+    Complete positivity is the minimum eigenvalue of the symmetrized matrix.
+    ``passes`` bounds the first two by ``PSD_TOL`` (1e-9) and the residual by 1e-8.
     """
     m = c.matrix
     herm_dev = float(np.abs(m - dagger(m)).max())
@@ -299,7 +292,7 @@ def is_cptp(c: ChoiMatrix, tol: float = PSD_TOL) -> CptpReport:
     w = np.linalg.eigvalsh(h)
     tr_out = partial_trace(m, c.dim_in, c.dim_out, keep="a")
     tp_dev = frobenius(tr_out - np.eye(c.dim_in))
-    return CptpReport(herm_dev, float(w.min()), tp_dev, tol)
+    return CptpReport(herm_dev, float(w.min()), tp_dev)
 
 
 # ---------------------------------------------------------------------------

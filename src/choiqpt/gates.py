@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex_matrix, dagger
+from .linalg import as_complex_matrix, dagger, whole_number
 
 _C = np.complex128
 
@@ -114,7 +114,7 @@ class GateApplication:
     def __post_init__(self):
         name = canonical_gate_name(self.name)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(whole_number(q, "qubit") for q in self.qubits))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         arity, n_params, _ = GATE_DEFS[name]
         if len(self.qubits) != arity:
@@ -365,7 +365,7 @@ def circuit_from_dict(d: dict) -> Circuit:
             GateApplication(g["name"], tuple(g["qubits"]), tuple(g.get("params", ())))
             for g in d["gates"]
         )
-        return Circuit(int(d["num_qubits"]), gates)
+        return Circuit(whole_number(d["num_qubits"], "num_qubits"), gates)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed circuit record: {exc}") from exc
 

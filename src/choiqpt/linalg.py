@@ -1,4 +1,4 @@
-"""Dense complex linear algebra shared by the whole package.
+"""Dense complex linear algebra and input checks shared by the whole package.
 
 Everything here operates on plain ``numpy`` arrays of dtype complex128.
 Choi matrices are 4^K x 4^K (16x16 for two qubits, 64x64 and 256x256 for
@@ -8,13 +8,13 @@ or GPU path.
 
 from __future__ import annotations
 
+import numbers
 from functools import reduce
 
 import numpy as np
 
 # Centralized tolerance constants.
 HERM_TOL = 1e-9
-UNITARY_TOL = 1e-9
 PSD_TOL = 1e-9
 
 
@@ -26,6 +26,13 @@ def as_complex_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix contains non-finite entries")
     return a
+
+
+def whole_number(value, name: str) -> int:
+    """``value`` as an int; a ValueError naming ``name`` if it is not a whole number."""
+    if isinstance(value, numbers.Real) and value % 1 == 0:  # inf % 1 and nan % 1 are nan
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -78,24 +85,24 @@ def eig_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.
     return w[::-1], v[:, ::-1]
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     u = as_complex_matrix(u)
     if u.shape[0] != u.shape[1]:
         return False
-    return np.abs(dagger(u) @ u - np.eye(u.shape[0])).max() <= tol
+    return np.abs(dagger(u) @ u - np.eye(u.shape[0])).max() <= 1e-9
 
 
 def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def psd_sqrt(m: np.ndarray, neg_tol: float = 1e-7) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix via eigendecomposition.
 
-    Eigenvalues in [-neg_tol, 0) are treated as numerical noise and clipped;
-    anything more negative raises.
+    Eigenvalues in [-1e-7, 0) are treated as numerical noise and clipped;
+    anything more negative, or a Hermiticity deviation above 1e-7, raises.
     """
-    w, v = eig_hermitian(m, tol=max(HERM_TOL, neg_tol))
-    if w.min() < -neg_tol:
+    w, v = eig_hermitian(m, tol=1e-7)
+    if w.min() < -1e-7:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w.min():.3e})")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)

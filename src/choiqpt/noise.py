@@ -27,7 +27,7 @@ import numpy as np
 
 from .channels import KrausSet, kraus_superop, pauli_basis
 from .gates import gate_unitary
-from .linalg import kron_all
+from .linalg import kron_all, whole_number
 
 _C = np.complex128
 
@@ -120,7 +120,7 @@ def parse_calibration(source) -> DeviceCalibration:
         for row in raw["qubits"]:
             qubits.append(
                 QubitCalibration(
-                    index=int(row["index"]),
+                    index=whole_number(row["index"], "index"),
                     t1=float(row["t1_us"]) * 1e-6,
                     t2=float(row["t2_us"]) * 1e-6,
                     frequency=float(row["freq_ghz"]) * 1e9,
@@ -133,14 +133,14 @@ def parse_calibration(source) -> DeviceCalibration:
                 )
             )
         cnot = tuple(
-            CnotCalibration(int(r["control"]), int(r["target"]), float(r["error"]))
+            CnotCalibration(*(whole_number(r[k], k) for k in ("control", "target")), float(r["error"]))
             for r in raw.get("cnot", ())
         )
         durations = {
             name.upper(): float(ns) * 1e-9
             for name, ns in raw.get("durations_ns", {}).items()
         }
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed calibration record: {exc}") from exc
     return DeviceCalibration(tuple(qubits), cnot, durations)
 
@@ -227,13 +227,13 @@ class NoiseModel:
     keyed per qubit carries decay over the readout window; execution paths
     apply it right before sampling.  Gates without an entry are noiseless
     (RZ/Ph are virtual), which is why noisy pipelines lower circuits to the
-    native gate set first.
+    native gate set first.  Gate durations enter only through these Kraus
+    sets; ``label`` is keyword-only.
     """
 
     gate_noise: dict[tuple[str, tuple[int, ...]], KrausSet]
     readout_confusion: dict[int, np.ndarray]
-    gate_durations: dict[str, float]
-    label: str = "calibrated"
+    label: str = field(default="calibrated", kw_only=True)
     _superops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def kraus_for(self, name: str, qubits: tuple[int, ...]) -> KrausSet | None:
@@ -270,7 +270,6 @@ class NoiseModel:
 
 def noise_model_from_calibration(
     calib: DeviceCalibration,
-    durations: dict[str, float] | None = None,
     num_qubits: int = 2,
     qubit_map: tuple[int, ...] | None = None,
     label: str = "calibrated",
@@ -278,20 +277,15 @@ def noise_model_from_calibration(
     """Assemble a NoiseModel for a ``num_qubits`` register.
 
     ``qubit_map[i]`` names the calibration qubit backing circuit qubit ``i``
-    (defaults to the identity mapping).  ``durations`` override gate
-    durations in seconds; otherwise the calibration file's values and the
-    package defaults apply.  Measurement duration is each qubit's readout
-    length.
+    (defaults to the identity mapping).  SX, X and CNOT durations come from
+    the calibration's ``durations_ns``, else from ``DEFAULT_DURATIONS_NS``;
+    the measurement duration is each qubit's readout length.
     """
     if qubit_map is None:
         qubit_map = tuple(range(num_qubits))
     if len(qubit_map) != num_qubits:
         raise ValueError("qubit_map length must equal num_qubits")
-    dur = {k: v * 1e-9 for k, v in DEFAULT_DURATIONS_NS.items()}
-    dur.update(calib.durations)
-    dur.update({k.upper(): float(v) for k, v in (durations or {}).items()})
-    dur.setdefault("RZ", 0.0)
-    dur.setdefault("PH", 0.0)
+    dur = {k: v * 1e-9 for k, v in DEFAULT_DURATIONS_NS.items()} | calib.durations
 
     gate_noise: dict[tuple[str, tuple[int, ...]], KrausSet] = {}
     confusion: dict[int, np.ndarray] = {}
@@ -317,4 +311,4 @@ def noise_model_from_calibration(
         )
         gate_noise[("CNOT", (i, j))] = compose_kraus(damp, depolarizing_kraus(err, 2))
 
-    return NoiseModel(gate_noise, confusion, dur, label=label)
+    return NoiseModel(gate_noise, confusion, label=label)

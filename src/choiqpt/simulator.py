@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import kraus_superop
 from .gates import Circuit, ga, gate_unitary, to_native
-from .linalg import as_complex_matrix, dagger
+from .linalg import as_complex_matrix, dagger, whole_number
 from .noise import NoiseModel
 
 _C = np.complex128
@@ -54,18 +54,16 @@ def ground_state(num_qubits: int) -> np.ndarray:
     return rho
 
 
-def validate_density_matrix(
-    rho: np.ndarray, herm_tol: float = 1e-9, trace_tol: float = 1e-9, psd_tol: float = 1e-8
-) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = as_complex_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
-    if np.abs(rho - dagger(rho)).max() > herm_tol:
+    if np.abs(rho - dagger(rho)).max() > 1e-9:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > trace_tol:
+    if abs(np.trace(rho) - 1.0) > 1e-9:
         raise ValueError(f"density matrix trace {np.trace(rho):.6g} != 1")
     w = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
-    if w.min() < -psd_tol:
+    if w.min() < -1e-8:
         raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
     return rho
 
@@ -234,10 +232,11 @@ class CountsTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CountsTable":
-        counts = {k: int(v) for k, v in d["counts"].items()}
-        if counts != d["counts"]:
-            raise ValueError(f"counts {d['counts']} are not all whole numbers")
-        return cls(int(d["shots"]), counts)
+        try:
+            counts = {k: whole_number(v, "count") for k, v in d["counts"].items()}
+        except ValueError:
+            raise ValueError(f"counts {d['counts']} are not all whole numbers") from None
+        return cls(whole_number(d["shots"], "shots"), counts)
 
 
 def sample_counts(

@@ -35,12 +35,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .channels import ChoiMatrix, choi_from_unitary, pauli_basis
 from .gates import Circuit, circuit_unitary
-from .linalg import dagger, frobenius, kron_all
+from .linalg import dagger, frobenius, kron_all, whole_number
 from .metrics import FidelityReport, fidelity_report
 from .noise import NoiseModel
 from .simulator import (
@@ -173,7 +174,7 @@ class TomographyDataset:
     @classmethod
     def from_dict(cls, d: dict) -> "TomographyDataset":
         try:
-            plan = build_plan(int(d["num_qubits"]), int(d["shots"]))
+            plan = build_plan(*(whole_number(d[f], f) for f in ("num_qubits", "shots")))
             k, keys = plan.num_qubits, list(plan.jobs())
             jobs = {(j["prep"], j["setting"]): j for j in d["jobs"]}
             missing = [key for key in keys if key not in jobs]
@@ -307,6 +308,9 @@ def linear_inversion(dataset: TomographyDataset) -> ChoiMatrix:
 # CPTP projection
 # ---------------------------------------------------------------------------
 
+CPTP_TOL = 1e-10
+CPTP_MAX_ITER = 2000
+
 
 @dataclass(frozen=True)
 class ProjectionResult:
@@ -323,7 +327,9 @@ def _project_tp(m: np.ndarray, d: int) -> np.ndarray:
     return (t + shift[:, None, :, None] * np.eye(d)[None, :, None, :]).reshape(m.shape)
 
 
-def project_cptp(raw: ChoiMatrix, tol: float = 1e-10, max_iter: int = 2000) -> ProjectionResult:
+def project_cptp(
+    raw: ChoiMatrix, tol: float = CPTP_TOL, max_iter: int = CPTP_MAX_ITER
+) -> ProjectionResult:
     """Nearest-CPTP projection by Dykstra-corrected alternating projections.
 
     Alternates the trace-preserving affine projection with eigenvalue
@@ -358,15 +364,15 @@ def project_cptp(raw: ChoiMatrix, tol: float = 1e-10, max_iter: int = 2000) -> P
 
 @dataclass(frozen=True)
 class ReconstructionOptions:
+    """Reconstruction method; ``cptp_tol`` and ``max_iterations`` are the project_cptp defaults."""
+
     method: str = "linear_inversion_then_cptp"  # or "linear_inversion"
-    cptp_tol: float = 1e-10
-    max_iterations: int = 2000
+    cptp_tol: ClassVar[float] = CPTP_TOL
+    max_iterations: ClassVar[int] = CPTP_MAX_ITER
 
     def __post_init__(self):
         if self.method not in ("linear_inversion", "linear_inversion_then_cptp"):
             raise ValueError(f"unknown reconstruction method {self.method!r}")
-        if self.cptp_tol <= 0:
-            raise ValueError("cptp_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -406,7 +412,7 @@ def qpt(
     dataset = execute_plan(plan, target, noise=noise, seed=seed, exact=exact)
     raw = linear_inversion(dataset)
     if options.method == "linear_inversion_then_cptp":
-        proj = project_cptp(raw, tol=options.cptp_tol, max_iter=options.max_iterations)
+        proj = project_cptp(raw)
         choi, converged = proj.choi, proj.converged
     else:
         choi, converged = raw, True

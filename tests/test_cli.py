@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from choiqpt.channels import choi_from_json, is_cptp
 from choiqpt.cli import main
 from conftest import data_path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv) -> int:
@@ -139,8 +142,13 @@ def test_malformed_circuit_is_input_error(tmp_path, capsys):
         lambda c: c["qubits"][0].update(t1_us=None),
         lambda c: c.update(qubits=5),
         lambda c: c.update(durations_ns=[35]),
+        lambda c: c["qubits"][1].update(index=1.8),
+        lambda c: c["cnot"][0].update(control=0.6),
     ],
-    ids=["null_t1", "qubits_not_a_list", "durations_not_an_object"],
+    ids=[
+        "null_t1", "qubits_not_a_list", "durations_not_an_object", "fractional_index",
+        "fractional_cnot_control",
+    ],
 )
 def test_malformed_calibration_is_input_error(tmp_path, capsys, edit):
     calib = json.loads(Path(data_path("ibm_perth_tab1.json")).read_text())
@@ -151,3 +159,19 @@ def test_malformed_calibration_is_input_error(tmp_path, capsys, edit):
     for cmd in ("run", "execute"):
         assert run_cli(cmd, "--circuit", circuit, "--calib", str(bad), "--out", str(tmp_path)) == 2
         assert "malformed calibration record" in capsys.readouterr().err
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    """Every ``qpt`` command of the README's "Command line" block exits 0."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()  # join continuation lines
+    commands = [shlex.split(line) for line in lines if line.startswith("qpt ")]
+    assert [argv[1] for argv in commands] == ["gate-check", "run", "run", "run", "execute"]
+    monkeypatch.chdir(README.parent)  # the README's data paths are relative to the repository
+    for argv in commands:
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        assert main(argv[1:]) == 0, argv
+    assert len(list(tmp_path.glob("qpt_out/*/report.json"))) == 3

@@ -225,6 +225,11 @@ def test_circuit_json_roundtrip(tmp_path):
 def test_circuit_from_dict_malformed():
     with pytest.raises(ValueError):
         circuit_from_dict({"gates": [{}]})
+    with pytest.raises(ValueError, match="num_qubits must be a whole number, got 2.7"):
+        circuit_from_dict({"num_qubits": 2.7, "gates": []})
+    cnot = {"name": "CNOT", "qubits": [0.9, 1.2]}
+    with pytest.raises(ValueError, match="qubit must be a whole number, got 0.9"):
+        circuit_from_dict({"num_qubits": 2, "gates": [cnot]})
 
 
 def test_circuit_dict_roundtrip_identity():

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choiqpt.channels import is_cptp, kraus_superop, kraus_to_choi
+from choiqpt.channels import choi_from_unitary, is_cptp, kraus_superop, kraus_to_choi
 from choiqpt.gates import PAULI_X
+from choiqpt.metrics import process_fidelity
 from choiqpt.noise import (
     MEDIAN_CNOT_ERROR,
     NoiseModel,
@@ -182,6 +185,31 @@ def test_noise_model_zero_noise_is_identity(tab1):
     assert np.allclose(model.readout_confusion[0], np.eye(2))
 
 
+def test_gate_durations_come_from_the_calibration_or_the_defaults(tab1_path):
+    with open(tab1_path) as fh:
+        raw = json.load(fh)
+    del raw["durations_ns"]
+
+    def model(durations_ns=None):
+        record = raw if durations_ns is None else raw | {"durations_ns": durations_ns}
+        return noise_model_from_calibration(parse_calibration(record), num_qubits=2)
+
+    defaults, explicit = model(), model({"sx": 35, "x": 35, "cnot": 300})
+    assert defaults.gate_noise.keys() == explicit.gate_noise.keys()
+    for key, ks in defaults.gate_noise.items():
+        want = explicit.gate_noise[key].operators
+        assert len(ks.operators) == len(want), key
+        assert all(np.array_equal(a, b) for a, b in zip(ks.operators, want)), key
+
+    identity = choi_from_unitary(np.eye(4))
+    slow = model({"cnot": 3000})
+    fid = {
+        ns: process_fidelity(kraus_to_choi(m.gate_noise[("CNOT", (0, 1))]), identity)
+        for ns, m in ((300, explicit), (3000, slow))
+    }
+    assert fid[3000] < fid[300]
+
+
 def test_noise_model_unknown_qubit(tab1):
     with pytest.raises(ValueError):
         noise_model_from_calibration(tab1, num_qubits=2, qubit_map=(0, 99))
@@ -212,7 +240,7 @@ def test_compose_kraus_order():
 
 
 def test_superop_for_caches_per_entry_and_follows_the_model():
-    model = NoiseModel({("X", (0,)): depolarizing_kraus(0.1, 1)}, {}, {})
+    model = NoiseModel({("X", (0,)): depolarizing_kraus(0.1, 1)}, {})
     first = model.superop_for("X", (0,))
     assert model.superop_for("X", (0,)) is first
     assert model.superop_for("X", (1,)) is None and model.superop_for("RZ", (0,), (0.3,)) is None

@@ -42,7 +42,6 @@ def test_fully_depolarizing_gate_noise():
     model = NoiseModel(
         gate_noise={("CNOT", (0, 1)): depolarizing_kraus(1.0, 2)},
         readout_confusion={0: np.eye(2), 1: np.eye(2)},
-        gate_durations={},
     )
     rho = simulate(Circuit(2, (ga("CNOT", (0, 1)),)), noise=model)
     assert np.abs(rho - np.eye(4) / 4).max() < 1e-12
@@ -91,7 +90,7 @@ def random_noisy_circuit(rng: np.random.Generator, num_qubits: int) -> tuple[Cir
         key: KrausSet(tuple(random_kraus_ops(rng, 2 ** len(key[1]), n_env=int(rng.integers(1, 4)))))
         for key in sorted(keys)
     }
-    return Circuit(num_qubits, tuple(gates)), NoiseModel(gate_noise, {}, {})
+    return Circuit(num_qubits, tuple(gates)), NoiseModel(gate_noise, {})
 
 
 @pytest.mark.parametrize("seed", range(12))

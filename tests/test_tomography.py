@@ -341,10 +341,21 @@ def _as_frequency_record(values):
             lambda d: d["jobs"][2]["counts"].update(counts={"0": 8.7, "1": 8.6}),
             "not all whole numbers",
         ),
+        (
+            lambda d: d["jobs"][2]["counts"].update(counts={"0": float("inf"), "1": 0}),
+            "not all whole numbers",
+        ),
+        (
+            lambda d: d["jobs"][2]["counts"].update(counts={"0": float("nan"), "1": 16}),
+            "not all whole numbers",
+        ),
+        (lambda d: d.update(shots=16.9), "shots must be a whole number, got 16.9"),
+        (lambda d: d["jobs"][2]["counts"].update(shots=16.9), "shots must be a whole number"),
     ],
     ids=[
         "negative_count", "unknown_outcome", "no_num_qubits", "no_jobs", "no_prep", "no_setting",
-        "frequency_below_zero", "frequencies_sum_below_one", "fractional_count",
+        "frequency_below_zero", "frequencies_sum_below_one", "fractional_count", "infinite_count",
+        "nan_count", "fractional_shots", "fractional_job_shots",
     ],
 )
 def test_dataset_from_dict_rejects_impossible_records(edit, message):
@@ -356,7 +367,7 @@ def test_dataset_from_dict_rejects_impossible_records(edit, message):
 
 def test_exact_mode_rejects_non_stochastic_confusion():
     bad = np.array([[0.9, 0.2], [0.2, 0.8]])
-    model = NoiseModel(gate_noise={}, readout_confusion={0: bad, 1: bad}, gate_durations={})
+    model = NoiseModel(gate_noise={}, readout_confusion={0: bad, 1: bad})
     with pytest.raises(ValueError, match="confusion matrix for qubit 0 is not column-stochastic"):
         execute_plan(build_plan(2, shots=1), SQSCZ_CIRCUIT, noise=model, exact=True)
 
@@ -450,7 +461,6 @@ def test_qpt_fidelity_monotone_in_depolarizing_strength():
         model = NoiseModel(
             gate_noise={("CNOT", (0, 1)): depolarizing_kraus(p, 2)},
             readout_confusion={0: np.eye(2), 1: np.eye(2)},
-            gate_durations={},
             label=f"depol-{p}",
         )
         res = qpt(Circuit(2, (ga("CNOT", (0, 1)),)), noise=model, exact=True)
