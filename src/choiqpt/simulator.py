@@ -12,7 +12,9 @@ samples the recorded outcomes.
 
 Sampling uses numpy's PCG64 generator seeded either by an integer or a
 ``SeedSequence``; a fixed seed reproduces counts exactly, which downstream
-determinism guarantees rely on.
+determinism guarantees rely on.  Probabilities are rounded onto a 2^-40
+grid before the draw (:func:`draw_counts`), so counts do not depend on
+their last bits.
 """
 
 from __future__ import annotations
@@ -182,13 +184,22 @@ def z_probabilities(states: np.ndarray, noise: NoiseModel | None = None) -> np.n
     """
     num_qubits = states.shape[-1].bit_length() - 1
     rho = apply_measure_noise(states, noise, num_qubits)
-    probs = np.diagonal(rho, axis1=-2, axis2=-1).real
+    return recorded_probabilities(np.diagonal(rho, axis1=-2, axis2=-1).real, noise)
+
+
+def recorded_probabilities(probs: np.ndarray, noise: NoiseModel | None) -> np.ndarray:
+    """Recorded outcome probabilities from computational-basis ones (a vector or a stack).
+
+    Each vector must sum to 1 within 1e-9; it is then clipped at 0,
+    renormalised and, with noise, mapped through the readout confusion.
+    """
     total = probs.sum(axis=-1)
     if np.abs(total - 1.0).max() > 1e-9:
         bad = total.flat[np.abs(total - 1.0).argmax()]
         raise ValueError(f"probabilities sum to {bad:.6g}, state is not normalized")
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum(axis=-1, keepdims=True)
+    num_qubits = probs.shape[-1].bit_length() - 1
     return probs if noise is None else apply_confusion(probs, noise.confusion_for(num_qubits))
 
 
@@ -239,6 +250,44 @@ class CountsTable:
         return cls(whole_number(d["shots"], "shots"), counts)
 
 
+def check_sampling(probs: np.ndarray, shots: int) -> int:
+    """Validate a probability vector, or a stack on the last axis, for sampling; return K.
+
+    Raises unless ``shots > 0``, no probability is below -1e-8, the vectors
+    have length 2^K and each sums to 1 within 1e-8.
+    """
+    if shots <= 0:
+        raise ValueError("shots > 0 required")
+    if probs.min() < -1e-8:
+        raise ValueError(f"negative probability {probs.min():.3e}")
+    num_qubits = int(round(np.log2(probs.shape[-1])))
+    if 2**num_qubits != probs.shape[-1]:
+        raise ValueError("probability vector length must be a power of two")
+    total = probs.sum(axis=-1)
+    bad = total.flat[np.abs(total - 1.0).argmax()]
+    if abs(bad - 1.0) > 1e-8:
+        raise ValueError(f"probabilities sum to {bad:.6g}")
+    return num_qubits
+
+
+def draw_counts(probs: np.ndarray, shots: int, seeds) -> np.ndarray:
+    """Multinomial count vectors of ``shots`` draws, one per row of ``probs`` and seed.
+
+    Each row is clipped at 0, normalised and rounded onto the 2^-40 grid
+    before its own ``default_rng(seed)`` draws.  Without the rounding,
+    counts would hang on the last bits of the simulator's arithmetic:
+    numpy's binomial draws n - Bin(n, 1 - p) for a conditional p > 0.5, so
+    a one-ulp change at a conditional of exactly 0.5 swaps two outcomes'
+    counts, and a zero probability left at 1e-33 by rounding error takes a
+    draw from the generator that shifts the later outcomes.
+    """
+    p = np.clip(probs, 0.0, None)
+    p = p / p.sum(axis=-1, keepdims=True)
+    p = np.round(p * 2.0**40) * 2.0**-40
+    p = p / p.sum(axis=-1, keepdims=True)
+    return np.array([np.random.default_rng(s).multinomial(shots, row) for s, row in zip(seeds, p)])
+
+
 def sample_counts(
     probs: np.ndarray,
     shots: int,
@@ -253,18 +302,8 @@ def sample_counts(
     maps ``probs`` before the draw, as if each sampled bit flipped per its matrix.
     """
     probs = np.asarray(probs, dtype=float)
-    if shots <= 0:
-        raise ValueError("shots > 0 required")
-    if probs.min() < -1e-8:
-        raise ValueError(f"negative probability {probs.min():.3e}")
-    num_qubits = int(round(np.log2(probs.size)))
-    if 2**num_qubits != probs.size:
-        raise ValueError("probability vector length must be a power of two")
-    if abs(probs.sum() - 1.0) > 1e-8:
-        raise ValueError(f"probabilities sum to {probs.sum():.6g}")
+    num_qubits = check_sampling(probs, shots)
     p = probs if confusion is None else apply_confusion(probs, confusion)
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum()
-    vec = np.random.default_rng(seed).multinomial(shots, p)
+    vec = draw_counts(p[None], shots, [seed])[0]
     counts = {format(i, f"0{num_qubits}b"): int(vec[i]) for i in range(vec.size)}
     return CountsTable(shots, counts)

@@ -12,9 +12,13 @@ The pipeline mirrors how one characterizes a gate on hardware:
 3. run the target between preparation and basis rotation; the frequencies
    are one (4^K, 3^K, 2^K) array, axes (preparation, setting, outcome).
    The simulation uses the plan's product structure instead of composing
-   4^K x 3^K circuits: the 4^K preparation circuits run once each, the
-   target once on the stack of prepared states, and each of the 3^K basis
-   changes (with readout decay) once on the stack of target outputs,
+   4^K x 3^K circuits, and simulates preparation and read-out per qubit,
+   because their noise acts on one qubit at a time: the prepared stack
+   grows one qubit at a time (3K stacked evolutions), the target runs once
+   on the stack of 4^K prepared states, and each qubit's 3 basis changes
+   and readout decay run once on its four matrix units |i><j|; contracting
+   the target outputs with these K per-qubit effect tensors gives the
+   probabilities, and every job's shots are drawn in one pass,
 4. invert the Born-rule linear system for the Choi matrix qubit by qubit:
    the plan is a tensor product of one 4-preparation x 3-setting plan per
    qubit, so the least-squares solution applies the pseudo-inverse of the
@@ -48,10 +52,12 @@ from .simulator import (
     MEAS_GATES,
     CountsTable,
     _token_circuit,
+    apply_measure_noise,
+    check_sampling,
+    draw_counts,
     evolve,
     ground_state,
-    sample_counts,
-    z_probabilities,
+    recorded_probabilities,
 )
 
 # Per-qubit preparation from |0> for each token, as (gate, *params) entries
@@ -188,6 +194,9 @@ class TomographyDataset:
                     if "counts" not in jobs[key]:
                         raise ValueError(f"job {key} has no counts, but other jobs of the dataset do")
                     counts[key] = tab = CountsTable.from_dict(jobs[key]["counts"])
+                    if tab.shots != plan.shots:
+                        msg = f"job {key} has {tab.shots} shots, not the dataset's {plan.shots}"
+                        raise ValueError(msg)
                     unknown = sorted(set(tab.counts) - outcomes)
                     if unknown:
                         msg = f"job {key} has counts for {unknown}, which are not {k}-bit outcomes"
@@ -207,6 +216,30 @@ class TomographyDataset:
         return cls(plan, np.reshape(rows, shape), counts, metadata)
 
 
+def _readout_effects(q: int, num_qubits: int, noise: NoiseModel | None) -> np.ndarray:
+    """Qubit q's read-out tensor ``R[b, o, i, j] = <o| decay(basis_b(|i><j|)) |o>``.
+
+    ``b`` runs over ``SETTING_TOKENS``.  The four matrix units ``|i><j|`` of
+    qubit q, with every other wire at ``|0><0|``, run through the basis
+    change of ``b`` on qubit q (and ``Z`` elsewhere), then readout decay;
+    the other wires' trace-preserving noise leaves qubit q's marginal of the
+    diagonal unchanged.
+    """
+    d, shift = 2**num_qubits, num_qubits - 1 - q
+    units = np.zeros((2, 2, d, d), dtype=complex)
+    for i, j in itertools.product((0, 1), repeat=2):
+        units[i, j, i << shift, j << shift] = 1.0
+    units = units.reshape(4, d, d)
+    rotated = []
+    for b in SETTING_TOKENS:
+        c = measurement_circuit("Z" * q + b + "Z" * shift, num_qubits)
+        rotated.append(evolve(units, c, noise) if c.gates else units)
+    rho = apply_measure_noise(np.concatenate(rotated), noise, num_qubits)
+    diag = np.diagonal(rho, axis1=-2, axis2=-1).reshape((-1, 2, 2) + (2,) * num_qubits)
+    marginal = diag.sum(axis=tuple(3 + w for w in range(num_qubits) if w != q))  # (b, i, j, o)
+    return marginal.transpose(0, 3, 1, 2)
+
+
 def execute_plan(
     plan: TomographyPlan,
     target: Circuit,
@@ -216,35 +249,51 @@ def execute_plan(
 ) -> TomographyDataset:
     """Simulate every (preparation, setting) job of the plan.
 
-    Nothing is simulated per job: the preparations, the target and each
-    basis change run once each on stacks of states through
-    :func:`choiqpt.simulator.evolve`; with noise, the read-out applies
-    readout decay and confusion to outcome probabilities.  ``exact=True``
-    records this ``(4^K, 3^K, 2^K)`` probability array as the frequencies;
-    otherwise the frequencies are the stacked count vectors, per shot.
+    Nothing is simulated per job, and preparation and read-out are simulated
+    per qubit, because their noise acts on one qubit at a time:
+
+    - the prepared stack grows one qubit at a time: each of the qubit's
+      preparation tokens runs once on the stack of the qubits before it
+      (3K :func:`choiqpt.simulator.evolve` calls; token ``0`` has no gates);
+    - the target runs once on the stack of the 4^K prepared states;
+    - each qubit's basis changes and readout decay run once on its four
+      matrix units (:func:`_readout_effects`), and contracting the target
+      outputs with these K effect tensors gives the ``(4^K, 3^K, 2^K)``
+      probabilities, which readout confusion then maps.
+
+    ``exact=True`` records these probabilities as the frequencies; otherwise
+    job i draws its counts from ``SeedSequence((seed, i))`` in one pass, and
+    the frequencies are the stacked count vectors, per shot.
     """
     if target.num_qubits != plan.num_qubits:
         raise ValueError("target width does not match the plan")
-    k = plan.num_qubits
-    prepared = np.concatenate(
-        [evolve(ground_state(k)[None], prep_circuit(p, k), noise) for p in plan.preparations]
-    )
-    outputs = evolve(prepared, target, noise)
-    freqs = np.stack(
-        [
-            z_probabilities(evolve(outputs, measurement_circuit(s, k), noise), noise)
-            for s in plan.settings
-        ],
-        axis=1,
-    )
+    k, d = plan.num_qubits, 2**plan.num_qubits
+    prepared = ground_state(k)[None]
+    for q in range(k):
+        stacks = []
+        for token in PREP_TOKENS:
+            c = prep_circuit("0" * q + token + "0" * (k - 1 - q), k)
+            stacks.append(evolve(prepared, c, noise) if c.gates else prepared)
+        prepared = np.stack(stacks, axis=1).reshape(-1, d, d)  # qubit 0 stays most significant
+    x = evolve(prepared, target, noise).reshape((-1,) + (2,) * (2 * k))
+    for q in range(k):
+        # qubit q's (row, col) axes -> its (basis, outcome) axes at the end
+        x = np.tensordot(x, _readout_effects(q, k, noise), axes=((1, 1 + k - q), (2, 3)))
+    x = x.transpose([0] + [1 + 2 * q for q in range(k)] + [2 + 2 * q for q in range(k)])
+    shape = (len(plan.preparations), len(plan.settings), d)
+    freqs = recorded_probabilities(x.real.reshape(shape), noise)
     counts = None
     if not exact:  # the flattened (prep, setting) axes are in preparation-major job order
-        rows = freqs.reshape(plan.num_jobs, 2**k)
+        rows = freqs.reshape(plan.num_jobs, d)
+        check_sampling(rows, plan.shots)
+        seeds = (np.random.SeedSequence((seed, i)) for i in range(plan.num_jobs))
+        drawn = draw_counts(rows, plan.shots, seeds)
+        labels = _product_labels(("0", "1"), k)
         counts = {
-            key: sample_counts(rows[i], plan.shots, np.random.SeedSequence((seed, i)))
-            for i, key in enumerate(plan.jobs())
+            key: CountsTable(plan.shots, dict(zip(labels, row)))
+            for key, row in zip(plan.jobs(), drawn.tolist())
         }
-        freqs = np.reshape([t.as_vector(k) for t in counts.values()], freqs.shape) / plan.shots
+        freqs = drawn.reshape(shape) / plan.shots
     metadata = {"seed": seed, "exact": exact, "noise": noise.label if noise is not None else None}
     return TomographyDataset(plan, freqs, counts, metadata)
 

@@ -164,6 +164,20 @@ def test_sample_counts_deterministic_and_pure():
     assert t1 != t3
 
 
+@pytest.mark.parametrize("p", [[0.5, 0.25, 0.25, 0.0], [0.5, 0.0, 0.25, 0.25]])
+def test_sample_counts_insensitive_to_one_ulp(p):
+    # numpy's binomial draws n - Bin(n, 1 - q) for a conditional q > 0.5, so these
+    # exact-0.5 conditionals must not depend on the last bit, and a zero outcome
+    # before the last must not take a draw when moved one ulp off zero
+    p = np.array(p)
+    want = sample_counts(p, 11000, np.random.SeedSequence((3, 7)))
+    for i in range(4):
+        for toward in (0.0, 1.0):
+            moved = p.copy()
+            moved[i] = np.nextafter(p[i], toward)
+            assert sample_counts(moved, 11000, np.random.SeedSequence((3, 7))) == want, (i, toward)
+
+
 def test_sample_counts_validation():
     with pytest.raises(ValueError):
         sample_counts(np.array([0.5, 0.5]), 0, seed=1)

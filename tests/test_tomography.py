@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from choiqpt import tomography
 from choiqpt.channels import (
     ChoiMatrix,
     KrausSet,
@@ -20,7 +22,13 @@ from choiqpt.noise import (
     noise_model_from_calibration,
     parse_calibration,
 )
-from choiqpt.simulator import _unitary_superop, measure_probabilities, sample_counts, simulate
+from choiqpt.simulator import (
+    _unitary_superop,
+    evolve,
+    measure_probabilities,
+    sample_counts,
+    simulate,
+)
 from choiqpt.tomography import (
     ReconstructionOptions,
     TomographyDataset,
@@ -208,24 +216,79 @@ ORACLE_TARGETS = {
     1: Circuit(1, (ga("RX", 0, 0.7), ga("H", 0))),
     2: Circuit(2, (ga("SQSCZ", (1, 0)), ga("RZ", 0, 0.3))),
     3: Circuit(3, (ga("SQSCZ", (2, 0)), ga("H", 1), ga("CNOT", (1, 2)))),
+    4: Circuit(4, (ga("SQSCZ", (3, 1)), ga("H", 0), ga("CNOT", (2, 0)), ga("RX", 3, 0.4))),
 }
+# Random jobs the composed-circuit oracle checks at each width; None is every job
+# (the oracle needs over a minute for all 1,728 noisy 3-qubit jobs).
+ORACLE_JOBS = {1: None, 2: None, 3: 48, 4: 24}
 
 
-@pytest.mark.parametrize("noisy", [False, True])
-@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def _oracle_jobs(plan: TomographyPlan):
+    size = ORACLE_JOBS[plan.num_qubits]
+    if size is None:
+        return range(plan.num_jobs)
+    return np.random.default_rng(3).choice(plan.num_jobs, size=size, replace=False)
+
+
+def _oracle_noise(tab1_path, num_qubits: int, noisy: bool = True):
+    if not noisy:
+        return None
+    return noise_model_from_calibration(parse_calibration(tab1_path), num_qubits=num_qubits)
+
+
+@pytest.mark.parametrize(
+    "num_qubits, noisy", [(k, noisy) for k in (1, 2, 3) for noisy in (False, True)] + [(4, True)]
+)
 def test_execute_plan_matches_composed_circuit_oracle(num_qubits, noisy, tab1_path):
     target = ORACLE_TARGETS[num_qubits]
-    noise = None
-    if noisy:
-        noise = noise_model_from_calibration(parse_calibration(tab1_path), num_qubits=num_qubits)
+    noise = _oracle_noise(tab1_path, num_qubits, noisy)
     plan = build_plan(num_qubits)
     data = execute_plan(plan, target, noise=noise, exact=True)
-    jobs = range(plan.num_jobs)
-    if num_qubits == 3:  # the oracle needs over a minute for all 1,728 noisy jobs
-        jobs = np.random.default_rng(3).choice(plan.num_jobs, size=48, replace=False)
-    for (prep, setting), want in oracle_job_frequencies(plan, target, noise, jobs).items():
+    want_by_job = oracle_job_frequencies(plan, target, noise, _oracle_jobs(plan))
+    for (prep, setting), want in want_by_job.items():
         got = data.frequencies[plan.preparations.index(prep), plan.settings.index(setting)]
         assert np.abs(got - want).max() <= 1e-12, (prep, setting)
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_execute_plan_counts_match_per_job_sampling_oracle(num_qubits, tab1_path):
+    target, noise = ORACLE_TARGETS[num_qubits], _oracle_noise(tab1_path, num_qubits)
+    plan = build_plan(num_qubits, shots=4000)
+    jobs = _oracle_jobs(plan)
+    probs = oracle_job_frequencies(plan, target, noise, jobs)
+    for seed in (0, 5):
+        data = execute_plan(plan, target, noise=noise, seed=seed)
+        for i, key in zip(jobs, probs):
+            want = sample_counts(probs[key], plan.shots, np.random.SeedSequence((seed, int(i))))
+            assert data.counts[key] == want, (seed, key)
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_execute_plan_simulates_preparation_and_readout_per_qubit(
+    num_qubits, tab1_path, monkeypatch
+):
+    calls = []
+
+    def counting_evolve(states, c, noise=None):
+        calls.append(c)
+        return evolve(states, c, noise)
+
+    monkeypatch.setattr(tomography, "evolve", counting_evolve)
+    noise = _oracle_noise(tab1_path, num_qubits)
+    execute_plan(build_plan(num_qubits, shots=10), ORACLE_TARGETS[num_qubits], noise, seed=1)
+    # 3K preparation tokens with gates, the target once, and K basis changes X and Y
+    assert len(calls) <= 5 * num_qubits + 1
+
+
+def test_execute_plan_memory_stays_bounded_at_four_qubits(tab1_path):
+    noise = _oracle_noise(tab1_path, 4)
+    tracemalloc.start()
+    try:
+        execute_plan(build_plan(4), ORACLE_TARGETS[4], noise, exact=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_superop_caches_stay_small(tab1_path):
@@ -351,11 +414,15 @@ def _as_frequency_record(values):
         ),
         (lambda d: d.update(shots=16.9), "shots must be a whole number, got 16.9"),
         (lambda d: d["jobs"][2]["counts"].update(shots=16.9), "shots must be a whole number"),
+        (
+            lambda d: d["jobs"][2].update(counts={"shots": 20, "counts": {"0": 20, "1": 0}}),
+            r"job \('0', 'Z'\) has 20 shots, not the dataset's 16",
+        ),
     ],
     ids=[
         "negative_count", "unknown_outcome", "no_num_qubits", "no_jobs", "no_prep", "no_setting",
         "frequency_below_zero", "frequencies_sum_below_one", "fractional_count", "infinite_count",
-        "nan_count", "fractional_shots", "fractional_job_shots",
+        "nan_count", "fractional_shots", "fractional_job_shots", "job_shots_mismatch",
     ],
 )
 def test_dataset_from_dict_rejects_impossible_records(edit, message):
