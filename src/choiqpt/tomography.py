@@ -25,9 +25,10 @@ The pipeline mirrors how one characterizes a gate on hardware:
    24 x 16 one-qubit design matrix, built once from the token tables,
    along each qubit axis of the frequency tensor (no dense 24^K x 16^K
    system is ever built),
-5. optionally project the estimate onto the CPTP set (Dykstra-corrected
-   alternating projections between the PSD cone and the trace-preserving
-   affine subspace).
+5. optionally project the estimate onto the CPTP set: the nearest CPTP
+   point is the PSD clip of ``R + L (x) I`` for the d x d Hermitian L that
+   makes it trace preserving, and a dual Newton-CG solve finds L in a few
+   eigendecompositions (see :func:`project_cptp`).
 
 Per-job RNG seeds derive from ``SeedSequence((base_seed, job_index))`` so
 jobs are independent and insensitive to execution order.
@@ -45,7 +46,7 @@ import numpy as np
 
 from .channels import ChoiMatrix, choi_from_unitary, pauli_basis
 from .gates import Circuit, circuit_unitary
-from .linalg import dagger, frobenius, kron_all, whole_number
+from .linalg import dagger, frobenius, kron_all, partial_trace, whole_number
 from .metrics import FidelityReport, fidelity_report
 from .noise import NoiseModel
 from .simulator import (
@@ -358,52 +359,120 @@ def linear_inversion(dataset: TomographyDataset) -> ChoiMatrix:
 # ---------------------------------------------------------------------------
 
 CPTP_TOL = 1e-10
-CPTP_MAX_ITER = 2000
+CPTP_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
 class ProjectionResult:
+    """Projected Choi matrix; ``iterations`` counts Newton steps and ``delta``
+    is the final trace-preserving residual ``||Tr_out C - I||_F``."""
+
     choi: ChoiMatrix
     converged: bool
     iterations: int
     delta: float
 
 
-def _project_tp(m: np.ndarray, d: int) -> np.ndarray:
-    """Orthogonal projection onto Tr_out C = I: add ``(I - Tr_out C) / d`` (x) I."""
-    t = m.reshape(d, d, d, d)
-    shift = (np.eye(d) - np.einsum("ijkj->ik", t)) / d
-    return (t + shift[:, None, :, None] * np.eye(d)[None, :, None, :]).reshape(m.shape)
+def _dual_point(r: np.ndarray, lam: np.ndarray):
+    """Eigenpairs of ``R + L (x) I``, their PSD clip C, the dual gradient
+    ``Tr_out C - I`` and the dual objective ``||C||_F^2 / 2 - Tr L``."""
+    d = lam.shape[0]
+    w, v = np.linalg.eigh(r + np.kron(lam, np.eye(d)))
+    p = np.clip(w, 0.0, None)
+    c = (v * p) @ dagger(v)
+    return w, v, c, partial_trace(c, d, d) - np.eye(d), 0.5 * p @ p - np.trace(lam).real
+
+
+def _newton_step(grad: np.ndarray, w: np.ndarray, v: np.ndarray, mu: float, tol: float):
+    """Conjugate-gradient solve of ``(H + mu) s = -grad`` to residual ``tol``.
+
+    H is the generalized Hessian of the dual at the eigenpairs (w, v) of
+    ``R + L (x) I``: ``H(E) = Tr_out[V (Omega o V^dag (E (x) I) V) V^dag]``
+    with ``Omega_ab = (max(w_a, 0) - max(w_b, 0)) / (w_a - w_b)``, which is 1
+    where both eigenvalues are positive and 0 where neither is.  Each product
+    costs two D x D matmuls; no D^2 x D^2 matrix is built.
+    """
+    d = grad.shape[0]
+    p, pos = np.clip(w, 0.0, None), w > 0
+    omega = np.divide(
+        np.subtract.outer(p, p),
+        np.subtract.outer(w, w),
+        out=np.logical_and.outer(pos, pos).astype(float),
+        where=np.not_equal.outer(pos, pos),
+    )
+    v_in = v.reshape(d, -1)  # rows: input index; columns: (output index, eigenvector)
+    v_dag = dagger(v)
+
+    def hessian(e):
+        y = v_dag @ (e @ v_in).reshape(v.shape)  # V^dag (E (x) I) V
+        return (v @ (omega * y)).reshape(d, -1) @ dagger(v_in) + mu * e
+
+    step, res = np.zeros_like(grad), -grad
+    direction, rho = res, np.vdot(res, res).real
+    for _ in range(d * d):  # the real dimension of the d x d Hermitian matrices
+        h = hessian(direction)
+        a = rho / np.vdot(direction, h).real
+        step, res = step + a * direction, res - a * h
+        rho, prev = np.vdot(res, res).real, rho
+        if rho < tol**2:
+            break
+        direction = res + (rho / prev) * direction
+    return step
 
 
 def project_cptp(
     raw: ChoiMatrix, tol: float = CPTP_TOL, max_iter: int = CPTP_MAX_ITER
 ) -> ProjectionResult:
-    """Nearest-CPTP projection by Dykstra-corrected alternating projections.
+    """Nearest CPTP Choi matrix in Frobenius norm, by a Newton-CG solve of the dual.
 
-    Alternates the trace-preserving affine projection with eigenvalue
-    clipping onto the PSD cone (the Dykstra correction rides on the cone
-    step).  Stops when successive iterates differ by less than ``tol`` in
-    Frobenius norm; hitting ``max_iter`` returns the best iterate flagged
-    as non-converged.
+    With R the Hermitian part of ``raw`` and P+ the eigenvalue clip onto
+    the PSD cone, the nearest CPTP point is ``C(L) = P+(R + L (x) I)`` for
+    the d x d Hermitian L that minimises the convex dual
+    ``theta(L) = ||P+(R + L (x) I)||_F^2 / 2 - Tr L``.  Its gradient is the
+    trace-preserving residual ``Tr_out C(L) - I``, so every iterate is PSD
+    and only trace preservation is solved for.  This is the semismooth
+    Newton method of the nearest correlation matrix (Qi & Sun, SIAM J.
+    Matrix Anal. Appl. 28, 360 (2006)) with the partial trace in place of
+    the diagonal.
+
+    The solve starts from the trace-preserving shift
+    ``L = (I - Tr_out R) / d``, so a raw estimate whose shift is already
+    PSD takes no step.  Each Newton step solves ``(H + mu) s = -g`` by
+    conjugate gradients (:func:`_newton_step`), with ``mu = min(1e-4, |g|)``,
+    and backtracks until theta shows sufficient decrease or the residual
+    shrinks (near the solution theta's decrease falls below its rounding).
+    Stops once ``delta = ||Tr_out C - I||_F`` is below ``tol``;
+    ``iterations`` counts Newton steps, and after ``max_iter`` steps the
+    last iterate is returned flagged as non-converged.
     """
+    if raw.dim_in != raw.dim_out:
+        msg = f"CPTP projection needs dim_in == dim_out, got {raw.dim_in} and {raw.dim_out}"
+        raise ValueError(msg)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     d = raw.dim_in
-    c = 0.5 * (raw.matrix + dagger(raw.matrix))
-    correction = np.zeros_like(c)
-    delta = np.inf
-    for iteration in range(1, max_iter + 1):
-        prev = c
-        c = _project_tp(c, d)
-        y = c + correction
-        y = 0.5 * (y + dagger(y))
-        w, v = np.linalg.eigh(y)
-        c_psd = (v * np.clip(w, 0.0, None)) @ dagger(v)
-        correction = y - c_psd
-        c = c_psd
-        delta = frobenius(c - prev)
-        if delta < tol:
-            return ProjectionResult(ChoiMatrix(d, d, c), True, iteration, delta)
-    return ProjectionResult(ChoiMatrix(d, d, c), False, max_iter, delta)
+    r = 0.5 * (raw.matrix + dagger(raw.matrix))
+    lam = (np.eye(d) - partial_trace(r, d, d)) / d
+    w, v, c, grad, theta = _dual_point(r, lam)
+    delta, steps = frobenius(grad), 0
+    while delta >= tol and steps < max_iter:
+        steps += 1
+        # forcing term min(0.1, |g|) |g| for quadratic convergence, floored at
+        # tol / 10: the stopping rule needs no more, and CG stalls in rounding below it
+        cg_tol = max(min(0.1, delta) * delta, 0.1 * tol)
+        step = _newton_step(grad, w, v, min(1e-4, delta), cg_tol)
+        slope, alpha = np.vdot(grad, step).real, 1.0
+        for _ in range(30):
+            trial_lam = lam + alpha * step
+            trial = _dual_point(r, trial_lam)
+            trial_delta = frobenius(trial[3])
+            if trial[4] <= theta + 1e-4 * alpha * slope or trial_delta < delta:
+                break
+            alpha /= 2
+        lam, delta, (w, v, c, grad, theta) = trial_lam, trial_delta, trial
+    return ProjectionResult(ChoiMatrix(d, d, c), delta < tol, steps, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +501,7 @@ class QptResult:
     report: FidelityReport
     dataset: TomographyDataset
     converged: bool
+    projection: ProjectionResult | None = None  # diagnostics; not written to report.json
 
     def report_dict(self, shots: int | None = None, seed: int | None = None) -> dict:
         out = self.report.to_dict()
@@ -460,6 +530,7 @@ def qpt(
     plan = build_plan(target.num_qubits, shots)
     dataset = execute_plan(plan, target, noise=noise, seed=seed, exact=exact)
     raw = linear_inversion(dataset)
+    proj = None
     if options.method == "linear_inversion_then_cptp":
         proj = project_cptp(raw)
         choi, converged = proj.choi, proj.converged
@@ -467,4 +538,4 @@ def qpt(
         choi, converged = raw, True
     ideal = choi_from_unitary(circuit_unitary(target))
     report = fidelity_report(choi, ideal)
-    return QptResult(choi, raw, ideal, report, dataset, converged)
+    return QptResult(choi, raw, ideal, report, dataset, converged, proj)

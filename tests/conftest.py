@@ -104,6 +104,34 @@ def oracle_job_frequencies(plan, target, noise, job_indices) -> dict:
     return out
 
 
+def tp_step(m: np.ndarray, d: int) -> np.ndarray:
+    """Orthogonal projection onto Tr_out C = I: add ``(I - Tr_out C) / d`` (x) I."""
+    t = m.reshape(d, d, d, d)
+    shift = (np.eye(d) - np.einsum("ijkj->ik", t)) / d
+    return (t + shift[:, None, :, None] * np.eye(d)[None, :, None, :]).reshape(m.shape)
+
+
+def dykstra_cptp(m: np.ndarray, d: int, tol: float, max_iter: int = 100_000) -> np.ndarray:
+    """Nearest CPTP matrix by Dykstra-corrected alternating projections (oracle).
+
+    Alternates the trace-preserving step with eigenvalue clipping onto the
+    PSD cone, the Dykstra correction riding on the cone step, until
+    successive iterates differ by less than ``tol`` in Frobenius norm.
+    """
+    c = 0.5 * (m + m.conj().T)
+    correction = np.zeros_like(c)
+    for _ in range(max_iter):
+        prev = c
+        y = tp_step(c, d) + correction
+        y = 0.5 * (y + y.conj().T)
+        w, v = np.linalg.eigh(y)
+        c = (v * np.clip(w, 0.0, None)) @ v.conj().T
+        correction = y - c
+        if np.linalg.norm(c - prev) < tol:
+            return c
+    raise AssertionError(f"Dykstra oracle did not converge in {max_iter} iterations")
+
+
 class Stopwatch:
     def __init__(self, limit_s: float):
         self.limit = limit_s

@@ -30,10 +30,10 @@ from choiqpt.simulator import (
     simulate,
 )
 from choiqpt.tomography import (
+    CPTP_TOL,
     ReconstructionOptions,
     TomographyDataset,
     TomographyPlan,
-    _project_tp,
     build_plan,
     execute_plan,
     linear_inversion,
@@ -46,10 +46,12 @@ from choiqpt.tomography import (
 )
 from conftest import (
     Stopwatch,
+    dykstra_cptp,
     oracle_job_frequencies,
     random_density,
     random_hermitian,
     random_kraus_ops,
+    tp_step,
 )
 
 SQSCZ_CIRCUIT = Circuit(2, (ga("SQSCZ", (0, 1)),))
@@ -468,7 +470,7 @@ def test_tp_step_matches_kron_oracle(num_qubits):
     d = 2**num_qubits
     m = random_hermitian(np.random.default_rng(num_qubits), d * d)
     want = m + np.kron((np.eye(d) - partial_trace(m, d, d, keep="a")) / d, np.eye(d))
-    got = _project_tp(m, d)
+    got = tp_step(m, d)
     assert np.abs(got - want).max() <= 1e-15
     assert np.abs(partial_trace(got, d, d, keep="a") - np.eye(d)).max() <= 1e-12
 
@@ -489,6 +491,51 @@ def test_project_cptp_restores_physicality():
     assert res.converged
     assert rep.min_eig >= -1e-9
     assert rep.tp_dev < 1e-8
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+@pytest.mark.parametrize("raw", [0.02, 0.1, 1, 5, "zero", "minus_identity"])
+def test_project_cptp_matches_dykstra_oracle(num_qubits, raw):
+    d = 2**num_qubits
+    if raw == "zero":
+        m = np.zeros((d * d, d * d))
+    elif raw == "minus_identity":
+        m = -np.eye(d * d)
+    else:
+        m = random_hermitian(np.random.default_rng([num_qubits, int(100 * raw)]), d * d, raw)
+    res = project_cptp(ChoiMatrix(d, d, m))
+    assert res.converged
+    assert res.iterations <= 15
+    assert res.delta < CPTP_TOL
+    assert frobenius(res.choi.matrix - dykstra_cptp(m, d, tol=1e-13)) < 1e-8
+    rep = is_cptp(res.choi)
+    assert rep.min_eig >= -1e-12
+    assert rep.tp_dev < 1e-9
+
+
+def test_project_cptp_backtracks_far_from_cptp():
+    # full Newton steps overshoot this far out: without backtracking it takes 58 steps
+    m = random_hermitian(np.random.default_rng([2, 100, 0]), 16, 100)
+    res = project_cptp(ChoiMatrix(4, 4, m))
+    assert res.converged
+    assert res.iterations <= 15
+    rep = is_cptp(res.choi)
+    assert rep.min_eig >= -1e-12
+    assert rep.tp_dev < 1e-9
+
+
+@pytest.mark.parametrize(
+    "choi, kwargs, message",
+    [
+        (ChoiMatrix(2, 4, np.eye(8)), {}, "dim_in == dim_out, got 2 and 4"),
+        (ChoiMatrix(2, 2, np.eye(4)), {"max_iter": 0}, "max_iter must be at least 1"),
+        (ChoiMatrix(2, 2, np.eye(4)), {"tol": 0.0}, "tol must be positive"),
+        (ChoiMatrix(2, 2, np.eye(4)), {"tol": -1e-10}, "tol must be positive"),
+    ],
+)
+def test_project_cptp_rejects_bad_arguments(choi, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        project_cptp(choi, **kwargs)
 
 
 def test_project_cptp_flags_nonconvergence():
@@ -514,10 +561,20 @@ def test_qpt_exact_three_qubits():
     sw.check()
 
 
+def test_qpt_carries_projection_diagnostics():
+    result = qpt(SQSCZ_CIRCUIT, shots=500, seed=2)
+    assert result.projection is not None
+    assert result.projection.iterations >= 1
+    assert result.projection.converged == result.converged
+    assert result.projection.choi is result.choi
+    assert "projection" not in json.dumps(result.report_dict(shots=500, seed=2))
+
+
 def test_qpt_no_cptp_option():
     opts = ReconstructionOptions(method="linear_inversion")
     result = qpt(SQSCZ_CIRCUIT, shots=500, seed=2, options=opts)
     assert np.abs(result.choi.matrix - result.raw_choi.matrix).max() == 0
+    assert result.projection is None
     with pytest.raises(ValueError):
         ReconstructionOptions(method="banana")
 
