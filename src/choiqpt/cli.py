@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import viz
-from .channels import choi_to_chi, matrix_csv, matrix_to_json_dict
+from .channels import choi_to_chi, choi_to_json, matrix_csv
 from .gates import load_circuit, verify_gate_identities
 from .noise import noise_model_from_calibration, parse_calibration
 from .simulator import circuit_probabilities, sample_counts
@@ -88,7 +88,7 @@ def cmd_run(args) -> int:
     )
     out = Path(args.out)
     _write(out / "dataset.json", result.dataset.to_json() + "\n")
-    _write(out / "choi.json", _json_dumps(matrix_to_json_dict(result.choi.matrix, result.choi.dim_in)))
+    _write(out / "choi.json", choi_to_json(result.choi) + "\n")
     report = result.report_dict(shots=None if args.exact else args.shots, seed=args.seed)
     report["method"] = method
     report["exact"] = args.exact

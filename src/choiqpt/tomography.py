@@ -139,6 +139,10 @@ def outcome_projector(setting: str, outcome: int) -> np.ndarray:
     return kron_all(mats)
 
 
+# One ``jobs`` entry of ``dataset.json``: ``_JOB % data_block`` is the entry's template.
+_JOB = '    {\n      %s,\n      "prep": "%%s",\n      "setting": "%%s"\n    }'
+
+
 @dataclass(frozen=True)
 class TomographyDataset:
     """Frequencies of every plan job as one ``(4^K, 3^K, 2^K)`` array with axes
@@ -155,6 +159,8 @@ class TomographyDataset:
         shape = (len(PREP_TOKENS) ** k, len(SETTING_TOKENS) ** k, 2**k)
         if np.shape(self.frequencies) != shape:
             raise ValueError(f"frequencies have shape {np.shape(self.frequencies)}, not {shape}")
+        if not np.isfinite(self.frequencies).all():
+            raise ValueError("frequencies must be finite")
         if self.counts is not None and self.counts.keys() != set(self.plan.jobs()):
             raise ValueError("counts do not cover exactly the plan's jobs")
 
@@ -176,7 +182,28 @@ class TomographyDataset:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, written from one
+        template per job layout (``%r`` writes the finite frequencies as json does)."""
+        if self.counts is None:
+            floats = ",\n".join(["        %r"] * 2**self.plan.num_qubits)
+            template = _JOB % ('"frequencies": [\n%s\n      ]' % floats)
+            rows = np.reshape(self.frequencies, (self.plan.num_jobs, -1)).tolist()
+            jobs = [template % (*row, *key) for key, row in zip(self.plan.jobs(), rows)]
+        else:
+            jobs, templates = [], {}  # one template per sorted outcome-key tuple
+            for key in self.plan.jobs():
+                tab = self.counts[key]
+                outcomes = tuple(sorted(tab.counts))
+                if outcomes not in templates:
+                    lines = [f"          {json.dumps(o).replace('%', '%%')}: %d" for o in outcomes]
+                    inner = "{\n" + ",\n".join(lines) + "\n        }" if lines else "{}"
+                    block = '"counts": {\n        "counts": ' + inner + ',\n        "shots": %d\n      }'
+                    templates[outcomes] = _JOB % block
+                jobs.append(templates[outcomes] % (*map(tab.counts.get, outcomes), tab.shots, *key))
+        metadata = json.dumps(self.metadata, indent=2, sort_keys=True).replace("\n", "\n  ")
+        return '{\n  "jobs": [\n%s\n  ],\n  "metadata": %s,\n  "num_qubits": %d,\n  "shots": %d\n}' % (
+            ",\n".join(jobs), metadata, self.plan.num_qubits, self.plan.shots
+        )
 
     @classmethod
     def from_dict(cls, d: dict) -> "TomographyDataset":
@@ -365,12 +392,16 @@ CPTP_MAX_ITER = 100
 @dataclass(frozen=True)
 class ProjectionResult:
     """Projected Choi matrix; ``iterations`` counts Newton steps and ``delta``
-    is the final trace-preserving residual ``||Tr_out C - I||_F``."""
+    is the final trace-preserving residual ``||Tr_out C - I||_F``.  With R the
+    Hermitian part of the raw estimate, ``distance`` is ``||C - R||_F`` and
+    ``raw_min_eig`` the least eigenvalue of R."""
 
     choi: ChoiMatrix
     converged: bool
     iterations: int
     delta: float
+    distance: float
+    raw_min_eig: float
 
 
 def _dual_point(r: np.ndarray, lam: np.ndarray):
@@ -472,7 +503,8 @@ def project_cptp(
                 break
             alpha /= 2
         lam, delta, (w, v, c, grad, theta) = trial_lam, trial_delta, trial
-    return ProjectionResult(ChoiMatrix(d, d, c), delta < tol, steps, delta)
+    distance, raw_min_eig = frobenius(c - r), float(np.linalg.eigvalsh(r)[0])
+    return ProjectionResult(ChoiMatrix(d, d, c), delta < tol, steps, delta, distance, raw_min_eig)
 
 
 # ---------------------------------------------------------------------------

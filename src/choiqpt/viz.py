@@ -10,6 +10,28 @@ import numpy as np
 _FONT = 'font-family="Helvetica,Arial,sans-serif"'
 
 
+# One Hinton square per template line, keyed by ``entry >= 0``.
+_HINTON_RECT = {
+    True: '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#2b6cb0"/>\n',
+    False: '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
+    'fill="white" stroke="#c53030" stroke-width="1.5"/>\n',
+}
+# One city bar per template, keyed by ``entry >= 0``: the two viewer-facing
+# side faces (left, right), then the lid.
+_CITY_FACE = (
+    '<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f %.2f,%.2f" fill="{}" '
+    'stroke="#333" stroke-width="0.4"/>\n'
+)
+_CITY_BAR = {
+    True: "".join(_CITY_FACE.format(c) for c in ("#3d85c6", "#2a5d8f", "#6fa8dc")),
+    False: "".join(_CITY_FACE.format(c) for c in ("#cc4125", "#94301a", "#ea9999")),
+}
+
+
+def _text(value) -> str:  # as xml.sax.saxutils.escape, which would import urllib (+7 MB RSS)
+    return str(value).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _svg_header(width: float, height: float, title: str) -> list[str]:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
@@ -19,7 +41,7 @@ def _svg_header(width: float, height: float, title: str) -> list[str]:
     if title:
         parts.append(
             f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-            f'font-size="14" {_FONT}>{title}</text>'
+            f'font-size="14" {_FONT}>{_text(title)}</text>'
         )
     return parts
 
@@ -47,38 +69,22 @@ def svg_hinton(matrix: np.ndarray, labels, title: str = "") -> str:
         x = margin_left + (j + 0.5) * cell
         parts.append(
             f'<text x="{x:.1f}" y="{margin_top - 6:.1f}" text-anchor="middle" '
-            f'font-size="9" {_FONT}>{lab}</text>'
+            f'font-size="9" {_FONT}>{_text(lab)}</text>'
         )
     for i, lab in enumerate(labels):
         y = margin_top + (i + 0.5) * cell + 3
         parts.append(
             f'<text x="{margin_left - 6:.1f}" y="{y:.1f}" text-anchor="end" '
-            f'font-size="9" {_FONT}>{lab}</text>'
+            f'font-size="9" {_FONT}>{_text(lab)}</text>'
         )
-    for i in range(n):
-        for j in range(n):
-            v = m[i, j]
-            if abs(v) / vmax < 1e-6:
-                continue
-            side = cell * 0.92 * np.sqrt(abs(v) / vmax)
-            cx = margin_left + (j + 0.5) * cell
-            cy = margin_top + (i + 0.5) * cell
-            x, y = cx - side / 2, cy - side / 2
-            if v >= 0:
-                style = 'fill="#2b6cb0"'
-            else:
-                style = 'fill="white" stroke="#c53030" stroke-width="1.5"'
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{side:.2f}" '
-                f'height="{side:.2f}" {style}/>'
-            )
-    parts.append("</svg>")
+    scale = np.abs(m) / vmax
+    i, j = np.nonzero(~(scale < 1e-6))  # row-major; NaN entries are drawn
+    side = cell * 0.92 * np.sqrt(scale[i, j])
+    x = margin_left + (j + 0.5) * cell - side / 2
+    y = margin_top + (i + 0.5) * cell - side / 2
+    rects = "".join(map(_HINTON_RECT.get, (m[i, j] >= 0).tolist()))
+    parts.append(rects % tuple(np.stack([x, y, side, side], 1).ravel().tolist()) + "</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _iso(i: float, j: float, z: float, geom) -> tuple[float, float]:
-    ox, oy, ux, uy, hz = geom
-    return ox + (j - i) * ux, oy + (j + i) * uy - z * hz
 
 
 def svg_city(matrix: np.ndarray, labels, title: str = "") -> str:
@@ -98,66 +104,48 @@ def svg_city(matrix: np.ndarray, labels, title: str = "") -> str:
     height = 2 * n * uy + 200
     ox = width / 2
     oy = 140.0
-    geom = (ox, oy, ux, uy, hz)
     parts = _svg_header(width, height, title)
+
+    def iso(i, j, z=0):  # grid point (i, j) at height z -> canvas (x, y); arrays broadcast
+        return ox + (j - i) * ux, oy + (j + i) * uy - z * hz
 
     # base-plane grid
     for k in range(n + 1):
-        x1, y1 = _iso(k, 0, 0, geom)
-        x2, y2 = _iso(k, n, 0, geom)
-        parts.append(
-            f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
-            f'stroke="#ccc" stroke-width="0.6"/>'
-        )
-        x1, y1 = _iso(0, k, 0, geom)
-        x2, y2 = _iso(n, k, 0, geom)
-        parts.append(
-            f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
-            f'stroke="#ccc" stroke-width="0.6"/>'
-        )
+        for (x1, y1), (x2, y2) in ((iso(k, 0), iso(k, n)), (iso(0, k), iso(n, k))):
+            parts.append(
+                f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
+                f'stroke="#ccc" stroke-width="0.6"/>'
+            )
     for k, lab in enumerate(labels):
-        x, y = _iso(k + 0.5, -0.4, 0, geom)
+        lab = _text(lab)
+        x, y = iso(k + 0.5, -0.4)
         parts.append(
             f'<text x="{x:.1f}" y="{y:.1f}" text-anchor="end" font-size="8" '
             f'{_FONT}>{lab}</text>'
         )
-        x, y = _iso(-0.4, k + 0.5, 0, geom)
+        x, y = iso(-0.4, k + 0.5)
         parts.append(
             f'<text x="{x:.1f}" y="{y:.1f}" text-anchor="start" font-size="8" '
             f'{_FONT}>{lab}</text>'
         )
 
-    def face(points, color) -> str:
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-        return f'<polygon points="{pts}" fill="{color}" stroke="#333" stroke-width="0.4"/>'
-
-    pos = {"top": "#6fa8dc", "left": "#3d85c6", "right": "#2a5d8f"}
-    neg = {"top": "#ea9999", "left": "#cc4125", "right": "#94301a"}
+    i, j = np.nonzero(~(np.abs(m) / vmax < 1e-4))
+    i, j = np.stack([i, j])[:, np.lexsort((i, i + j))]  # back to front: by i + j, then i
+    v = m[i, j]
     half = 0.36
-    for s in range(2 * n - 1):  # back-to-front diagonals
-        for i in range(n):
-            j = s - i
-            if not 0 <= j < n:
-                continue
-            v = m[i, j]
-            if abs(v) / vmax < 1e-4:
-                continue
-            colors = pos if v >= 0 else neg
-            ci, cj = i + 0.5, j + 0.5
-            corners = [
-                (ci - half, cj - half),
-                (ci - half, cj + half),
-                (ci + half, cj + half),
-                (ci + half, cj - half),
-            ]
-            top = [_iso(a, b, v, geom) for a, b in corners]
-            base = [_iso(a, b, 0, geom) for a, b in corners]
-            hi, lo = (top, base) if v >= 0 else (base, top)
-            # the two viewer-facing side faces, then the lid
-            parts.append(face([hi[1], hi[2], lo[2], lo[1]], colors["left"]))
-            parts.append(face([hi[2], hi[3], lo[3], lo[2]], colors["right"]))
-            parts.append(face(hi if v >= 0 else lo, colors["top"]))
-    parts.append("</svg>")
+    a = (i + 0.5)[:, None] - half * np.array([1, 1, -1, -1])  # corners 0..3 of each bar
+    b = (j + 0.5)[:, None] - half * np.array([1, -1, -1, 1])
+    x, top = iso(a, b, v[:, None])
+    base = iso(a, b)[1]
+    up = v >= 0
+    hi, lo = np.where(up[:, None], top, base), np.where(up[:, None], base, top)
+    points = np.stack([  # (x, y) of each bar's faces in drawing order: left, right, lid
+        x[:, 1], hi[:, 1], x[:, 2], hi[:, 2], x[:, 2], lo[:, 2], x[:, 1], lo[:, 1],
+        x[:, 2], hi[:, 2], x[:, 3], hi[:, 3], x[:, 3], lo[:, 3], x[:, 2], lo[:, 2],
+        x[:, 0], top[:, 0], x[:, 1], top[:, 1], x[:, 2], top[:, 2], x[:, 3], top[:, 3],
+    ], axis=1)
+    bars = "".join(map(_CITY_BAR.get, up.tolist()))
+    parts.append(bars % tuple(points.ravel().tolist()) + "</svg>")
     return "\n".join(parts) + "\n"
 
 
@@ -185,7 +173,7 @@ def svg_counts_bar(counts: dict[str, int], shots: int, title: str = "") -> str:
         )
         parts.append(
             f'<text x="{x + bar_w / 2:.1f}" y="{base_y + 16:.1f}" text-anchor="middle" '
-            f'font-size="12" {_FONT}>{key}</text>'
+            f'font-size="12" {_FONT}>{_text(key)}</text>'
         )
         parts.append(
             f'<text x="{x + bar_w / 2:.1f}" y="{base_y - h - 6:.1f}" text-anchor="middle" '

@@ -1,10 +1,12 @@
 import importlib.resources
+import json
 import time
 
 import numpy as np
 import pytest
 
 from choiqpt import ground_state, noise_model_from_calibration, parse_calibration, to_native
+from choiqpt.channels import matrix_to_json_dict
 from choiqpt.linalg import kron_all
 from choiqpt.tomography import measurement_circuit, prep_circuit
 
@@ -130,6 +132,158 @@ def dykstra_cptp(m: np.ndarray, d: int, tol: float, max_iter: int = 100_000) -> 
         if np.linalg.norm(c - prev) < tol:
             return c
     raise AssertionError(f"Dykstra oracle did not converge in {max_iter} iterations")
+
+
+def oracle_dataset_json(ds) -> str:
+    """``dataset.json`` as the pure-Python json encoder writes it (oracle)."""
+    return json.dumps(ds.to_dict(), indent=2, sort_keys=True)
+
+
+def oracle_choi_json(c) -> str:
+    """``choi.json`` as the pure-Python json encoder writes it (oracle)."""
+    return json.dumps(matrix_to_json_dict(c.matrix, c.dim_in), indent=2, sort_keys=True)
+
+
+_FONT = 'font-family="Helvetica,Arial,sans-serif"'
+
+
+def _oracle_svg_header(width: float, height: float, title: str) -> list[str]:
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
+        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
+    ]
+    if title:
+        parts.append(
+            f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
+            f'font-size="14" {_FONT}>{title}</text>'
+        )
+    return parts
+
+
+def oracle_svg_hinton(matrix: np.ndarray, labels, title: str = "") -> str:
+    """Hinton diagram drawn one entry at a time (oracle for ``viz.svg_hinton``)."""
+    m = np.asarray(matrix, dtype=float)
+    n = m.shape[0]
+    cell = 26.0
+    margin_left, margin_top = 64.0, 56.0
+    width = margin_left + n * cell + 20
+    height = margin_top + n * cell + 20
+    parts = _oracle_svg_header(width, height, title)
+    parts.append(
+        f'<rect x="{margin_left}" y="{margin_top}" width="{n * cell}" '
+        f'height="{n * cell}" fill="#e8e8e8" stroke="#999"/>'
+    )
+    vmax = np.abs(m).max()
+    vmax = vmax if vmax > 0 else 1.0
+    for j, lab in enumerate(labels):
+        x = margin_left + (j + 0.5) * cell
+        parts.append(
+            f'<text x="{x:.1f}" y="{margin_top - 6:.1f}" text-anchor="middle" '
+            f'font-size="9" {_FONT}>{lab}</text>'
+        )
+    for i, lab in enumerate(labels):
+        y = margin_top + (i + 0.5) * cell + 3
+        parts.append(
+            f'<text x="{margin_left - 6:.1f}" y="{y:.1f}" text-anchor="end" '
+            f'font-size="9" {_FONT}>{lab}</text>'
+        )
+    for i in range(n):
+        for j in range(n):
+            v = m[i, j]
+            if abs(v) / vmax < 1e-6:
+                continue
+            side = cell * 0.92 * np.sqrt(abs(v) / vmax)
+            cx = margin_left + (j + 0.5) * cell
+            cy = margin_top + (i + 0.5) * cell
+            x, y = cx - side / 2, cy - side / 2
+            if v >= 0:
+                style = 'fill="#2b6cb0"'
+            else:
+                style = 'fill="white" stroke="#c53030" stroke-width="1.5"'
+            parts.append(
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{side:.2f}" '
+                f'height="{side:.2f}" {style}/>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _oracle_iso(i: float, j: float, z: float, geom) -> tuple[float, float]:
+    ox, oy, ux, uy, hz = geom
+    return ox + (j - i) * ux, oy + (j + i) * uy - z * hz
+
+
+def oracle_svg_city(matrix: np.ndarray, labels, title: str = "") -> str:
+    """City plot drawn one bar and one point at a time (oracle for ``viz.svg_city``)."""
+    m = np.asarray(matrix, dtype=float)
+    n = m.shape[0]
+    vmax = np.abs(m).max()
+    vmax = vmax if vmax > 0 else 1.0
+    ux, uy = 16.0, 8.0
+    hz = 90.0 / vmax
+    width = 2 * n * ux + 120
+    height = 2 * n * uy + 200
+    ox = width / 2
+    oy = 140.0
+    geom = (ox, oy, ux, uy, hz)
+    parts = _oracle_svg_header(width, height, title)
+    for k in range(n + 1):
+        x1, y1 = _oracle_iso(k, 0, 0, geom)
+        x2, y2 = _oracle_iso(k, n, 0, geom)
+        parts.append(
+            f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
+            f'stroke="#ccc" stroke-width="0.6"/>'
+        )
+        x1, y1 = _oracle_iso(0, k, 0, geom)
+        x2, y2 = _oracle_iso(n, k, 0, geom)
+        parts.append(
+            f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
+            f'stroke="#ccc" stroke-width="0.6"/>'
+        )
+    for k, lab in enumerate(labels):
+        x, y = _oracle_iso(k + 0.5, -0.4, 0, geom)
+        parts.append(
+            f'<text x="{x:.1f}" y="{y:.1f}" text-anchor="end" font-size="8" '
+            f'{_FONT}>{lab}</text>'
+        )
+        x, y = _oracle_iso(-0.4, k + 0.5, 0, geom)
+        parts.append(
+            f'<text x="{x:.1f}" y="{y:.1f}" text-anchor="start" font-size="8" '
+            f'{_FONT}>{lab}</text>'
+        )
+
+    def face(points, color) -> str:
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+        return f'<polygon points="{pts}" fill="{color}" stroke="#333" stroke-width="0.4"/>'
+
+    pos = {"top": "#6fa8dc", "left": "#3d85c6", "right": "#2a5d8f"}
+    neg = {"top": "#ea9999", "left": "#cc4125", "right": "#94301a"}
+    half = 0.36
+    for s in range(2 * n - 1):  # back-to-front diagonals
+        for i in range(n):
+            j = s - i
+            if not 0 <= j < n:
+                continue
+            v = m[i, j]
+            if abs(v) / vmax < 1e-4:
+                continue
+            colors = pos if v >= 0 else neg
+            ci, cj = i + 0.5, j + 0.5
+            corners = [
+                (ci - half, cj - half),
+                (ci - half, cj + half),
+                (ci + half, cj + half),
+                (ci + half, cj - half),
+            ]
+            top = [_oracle_iso(a, b, v, geom) for a, b in corners]
+            base = [_oracle_iso(a, b, 0, geom) for a, b in corners]
+            hi, lo = (top, base) if v >= 0 else (base, top)
+            parts.append(face([hi[1], hi[2], lo[2], lo[1]], colors["left"]))
+            parts.append(face([hi[2], hi[3], lo[3], lo[2]], colors["right"]))
+            parts.append(face(hi if v >= 0 else lo, colors["top"]))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 class Stopwatch:

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from choiqpt.channels import (
     ChoiMatrix,
@@ -24,7 +25,14 @@ from choiqpt.channels import (
 )
 from choiqpt.gates import gate_unitary
 from choiqpt.linalg import frobenius
-from conftest import apply_kraus, random_density, random_effect, random_kraus_ops, random_unitary
+from conftest import (
+    apply_kraus,
+    oracle_choi_json,
+    random_density,
+    random_effect,
+    random_kraus_ops,
+    random_unitary,
+)
 
 SQSCZ = gate_unitary("SQSCZ")
 
@@ -306,6 +314,27 @@ def test_choi_json_and_csv_roundtrip():
     assert np.abs(back.matrix - c.matrix).max() < 1e-15
     csv = matrix_csv(c.matrix, "re")
     assert len(csv.strip().splitlines()) == 16
+
+
+_ENTRIES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2, 4]), data=st.data())
+def test_choi_json_matches_oracle_and_roundtrips_bitwise(dim, data):
+    shape = (dim * dim, dim * dim)
+    m = np.empty(shape, dtype=complex)
+    m.real = data.draw(arrays(np.float64, shape, elements=_ENTRIES))
+    m.imag = data.draw(arrays(np.float64, shape, elements=_ENTRIES))
+    c = ChoiMatrix(dim, dim, m)
+    text = choi_to_json(c)
+    assert text == oracle_choi_json(c)
+    back = choi_from_json(text)
+    assert back.dim_in == dim
+    # bit for bit, so -0.0 keeps its sign in both parts
+    assert np.array_equal(back.matrix.view(np.uint64), c.matrix.view(np.uint64))
 
 
 def test_pauli_basis_orthogonality():

@@ -4,9 +4,16 @@ from pathlib import Path
 
 import pytest
 
-from choiqpt.channels import choi_from_json, is_cptp
-from choiqpt.cli import main
-from conftest import data_path
+from choiqpt.channels import choi_from_json, choi_to_chi, is_cptp
+from choiqpt.cli import _choi_labels, main
+from choiqpt.tomography import TomographyDataset
+from conftest import (
+    data_path,
+    oracle_choi_json,
+    oracle_dataset_json,
+    oracle_svg_city,
+    oracle_svg_hinton,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -64,8 +71,38 @@ def test_run_sampled_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli(*args, "--out", str(out1)) == 0
     assert run_cli(*args, "--out", str(out2)) == 0
-    for fname in ("dataset.json", "report.json", "choi.json"):
+    files = sorted(p.name for p in out1.iterdir())
+    assert files == sorted(p.name for p in out2.iterdir())
+    assert len(files) == 9
+    for fname in files:
         assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["clean", "noisy", "exact"])
+def test_run_files_match_oracle_writers(tmp_path, num_qubits, mode):
+    gates = [{"name": "SQSCZ", "params": [], "qubits": [0, 1]}] if num_qubits > 1 else []
+    gates += [{"name": "H", "params": [], "qubits": [q]} for q in range(2, num_qubits)]
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps({"num_qubits": num_qubits, "gates": gates}))
+    out = tmp_path / "out"
+    flags = {"clean": [], "noisy": ["--calib", data_path("ibm_perth_tab1.json")], "exact": ["--exact"]}
+    args = ["run", "--circuit", str(circuit), "--shots", "300", "--seed", "4", "--out", str(out)]
+    assert run_cli(*args, *flags[mode]) == 0
+
+    def text(name: str) -> str:
+        return (out / name).read_text()
+
+    dataset = TomographyDataset.from_dict(json.loads(text("dataset.json")))
+    assert text("dataset.json") == oracle_dataset_json(dataset) + "\n"
+    choi = choi_from_json(text("choi.json"))  # bit-exact, so it stands in for the estimate
+    assert text("choi.json") == oracle_choi_json(choi) + "\n"
+    labels = _choi_labels(num_qubits)
+    assert text("choi_re_city.svg") == oracle_svg_city(choi.matrix.real, labels, "Re C")
+    assert text("choi_im_city.svg") == oracle_svg_city(choi.matrix.imag, labels, "Im C")
+    chi = choi_to_chi(choi)
+    assert text("chi_re_hinton.svg") == oracle_svg_hinton(chi.matrix.real, chi.labels, "Re chi")
+    assert text("chi_im_hinton.svg") == oracle_svg_hinton(chi.matrix.imag, chi.labels, "Im chi")
 
 
 def test_report_has_shots_only_when_sampled(tmp_path):

@@ -1,8 +1,11 @@
+import dataclasses
+import functools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from choiqpt import tomography
 from choiqpt.channels import (
@@ -44,9 +47,12 @@ from choiqpt.tomography import (
     project_cptp,
     qpt,
 )
+from choiqpt.simulator import CountsTable
 from conftest import (
     Stopwatch,
+    data_path,
     dykstra_cptp,
+    oracle_dataset_json,
     oracle_job_frequencies,
     random_density,
     random_hermitian,
@@ -351,6 +357,15 @@ def test_dataset_requires_all_jobs():
         TomographyDataset(plan, {}, None, {})
 
 
+def test_dataset_frequencies_must_be_finite():
+    ds = execute_plan(build_plan(1, shots=16), Circuit(1), exact=True)
+    for bad in (np.nan, np.inf):
+        freqs = ds.frequencies.copy()
+        freqs[0, 0, 0] = bad
+        with pytest.raises(ValueError, match="frequencies must be finite"):
+            TomographyDataset(ds.plan, freqs, None, {})
+
+
 def test_dataset_counts_must_cover_exactly_the_plan_jobs():
     ds = execute_plan(build_plan(1, shots=16), Circuit(1), seed=2)
     fewer = dict(list(ds.counts.items())[1:])
@@ -513,6 +528,26 @@ def test_project_cptp_matches_dykstra_oracle(num_qubits, raw):
     assert rep.tp_dev < 1e-9
 
 
+def test_project_cptp_diagnostics_exact_estimate():
+    proj = qpt(SQSCZ_CIRCUIT, exact=True).projection
+    assert proj.distance < 1e-10
+    assert proj.raw_min_eig > -1e-10
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2])
+@pytest.mark.parametrize("scale", [0.05, 1.0])
+def test_project_cptp_diagnostics_bound_distance(num_qubits, scale):
+    d = 2**num_qubits
+    m = random_hermitian(np.random.default_rng([num_qubits, int(100 * scale), 7]), d * d, scale)
+    m = m + 1j * scale * np.random.default_rng(1).normal(size=m.shape)  # a non-Hermitian part
+    res = project_cptp(ChoiMatrix(d, d, m))
+    r = 0.5 * (m + m.conj().T)
+    assert res.raw_min_eig == np.linalg.eigvalsh(r)[0] < 0
+    assert res.distance == pytest.approx(frobenius(res.choi.matrix - r), rel=1e-12)
+    # no PSD matrix is nearer R than its negative eigenvalue
+    assert res.distance >= -res.raw_min_eig - 1e-12
+
+
 def test_project_cptp_backtracks_far_from_cptp():
     # full Newton steps overshoot this far out: without backtracking it takes 58 steps
     m = random_hermitian(np.random.default_rng([2, 100, 0]), 16, 100)
@@ -616,3 +651,43 @@ def test_reconstruction_error_shrinks_with_more_shots():
         many = frobenius(reconstruct(1_000_000, 10_000 + seed) - truth)
         wins += many < few
     assert wins >= 95
+
+
+@functools.cache
+def _tab1_noise(num_qubits: int):
+    path = data_path("ibm_perth_tab1.json")
+    return noise_model_from_calibration(parse_calibration(path), num_qubits=num_qubits)
+
+
+_TARGETS = {
+    1: Circuit(1, (ga("H", 0),)),
+    2: SQSCZ_CIRCUIT,
+    3: Circuit(3, (ga("SQSCZ", (0, 1)), ga("H", 2))),
+}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    num_qubits=st.integers(1, 3),
+    mode=st.sampled_from(["exact", "exact_noisy", "clean", "noisy", "sparse"]),
+    seed=st.integers(0, 2**32 - 1),
+    metadata=st.dictionaries(st.text(), _JSON_VALUES, min_size=1, max_size=4),
+)
+def test_dataset_to_json_matches_oracle(num_qubits, mode, seed, metadata):
+    noise = _tab1_noise(num_qubits) if mode in ("exact_noisy", "noisy") else None
+    plan = build_plan(num_qubits, shots=3 if mode == "sparse" else 200)
+    ds = execute_plan(plan, _TARGETS[num_qubits], noise, seed, exact=mode.startswith("exact"))
+    assert ds.to_json() == oracle_dataset_json(ds)
+    if mode == "sparse":  # loaded records may leave out zero counts
+        counts = {
+            key: CountsTable(tab.shots, {o: n for o, n in tab.counts.items() if n})
+            for key, tab in ds.counts.items()
+        }
+        ds = dataclasses.replace(ds, counts=counts)
+    ds = dataclasses.replace(ds, metadata=metadata)
+    assert ds.to_json() == oracle_dataset_json(ds)

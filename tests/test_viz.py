@@ -1,6 +1,30 @@
-import numpy as np
+import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
-from choiqpt.viz import svg_city, svg_counts_bar, svg_hinton
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from choiqpt.viz import _text, svg_city, svg_counts_bar, svg_hinton
+from conftest import oracle_svg_city, oracle_svg_hinton
+
+KINDS = ("random", "zero", "negative", "sub_threshold")
+
+
+def _matrix(kind: str, num_qubits: int, seed: int, scale: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    n = 4**num_qubits
+    m = rng.normal(scale=scale, size=(n, n))
+    if kind == "zero":
+        return np.where(rng.random((n, n)) < 0.5, 0.0, -0.0)
+    if kind == "negative":
+        return -np.abs(m)
+    if kind == "sub_threshold":
+        # entries straddling the city (1e-4) and Hinton (1e-6) drop thresholds
+        small = rng.choice([1e-3, 1.01e-4, 0.99e-4, 1e-5, 1.01e-6, 0.99e-6, 1e-8, 0.0], size=(n, n))
+        m = np.where(rng.random((n, n)) < 0.8, small * scale, m)
+        m[0, 0] = scale
+    return m
 
 
 def test_hinton_structure():
@@ -43,3 +67,35 @@ def test_svg_deterministic():
     labels = list("abcd")
     assert svg_hinton(m, labels) == svg_hinton(m, labels)
     assert svg_city(m, labels) == svg_city(m, labels)
+
+
+@pytest.mark.parametrize("writer, oracle", [(svg_city, oracle_svg_city), (svg_hinton, oracle_svg_hinton)])
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    num_qubits=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-300, 1e-9, 1e-3, 0.5, 1.0, 7.3, 1e200]),
+)
+def test_writers_match_oracle(writer, oracle, kind, num_qubits, seed, scale):
+    m = _matrix(kind, num_qubits, seed, scale)
+    labels = [format(k, f"0{2 * num_qubits}b") for k in range(len(m))]
+    assert writer(m, labels, "Re C") == oracle(m, labels, "Re C")
+
+
+def test_text_escape_matches_saxutils():
+    for text in ("a<b", "R&D", "x > y & <z>", "&amp;", "plain", 'q"uote\''):
+        assert _text(text) == escape(text)
+
+
+def test_svg_text_is_escaped():
+    def texts(doc: str) -> list[str]:  # raises ParseError on unescaped text
+        return [el.text for el in ET.fromstring(doc).iter("{http://www.w3.org/2000/svg}text")]
+
+    title = "R&D <x>"
+    for doc, label in (
+        (svg_hinton(np.eye(2), ["a<b", "c"], title), "a<b"),
+        (svg_city(np.eye(2), ["a<b", "c"], title), "a<b"),
+        (svg_counts_bar({"<t>": 3, "a&b": 1}, 4, title), "<t>"),
+    ):
+        assert {title, label} <= set(texts(doc))
