@@ -25,9 +25,9 @@ DATA = Path(choiqpt.__file__).parent / "data"
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="qpt_experiments", type=Path)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
-    parser.add_argument("--clean-shots", type=int, default=11_000)
-    parser.add_argument("--noisy-shots", type=int, default=4_000)
+    parser.add_argument("--seeds", type=cli._seed, nargs="+", default=[0, 1, 2, 3, 4])
+    parser.add_argument("--clean-shots", type=cli._positive_int, default=11_000)
+    parser.add_argument("--noisy-shots", type=cli._positive_int, default=4_000)
     parser.add_argument("--calib", default=str(DATA / "ibm_perth_tab1.json"))
     args = parser.parse_args()
 

@@ -135,6 +135,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpt", description="Two-qubit gate simulation and Choi-matrix process tomography"
@@ -149,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--circuit", required=True, help="circuit JSON path")
     common.add_argument("--calib", help="calibration JSON enabling the noise model")
     common.add_argument("--shots", type=_positive_int, default=4000)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_seed, default=0)
     common.add_argument("--out", default="qpt_out", help="output directory")
 
     p_run = sub.add_parser("run", parents=[common], help="run process tomography")

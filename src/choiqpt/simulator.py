@@ -10,11 +10,11 @@ state tensor; readout decay acts the same way.  Readout confusion acts on
 outcome probabilities (:func:`apply_confusion`), so one multinomial draw
 samples the recorded outcomes.
 
-Sampling uses numpy's PCG64 generator seeded either by an integer or a
-``SeedSequence``; a fixed seed reproduces counts exactly, which downstream
-determinism guarantees rely on.  Probabilities are rounded onto a 2^-40
-grid before the draw (:func:`draw_counts`), so counts do not depend on
-their last bits.
+Sampling uses numpy's PCG64 generator seeded by an int, a ``SeedSequence``
+or a ``Generator``; a fixed seed reproduces counts exactly, which
+downstream determinism guarantees rely on.  Probabilities are rounded onto
+a 2^-40 grid before the draw (:func:`draw_counts`), so counts do not
+depend on their last bits.
 """
 
 from __future__ import annotations
@@ -250,42 +250,22 @@ class CountsTable:
         return cls(whole_number(d["shots"], "shots"), counts)
 
 
-def check_sampling(probs: np.ndarray, shots: int) -> int:
-    """Validate a probability vector, or a stack on the last axis, for sampling; return K.
+def draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Multinomial count vectors of ``shots`` draws, one per row of ``probs``.
 
-    Raises unless ``shots > 0``, no probability is below -1e-8, the vectors
-    have length 2^K and each sums to 1 within 1e-8.
-    """
-    if shots <= 0:
-        raise ValueError("shots > 0 required")
-    if probs.min() < -1e-8:
-        raise ValueError(f"negative probability {probs.min():.3e}")
-    num_qubits = int(round(np.log2(probs.shape[-1])))
-    if 2**num_qubits != probs.shape[-1]:
-        raise ValueError("probability vector length must be a power of two")
-    total = probs.sum(axis=-1)
-    bad = total.flat[np.abs(total - 1.0).argmax()]
-    if abs(bad - 1.0) > 1e-8:
-        raise ValueError(f"probabilities sum to {bad:.6g}")
-    return num_qubits
-
-
-def draw_counts(probs: np.ndarray, shots: int, seeds) -> np.ndarray:
-    """Multinomial count vectors of ``shots`` draws, one per row of ``probs`` and seed.
-
-    Each row is clipped at 0, normalised and rounded onto the 2^-40 grid
-    before its own ``default_rng(seed)`` draws.  Without the rounding,
-    counts would hang on the last bits of the simulator's arithmetic:
-    numpy's binomial draws n - Bin(n, 1 - p) for a conditional p > 0.5, so
-    a one-ulp change at a conditional of exactly 0.5 swaps two outcomes'
-    counts, and a zero probability left at 1e-33 by rounding error takes a
-    draw from the generator that shifts the later outcomes.
+    One ``default_rng(seed)`` (an int, a ``SeedSequence`` or a ``Generator``
+    seed) draws the rows in order in one call, as a row-by-row loop on it
+    would.  Each row is clipped at 0, normalised and rounded onto the 2^-40
+    grid first, or counts would hang on the simulator's last bits: numpy's
+    binomial draws n - Bin(n, 1 - p) for a conditional p > 0.5, so one ulp at
+    a conditional of exactly 0.5 swaps two counts, and a zero left at 1e-33
+    takes a draw from the generator that shifts the later outcomes and rows.
     """
     p = np.clip(probs, 0.0, None)
     p = p / p.sum(axis=-1, keepdims=True)
     p = np.round(p * 2.0**40) * 2.0**-40
     p = p / p.sum(axis=-1, keepdims=True)
-    return np.array([np.random.default_rng(s).multinomial(shots, row) for s, row in zip(seeds, p)])
+    return np.random.default_rng(seed).multinomial(shots, p)
 
 
 def sample_counts(
@@ -296,14 +276,24 @@ def sample_counts(
 ) -> CountsTable:
     """Multinomial shot sampling, optionally through readout confusion.
 
-    ``seed`` may be an int or a ``numpy.random.SeedSequence``; identical
-    seeds give identical tables.  When ``confusion`` (a sequence of 2x2
-    column-stochastic matrices, one per qubit) is given, :func:`apply_confusion`
-    maps ``probs`` before the draw, as if each sampled bit flipped per its matrix.
+    The draw is :func:`draw_counts` on one row: ``seed`` may be an int, a
+    ``SeedSequence`` or a ``Generator``, and identical seeds give identical
+    tables.  When ``confusion`` (a sequence of 2x2 column-stochastic
+    matrices, one per qubit) is given, :func:`apply_confusion` maps ``probs``
+    before the draw, as if each sampled bit flipped per its matrix.  Raises
+    unless ``shots > 0``, no probability is below -1e-8, and ``probs`` has
+    length 2^K and sums to 1 within 1e-8.
     """
     probs = np.asarray(probs, dtype=float)
-    num_qubits = check_sampling(probs, shots)
+    if shots <= 0:
+        raise ValueError("shots > 0 required")
+    if probs.min() < -1e-8:
+        raise ValueError(f"negative probability {probs.min():.3e}")
+    num_qubits = int(round(np.log2(probs.shape[-1])))
+    if 2**num_qubits != probs.shape[-1]:
+        raise ValueError("probability vector length must be a power of two")
+    if abs(probs.sum() - 1.0) > 1e-8:
+        raise ValueError(f"probabilities sum to {probs.sum():.6g}")
     p = probs if confusion is None else apply_confusion(probs, confusion)
-    vec = draw_counts(p[None], shots, [seed])[0]
-    counts = {format(i, f"0{num_qubits}b"): int(vec[i]) for i in range(vec.size)}
-    return CountsTable(shots, counts)
+    vec = draw_counts(p[None], shots, seed)[0].tolist()
+    return CountsTable(shots, {format(i, f"0{num_qubits}b"): n for i, n in enumerate(vec)})

@@ -18,7 +18,7 @@ The pipeline mirrors how one characterizes a gate on hardware:
    on the stack of 4^K prepared states, and each qubit's 3 basis changes
    and readout decay run once on its four matrix units |i><j|; contracting
    the target outputs with these K per-qubit effect tensors gives the
-   probabilities, and every job's shots are drawn in one pass,
+   probabilities, and one generator draws every job's shots in one call,
 4. invert the Born-rule linear system for the Choi matrix qubit by qubit:
    the plan is a tensor product of one 4-preparation x 3-setting plan per
    qubit, so the least-squares solution applies the pseudo-inverse of the
@@ -30,8 +30,8 @@ The pipeline mirrors how one characterizes a gate on hardware:
    makes it trace preserving, and a dual Newton-CG solve finds L in a few
    eigendecompositions (see :func:`project_cptp`).
 
-Per-job RNG seeds derive from ``SeedSequence((base_seed, job_index))`` so
-jobs are independent and insensitive to execution order.
+A sampled plan is one random stream: ``simulator.draw_counts`` draws every
+job's counts, in job order, from one generator seeded by ``SeedSequence(seed)``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .simulator import (
     CountsTable,
     _token_circuit,
     apply_measure_noise,
-    check_sampling,
     draw_counts,
     evolve,
     ground_state,
@@ -86,8 +85,8 @@ class TomographyPlan:
     shots: int
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError("num_qubits must be at least 1")
+        if self.num_qubits < 1 or self.shots < 1:
+            raise ValueError(f"plan needs num_qubits, shots >= 1, not {self.num_qubits}, {self.shots}")
 
     @property
     def preparations(self) -> tuple[str, ...]:
@@ -290,8 +289,8 @@ def execute_plan(
       probabilities, which readout confusion then maps.
 
     ``exact=True`` records these probabilities as the frequencies; otherwise
-    job i draws its counts from ``SeedSequence((seed, i))`` in one pass, and
-    the frequencies are the stacked count vectors, per shot.
+    the plan is one stream: ``draw_counts`` draws every job's counts, in job
+    order, from ``SeedSequence(seed)``, and the frequencies are counts per shot.
     """
     if target.num_qubits != plan.num_qubits:
         raise ValueError("target width does not match the plan")
@@ -313,9 +312,7 @@ def execute_plan(
     counts = None
     if not exact:  # the flattened (prep, setting) axes are in preparation-major job order
         rows = freqs.reshape(plan.num_jobs, d)
-        check_sampling(rows, plan.shots)
-        seeds = (np.random.SeedSequence((seed, i)) for i in range(plan.num_jobs))
-        drawn = draw_counts(rows, plan.shots, seeds)
+        drawn = draw_counts(rows, plan.shots, np.random.SeedSequence(seed))
         labels = _product_labels(("0", "1"), k)
         counts = {
             key: CountsTable(plan.shots, dict(zip(labels, row)))

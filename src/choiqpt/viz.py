@@ -99,7 +99,10 @@ def svg_city(matrix: np.ndarray, labels, title: str = "") -> str:
     vmax = np.abs(m).max()
     vmax = vmax if vmax > 0 else 1.0
     ux, uy = 16.0, 8.0
-    hz = 90.0 / vmax
+    with np.errstate(over="ignore"):
+        hz = 90.0 / vmax
+    if np.isinf(hz):  # largest |entry| below about 5e-307: draw m / vmax instead
+        m, vmax, hz = m / vmax, 1.0, 90.0
     width = 2 * n * ux + 120
     height = 2 * n * uy + 200
     ox = width / 2

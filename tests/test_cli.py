@@ -162,6 +162,16 @@ def test_zero_shots_rejected(capsys):
     assert "shots > 0 required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "execute"])
+def test_negative_seed_rejected(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--circuit", data_path("sqscz_circuit.json"), "--seed", "-1",
+                "--out", str(tmp_path / "out"))
+    assert exc.value.code == 2
+    assert "argument --seed: seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_circuit_is_input_error(tmp_path, capsys):
     assert run_cli("run", "--circuit", str(tmp_path / "nope.json")) == 2
     assert "error:" in capsys.readouterr().err

@@ -60,3 +60,21 @@ def test_script_exits_with_cli_error_code(tmp_path, monkeypatch):
         run_script(monkeypatch, "run_direct_execution.py", "--shots", "10",
                    "--calib", str(tmp_path / "missing.json"), "--out", str(tmp_path / "d"))
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--clean-shots", "0", "shots > 0 required"),
+        ("--noisy-shots", "0", "shots > 0 required"),
+        ("--clean-shots", "-5", "shots > 0 required"),
+        ("--seeds", "-1", "seed must be a non-negative integer"),
+    ],
+)
+def test_qpt_experiments_rejects_bad_counts(flag, value, message, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "exp"
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, "run_qpt_experiments.py", "--out", str(out), flag, value)
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not out.exists()

@@ -11,6 +11,7 @@ from choiqpt.simulator import (
     apply_confusion,
     apply_measure_noise,
     circuit_probabilities,
+    draw_counts,
     evolve,
     ground_state,
     measure_probabilities,
@@ -162,6 +163,45 @@ def test_sample_counts_deterministic_and_pure():
     assert t1 == t2
     t3 = sample_counts(np.array([0.3, 0.2, 0.4, 0.1]), 1000, seed=43)
     assert t1 != t3
+
+
+def test_sample_counts_pinned_tables():
+    # tables drawn before the stacked draw; ``qpt execute`` writes these same counts
+    t = sample_counts(np.array([0.3, 0.2, 0.4, 0.1]), 1000, seed=42)
+    assert t.counts == {"00": 295, "01": 182, "10": 423, "11": 100}
+    t = sample_counts(np.array([0.5, 0.25, 0.25, 0.0]), 7168, np.random.SeedSequence(9))
+    assert t.counts == {"00": 3601, "01": 1787, "10": 1780, "11": 0}
+
+
+def _stack_with_ties(rng: np.random.Generator, rows: int, width: int) -> np.ndarray:
+    """Rows built from conditionals drawn from {0, 0.5, 1, uniform}: zeros and exact 0.5 ties."""
+    cond = rng.choice([0.0, 0.5, 1.0, -1.0], size=(rows, width))
+    cond = np.where(cond < 0, rng.random((rows, width)), cond)
+    cond[:, -1] = 1.0
+    p = np.empty((rows, width))
+    rest = np.ones(rows)
+    for k in range(width):
+        p[:, k] = cond[:, k] * rest
+        rest = rest - p[:, k]
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_qubits=st.integers(1, 4),
+    rows=st.integers(1, 60),
+    shots=st.sampled_from([1, 7, 4000, 11000]),
+    seed=st.integers(0, 2**63),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_draw_counts_equals_row_loop_on_one_generator(num_qubits, rows, shots, seed, data_seed):
+    p = _stack_with_ties(np.random.default_rng(data_seed), rows, 2**num_qubits)
+    for s in (seed, np.random.SeedSequence(seed), np.random.default_rng(seed)):
+        got = draw_counts(p, shots, s)
+        g = np.random.default_rng(np.random.SeedSequence(seed))
+        want = [sample_counts(row, shots, g).as_vector(num_qubits) for row in p]
+        assert got.shape == (rows, 2**num_qubits)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("p", [[0.5, 0.25, 0.25, 0.0], [0.5, 0.0, 0.25, 0.25]])

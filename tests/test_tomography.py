@@ -119,6 +119,9 @@ def test_plan_sizes():
     assert len(plan2.preparations) == 16 and len(plan2.settings) == 9
     with pytest.raises(ValueError):
         build_plan(0)
+    for shots in (0, -3):  # no job could be sampled
+        with pytest.raises(ValueError, match=f"shots >= 1, not 2, {shots}"):
+            build_plan(2, shots=shots)
 
 
 def test_design_matrix_spans_operator_space():
@@ -260,15 +263,17 @@ def test_execute_plan_matches_composed_circuit_oracle(num_qubits, noisy, tab1_pa
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3])
 def test_execute_plan_counts_match_per_job_sampling_oracle(num_qubits, tab1_path):
+    # the plan is one stream: job by job, in job order, on one generator
     target, noise = ORACLE_TARGETS[num_qubits], _oracle_noise(tab1_path, num_qubits)
     plan = build_plan(num_qubits, shots=4000)
-    jobs = _oracle_jobs(plan)
-    probs = oracle_job_frequencies(plan, target, noise, jobs)
+    exact = execute_plan(plan, target, noise=noise, exact=True)
+    probs = exact.frequencies.reshape(plan.num_jobs, -1)
     for seed in (0, 5):
         data = execute_plan(plan, target, noise=noise, seed=seed)
-        for i, key in zip(jobs, probs):
-            want = sample_counts(probs[key], plan.shots, np.random.SeedSequence((seed, int(i))))
-            assert data.counts[key] == want, (seed, key)
+        g = np.random.default_rng(np.random.SeedSequence(seed))
+        assert list(data.counts) == list(plan.jobs())
+        for key, row in zip(plan.jobs(), probs):
+            assert data.counts[key] == sample_counts(row, plan.shots, g), (seed, key)
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3])

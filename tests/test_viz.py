@@ -50,10 +50,16 @@ def test_hinton_square_area_scales_with_magnitude():
 
 
 def test_city_draws_positive_and_negative_bars():
+    tiny = np.zeros((4, 4))
+    tiny[1, 2] = 1e-310  # 90 / 1e-310 overflows
     m = np.array([[0.8, 0.0], [0.0, -0.4]])
-    svg = svg_city(m, ["x", "y"])
-    assert svg.count("<polygon") == 6  # two bars, three faces each
-    assert "#3d85c6" in svg and "#cc4125" in svg
+    for mat, bars in ((m, 2), (m * 1e-310, 2), (tiny, 1)):
+        svg = svg_city(mat, [str(k) for k in range(len(mat))])
+        ET.fromstring(svg)
+        assert "nan" not in svg and "inf" not in svg
+        assert svg.count("<polygon") == 3 * bars  # three faces each
+        assert "#3d85c6" in svg
+        assert ("#cc4125" in svg) == (mat.min() < 0)
 
 
 def test_counts_bar_has_all_outcomes():
