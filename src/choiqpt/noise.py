@@ -264,8 +264,21 @@ class NoiseModel:
     def measure_kraus(self, qubit: int) -> KrausSet | None:
         return self.gate_noise.get(("measure", (qubit,)))
 
+    def _confusion(self, q: int) -> np.ndarray:
+        if q not in self.readout_confusion:
+            known = sorted(self.readout_confusion)
+            raise ValueError(f"noise model has no qubit {q}: its readout confusion covers {known}")
+        return self.readout_confusion[q]
+
     def confusion_for(self, num_qubits: int) -> list[np.ndarray]:
-        return [self.readout_confusion[q] for q in range(num_qubits)]
+        return [self._confusion(q) for q in range(num_qubits)]
+
+    def on_qubit(self, q: int) -> "NoiseModel":
+        """Qubit q's one-qubit model: its single-qubit ``gate_noise`` entries
+        (``"measure"`` included), relabelled to wire 0, and its confusion matrix."""
+        entries = self.gate_noise.items()
+        gate_noise = {(name, (0,)): ks for (name, wires), ks in entries if wires == (q,)}
+        return NoiseModel(gate_noise, {0: self._confusion(q)}, label=self.label)
 
 
 def noise_model_from_calibration(

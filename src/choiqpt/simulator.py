@@ -243,10 +243,13 @@ class CountsTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CountsTable":
+        raw = d["counts"]
+        if not isinstance(raw, dict):
+            raise ValueError(f"counts {raw!r} are not a mapping of outcomes to counts")
         try:
-            counts = {k: whole_number(v, "count") for k, v in d["counts"].items()}
+            counts = {k: whole_number(v, "count") for k, v in raw.items()}
         except ValueError:
-            raise ValueError(f"counts {d['counts']} are not all whole numbers") from None
+            raise ValueError(f"counts {raw} are not all whole numbers") from None
         return cls(whole_number(d["shots"], "shots"), counts)
 
 

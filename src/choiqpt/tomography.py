@@ -5,26 +5,24 @@ The pipeline mirrors how one characterizes a gate on hardware:
 1. prepare each qubit in one of {|0>, |1>, |+>, |+i>} (informationally
    complete product set) by the gates of its token in ``_PREP_GATES``,
 2. measure every qubit in each of the X/Y/Z bases (all outcomes kept),
-   rotated into the computational frame by ``simulator.MEAS_GATES``; both
-   the circuits that run and the states and projectors that linear
-   inversion assumes derive from these two gate tables, and every plan is
-   the full 4^K x 3^K product of their tokens,
+   rotated into the computational frame by ``simulator.MEAS_GATES``; every
+   plan is the full 4^K x 3^K product of the two tables' tokens,
 3. run the target between preparation and basis rotation; the frequencies
    are one (4^K, 3^K, 2^K) array, axes (preparation, setting, outcome).
-   The simulation uses the plan's product structure instead of composing
-   4^K x 3^K circuits, and simulates preparation and read-out per qubit,
-   because their noise acts on one qubit at a time: the prepared stack
-   grows one qubit at a time (3K stacked evolutions), the target runs once
-   on the stack of 4^K prepared states, and each qubit's 3 basis changes
-   and readout decay run once on its four matrix units |i><j|; contracting
-   the target outputs with these K per-qubit effect tensors gives the
-   probabilities, and one generator draws every job's shots in one call,
+   Preparation and read-out noise act on one qubit at a time, so each
+   qubit has one SPAM table (:func:`_spam_table`), simulated on one wire
+   from the two gate tables: its four prepared 2 x 2 states and its
+   read-out tensor, the 3 basis changes and readout decay run on its four
+   matrix units |i><j|.  The prepared stack is the Kronecker product of the
+   K tables' states, the target runs once on it, and contracting the
+   target outputs with the K read-out tensors gives the probabilities;
+   one generator draws every job's shots in one call,
 4. invert the Born-rule linear system for the Choi matrix qubit by qubit:
    the plan is a tensor product of one 4-preparation x 3-setting plan per
    qubit, so the least-squares solution applies the pseudo-inverse of the
-   24 x 16 one-qubit design matrix, built once from the token tables,
-   along each qubit axis of the frequency tensor (no dense 24^K x 16^K
-   system is ever built),
+   24 x 16 one-qubit design matrix, built once from the noiseless SPAM
+   table, along each qubit axis of the frequency tensor (no dense
+   24^K x 16^K system is ever built),
 5. optionally project the estimate onto the CPTP set: the nearest CPTP
    point is the PSD clip of ``R + L (x) I`` for the d x d Hermitian L that
    makes it trace preserving, and a dual Newton-CG solve finds L in a few
@@ -46,7 +44,7 @@ import numpy as np
 
 from .channels import ChoiMatrix, choi_from_unitary, pauli_basis
 from .gates import Circuit, circuit_unitary
-from .linalg import dagger, frobenius, kron_all, partial_trace, whole_number
+from .linalg import dagger, frobenius, partial_trace, whole_number
 from .metrics import FidelityReport, fidelity_report
 from .noise import NoiseModel
 from .simulator import (
@@ -63,9 +61,6 @@ from .simulator import (
 # Per-qubit preparation from |0> for each token, as (gate, *params) entries
 # applied in order; 'i' is the +1 eigenstate of Y.  Table order is plan order.
 _PREP_GATES = {"0": (), "1": (("X",),), "+": (("H",),), "i": (("H",), ("Ph", math.pi / 2))}
-
-# One-qubit rotation of each measurement basis into the computational frame.
-_MEAS_ROT = {b: circuit_unitary(_token_circuit(b, MEAS_GATES, 1, "")) for b in MEAS_GATES}
 
 PREP_TOKENS = tuple(_PREP_GATES)
 SETTING_TOKENS = tuple(MEAS_GATES)
@@ -117,25 +112,30 @@ def prep_circuit(label: str, num_qubits: int | None = None) -> Circuit:
     return _token_circuit(label, _PREP_GATES, num_qubits, "preparation token")
 
 
-def prep_density(label: str) -> np.ndarray:
-    """Density matrix of the labeled product state, from its preparation circuit."""
-    psi = circuit_unitary(prep_circuit(label))[:, 0]
-    return np.outer(psi, psi.conj())
-
-
 def measurement_circuit(setting: str, num_qubits: int | None = None) -> Circuit:
     """Basis-change circuit rotating the setting into the computational frame."""
     return _token_circuit(setting.upper(), MEAS_GATES, num_qubits, "measurement basis")
 
 
-def outcome_projector(setting: str, outcome: int) -> np.ndarray:
-    """Projector (in the unrotated frame) for one outcome of a setting."""
-    mats = []
-    num_qubits = len(setting)
-    for q, basis in enumerate(setting.upper()):
-        row = _MEAS_ROT[basis][(outcome >> (num_qubits - 1 - q)) & 1]
-        mats.append(np.outer(row.conj(), row))  # R^dag |bit><bit| R
-    return kron_all(mats)
+def _spam_table(noise: NoiseModel | None) -> tuple[np.ndarray, np.ndarray]:
+    """One qubit's prepared states and read-out tensor, from one-qubit simulations.
+
+    Returns the states of ``PREP_TOKENS`` prepared from ``|0>``, shape
+    ``(4, 2, 2)``, and ``R[b, o, i, j] = <o| decay(basis_b(|i><j|)) |o>``,
+    shape ``(3, 2, 2, 2)``: the four matrix units ``|i><j|`` run through the
+    basis change of each of ``SETTING_TOKENS``, then readout decay.  ``noise``
+    is a one-qubit model (:meth:`NoiseModel.on_qubit`) or ``None``; its
+    confusion is not applied here.  Circuits without gates are not run.
+    """
+
+    def run(states: np.ndarray, c: Circuit) -> np.ndarray:
+        return evolve(states, c, noise) if c.gates else states
+
+    prep = np.concatenate([run(ground_state(1)[None], prep_circuit(t, 1)) for t in PREP_TOKENS])
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    rotated = np.concatenate([run(units, measurement_circuit(b, 1)) for b in SETTING_TOKENS])
+    diag = np.diagonal(apply_measure_noise(rotated, noise, 1), axis1=-2, axis2=-1)
+    return prep, diag.reshape(len(SETTING_TOKENS), 2, 2, 2).transpose(0, 3, 1, 2)
 
 
 # One ``jobs`` entry of ``dataset.json``: ``_JOB % data_block`` is the entry's template.
@@ -209,7 +209,14 @@ class TomographyDataset:
         try:
             plan = build_plan(*(whole_number(d[f], f) for f in ("num_qubits", "shots")))
             k, keys = plan.num_qubits, list(plan.jobs())
-            jobs = {(j["prep"], j["setting"]): j for j in d["jobs"]}
+            jobs, in_plan = {}, set(keys)
+            for j in d["jobs"]:
+                key = (j["prep"], j["setting"])
+                if key not in in_plan:
+                    raise ValueError(f"job {key} is not in the {k}-qubit plan")
+                if key in jobs:
+                    raise ValueError(f"job {key} has more than one record")
+                jobs[key] = j
             missing = [key for key in keys if key not in jobs]
             if missing:
                 raise ValueError(f"dataset is missing {len(missing)} plan job(s), e.g. {missing[0]}")
@@ -243,30 +250,6 @@ class TomographyDataset:
         return cls(plan, np.reshape(rows, shape), counts, metadata)
 
 
-def _readout_effects(q: int, num_qubits: int, noise: NoiseModel | None) -> np.ndarray:
-    """Qubit q's read-out tensor ``R[b, o, i, j] = <o| decay(basis_b(|i><j|)) |o>``.
-
-    ``b`` runs over ``SETTING_TOKENS``.  The four matrix units ``|i><j|`` of
-    qubit q, with every other wire at ``|0><0|``, run through the basis
-    change of ``b`` on qubit q (and ``Z`` elsewhere), then readout decay;
-    the other wires' trace-preserving noise leaves qubit q's marginal of the
-    diagonal unchanged.
-    """
-    d, shift = 2**num_qubits, num_qubits - 1 - q
-    units = np.zeros((2, 2, d, d), dtype=complex)
-    for i, j in itertools.product((0, 1), repeat=2):
-        units[i, j, i << shift, j << shift] = 1.0
-    units = units.reshape(4, d, d)
-    rotated = []
-    for b in SETTING_TOKENS:
-        c = measurement_circuit("Z" * q + b + "Z" * shift, num_qubits)
-        rotated.append(evolve(units, c, noise) if c.gates else units)
-    rho = apply_measure_noise(np.concatenate(rotated), noise, num_qubits)
-    diag = np.diagonal(rho, axis1=-2, axis2=-1).reshape((-1, 2, 2) + (2,) * num_qubits)
-    marginal = diag.sum(axis=tuple(3 + w for w in range(num_qubits) if w != q))  # (b, i, j, o)
-    return marginal.transpose(0, 3, 1, 2)
-
-
 def execute_plan(
     plan: TomographyPlan,
     target: Circuit,
@@ -279,14 +262,15 @@ def execute_plan(
     Nothing is simulated per job, and preparation and read-out are simulated
     per qubit, because their noise acts on one qubit at a time:
 
-    - the prepared stack grows one qubit at a time: each of the qubit's
-      preparation tokens runs once on the stack of the qubits before it
-      (3K :func:`choiqpt.simulator.evolve` calls; token ``0`` has no gates);
-    - the target runs once on the stack of the 4^K prepared states;
-    - each qubit's basis changes and readout decay run once on its four
-      matrix units (:func:`_readout_effects`), and contracting the target
-      outputs with these K effect tensors gives the ``(4^K, 3^K, 2^K)``
-      probabilities, which readout confusion then maps.
+    - each qubit's SPAM table (:func:`_spam_table` under
+      :meth:`NoiseModel.on_qubit`) holds its four prepared states and its
+      read-out tensor, from at most 5 one-qubit
+      :func:`choiqpt.simulator.evolve` calls;
+    - the prepared stack of 4^K states is the Kronecker product of the K
+      tables' states, one ``einsum`` per qubit, qubit 0 most significant;
+    - the target runs once on that stack, and contracting its outputs with
+      the K read-out tensors gives the ``(4^K, 3^K, 2^K)`` probabilities,
+      which are clipped, renormalised and then mapped by readout confusion.
 
     ``exact=True`` records these probabilities as the frequencies; otherwise
     the plan is one stream: ``draw_counts`` draws every job's counts, in job
@@ -295,17 +279,15 @@ def execute_plan(
     if target.num_qubits != plan.num_qubits:
         raise ValueError("target width does not match the plan")
     k, d = plan.num_qubits, 2**plan.num_qubits
-    prepared = ground_state(k)[None]
-    for q in range(k):
-        stacks = []
-        for token in PREP_TOKENS:
-            c = prep_circuit("0" * q + token + "0" * (k - 1 - q), k)
-            stacks.append(evolve(prepared, c, noise) if c.gates else prepared)
-        prepared = np.stack(stacks, axis=1).reshape(-1, d, d)  # qubit 0 stays most significant
+    tables = [_spam_table(None if noise is None else noise.on_qubit(q)) for q in range(k)]
+    prepared = np.ones((1, 1, 1))
+    for states, _ in tables:  # qubit 0 stays most significant
+        n = 2 * prepared.shape[-1]
+        prepared = np.einsum("aij,bkl->abikjl", prepared, states).reshape(-1, n, n)
     x = evolve(prepared, target, noise).reshape((-1,) + (2,) * (2 * k))
-    for q in range(k):
+    for q, (_, readout) in enumerate(tables):
         # qubit q's (row, col) axes -> its (basis, outcome) axes at the end
-        x = np.tensordot(x, _readout_effects(q, k, noise), axes=((1, 1 + k - q), (2, 3)))
+        x = np.tensordot(x, readout, axes=((1, 1 + k - q), (2, 3)))
     x = x.transpose([0] + [1 + 2 * q for q in range(k)] + [2 + 2 * q for q in range(k)])
     shape = (len(plan.preparations), len(plan.settings), d)
     freqs = recorded_probabilities(x.real.reshape(shape), noise)
@@ -331,19 +313,19 @@ def execute_plan(
 def _one_qubit_dual() -> np.ndarray:
     """Dual frame of the one-qubit design ``A1``, axes (prep, setting, outcome, operator).
 
-    ``A1[(p, s, b), (a, c)] = Tr[(prep_p^T (x) projector_sb) (P_a (x) P_c) / 2]``
+    ``A1[(p, s, b), (a, c)] = Tr[(prep_p^T (x) E_sb) (P_a (x) P_c) / 2]``
     over the normalised Pauli operators on one qubit's (input, output) pair
-    and the rows of ``PREP_TOKENS`` x ``SETTING_TOKENS`` x {0, 1}.  The dual
+    and the rows of ``PREP_TOKENS`` x ``SETTING_TOKENS`` x {0, 1}, where the
+    noiseless SPAM table gives the states ``prep_p`` and the effects
+    ``E_sb[k, l] = R[s, b, l, k]`` (:func:`_spam_table`).  The dual
     row ``(p, s, b)`` is ``sum_a pinv(A1)[a, (p, s, b)] ops[a]`` with operator
     axes (in row, out row, in col, out col).  Raises if ``A1`` is rank
     deficient, i.e. the token tables do not span the operator space.
     """
     ops = np.stack(pauli_basis(2).operators) / 2  # (P_a (x) P_c) / 2 on (input, output)
-    rows = [
-        np.kron(prep_density(p).T, outcome_projector(s, b))
-        for p in PREP_TOKENS for s in SETTING_TOKENS for b in (0, 1)
-    ]
-    a1 = np.einsum("rij,aji->ra", np.stack(rows), ops).real
+    prep, readout = _spam_table(None)
+    rows = np.einsum("pji,sblk->psbikjl", prep, readout).reshape(-1, 4, 4)
+    a1 = np.einsum("rij,aji->ra", rows, ops).real
     rank = np.linalg.matrix_rank(a1)
     if rank < 16:
         raise ValueError(

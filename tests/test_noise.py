@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from choiqpt.channels import choi_from_unitary, is_cptp, kraus_superop, kraus_to_choi
-from choiqpt.gates import PAULI_X
+from choiqpt.gates import PAULI_X, Circuit, ga
 from choiqpt.metrics import process_fidelity
 from choiqpt.noise import (
     MEDIAN_CNOT_ERROR,
@@ -17,6 +17,8 @@ from choiqpt.noise import (
     noise_model_from_calibration,
     parse_calibration,
 )
+from choiqpt.simulator import circuit_probabilities
+from choiqpt.tomography import qpt
 from conftest import apply_kraus, data_path, random_density
 
 
@@ -248,3 +250,29 @@ def test_superop_for_caches_per_entry_and_follows_the_model():
     ops = [k @ PAULI_X for k in depolarizing_kraus(0.5, 1).operators]
     assert np.abs(model.superop_for("X", (0,)) - kraus_superop(ops)).max() < 1e-15
     assert len(model._superops) == 1
+
+
+def test_on_qubit_relabels_the_qubit_entries_to_wire_zero(tab1):
+    model = noise_model_from_calibration(tab1, num_qubits=3)
+    for q in range(3):
+        one = model.on_qubit(q)
+        assert set(one.gate_noise) == {("SX", (0,)), ("X", (0,)), ("measure", (0,))}
+        for name in ("SX", "X", "measure"):
+            assert one.gate_noise[(name, (0,))] is model.gate_noise[(name, (q,))]
+        assert one.readout_confusion == {0: model.readout_confusion[q]}
+        assert one.label == model.label
+
+
+def test_narrow_noise_model_names_the_missing_qubit(tab1):
+    model = noise_model_from_calibration(tab1, num_qubits=2)
+    wide = Circuit(3, (ga("SQSCZ", (0, 1)), ga("H", 2)))
+    message = r"noise model has no qubit 2: its readout confusion covers \[0, 1\]"
+    for call in (
+        lambda: model.on_qubit(2),
+        lambda: model.confusion_for(3),
+        lambda: circuit_probabilities(wide, model),
+        lambda: qpt(wide, model, exact=True),
+        lambda: qpt(wide, model, shots=10),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -294,6 +294,12 @@ def test_counts_table_roundtrip_and_invariant():
         CountsTable(11, {"00": 4, "01": 6})
 
 
+@pytest.mark.parametrize("counts", [[4, 6], "0110", 10])
+def test_counts_table_from_dict_rejects_counts_that_are_not_a_mapping(counts):
+    with pytest.raises(ValueError, match="are not a mapping of outcomes to counts"):
+        CountsTable.from_dict({"shots": 10, "counts": counts})
+
+
 def test_ground_state():
     g = ground_state(2)
     assert g[0, 0] == 1 and np.abs(g).sum() == 1

@@ -41,9 +41,7 @@ from choiqpt.tomography import (
     execute_plan,
     linear_inversion,
     measurement_circuit,
-    outcome_projector,
     prep_circuit,
-    prep_density,
     project_cptp,
     qpt,
 )
@@ -62,6 +60,33 @@ from conftest import (
 
 SQSCZ_CIRCUIT = Circuit(2, (ga("SQSCZ", (0, 1)),))
 
+# closed-form single-qubit states of the preparation tokens
+KETS = {
+    "0": np.array([1, 0], dtype=complex),
+    "1": np.array([0, 1], dtype=complex),
+    "+": np.array([1, 1], dtype=complex) / np.sqrt(2),
+    "i": np.array([1, 1j], dtype=complex) / np.sqrt(2),
+}
+PAULIS = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1.0, -1.0]).astype(complex),
+}
+
+
+def closed_prep(label: str) -> np.ndarray:
+    """Density matrix of the labeled product state, from ``KETS``."""
+    psi = functools.reduce(np.kron, [KETS[t] for t in label])
+    return np.outer(psi, psi.conj())
+
+
+def closed_effect(setting: str, outcome: int) -> np.ndarray:
+    """Effect of an outcome of a setting: bit 0 (1) of basis P is (I + P)/2 ((I - P)/2)."""
+    k = len(setting)
+    bits = [(outcome >> (k - 1 - q)) & 1 for q in range(k)]
+    effects = [(np.eye(2) + (-1) ** b * PAULIS[p]) / 2 for p, b in zip(setting, bits)]
+    return functools.reduce(np.kron, effects)
+
 
 def dense_design(plan: TomographyPlan) -> tuple[np.ndarray, np.ndarray]:
     """Oracle: dense design matrix A and Hermitian basis stack B on 2K wires.
@@ -76,10 +101,10 @@ def dense_design(plan: TomographyPlan) -> tuple[np.ndarray, np.ndarray]:
     vb = bstack.reshape(len(basis.operators), -1)
     rows = []
     for prep in plan.preparations:
-        rho_t = prep_density(prep).T
+        rho_t = closed_prep(prep).T
         for setting in plan.settings:
             for outcome in range(d):
-                op = np.kron(rho_t, outcome_projector(setting, outcome))
+                op = np.kron(rho_t, closed_effect(setting, outcome))
                 rows.append(op.T.reshape(-1))  # vec(op^T) . vec(B) = Tr(op B)
     return (np.stack(rows) @ vb.T).real, bstack
 
@@ -98,7 +123,7 @@ def channel_dataset(choi: ChoiMatrix, plan: TomographyPlan, seed: int | None) ->
     rows, counts = [], None if seed is None else {}
     for idx, (prep, setting) in enumerate(plan.jobs()):
         probs = np.array([
-            outcome_probability(choi, prep_density(prep), outcome_projector(setting, b))
+            outcome_probability(choi, closed_prep(prep), closed_effect(setting, b))
             for b in range(d)
         ])
         if seed is None:
@@ -147,28 +172,35 @@ def test_per_qubit_inversion_matches_dense_oracle(num_qubits, seed):
             assert np.abs(est - choi.matrix).max() < 1e-12
 
 
-# closed-form single-qubit states of the preparation tokens
-KETS = {
-    "0": np.array([1, 0], dtype=complex),
-    "1": np.array([0, 1], dtype=complex),
-    "+": np.array([1, 1], dtype=complex) / np.sqrt(2),
-    "i": np.array([1, 1j], dtype=complex) / np.sqrt(2),
-}
-PAULIS = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]]),
-    "Z": np.diag([1.0, -1.0]).astype(complex),
-}
-
-
 def test_prep_circuits_match_closed_forms():
     for label in build_plan(2, 1).preparations:
-        psi = np.kron(KETS[label[0]], KETS[label[1]])
-        rho = np.outer(psi, psi.conj())
-        assert np.abs(prep_density(label) - rho).max() < 1e-12, label
-        assert np.abs(simulate(prep_circuit(label)) - rho).max() < 1e-12, label
+        assert np.abs(simulate(prep_circuit(label)) - closed_prep(label)).max() < 1e-12, label
+
+
+def test_noiseless_spam_table_matches_closed_forms():
+    prep, readout = tomography._spam_table(None)
+    assert prep.shape == (4, 2, 2) and readout.shape == (3, 2, 2, 2)
+    for p, token in enumerate(tomography.PREP_TOKENS):
+        assert np.abs(prep[p] - closed_prep(token)).max() < 1e-12, token
     # the +i token is the +1 eigenstate of Y
-    assert np.trace(PAULIS["Y"] @ prep_density("i")).real == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(PAULIS["Y"] @ prep[3]).real == pytest.approx(1.0, abs=1e-12)
+    for s, basis in enumerate(tomography.SETTING_TOKENS):
+        for b in (0, 1):
+            # R[s, b, i, j] = <b| U_s |i><j| U_s^dag |b>: R[s, b] is the effect's transpose
+            assert np.abs(readout[s, b].T - closed_effect(basis, b)).max() < 1e-12, (basis, b)
+
+
+def test_on_qubit_tables_match_one_qubit_models(tab1_path):
+    calib = parse_calibration(tab1_path)
+    model = noise_model_from_calibration(calib, num_qubits=3)
+    clean = tomography._spam_table(None)
+    for q in range(3):
+        one = noise_model_from_calibration(calib, num_qubits=1, qubit_map=(q,))
+        got, want = tomography._spam_table(model.on_qubit(q)), tomography._spam_table(one)
+        for a, b, c in zip(got, want, clean):
+            assert np.array_equal(a, b), q
+            assert np.abs(a - c).max() > 1e-4, q  # the noise shows in the table
+        assert np.array_equal(model.on_qubit(q).readout_confusion[0], one.readout_confusion[0])
 
 
 def test_unknown_tokens_rejected():
@@ -183,17 +215,14 @@ def test_measurement_matches_pauli_eigenprojectors():
     rho = random_density(np.random.default_rng(11), 4)
     for setting in build_plan(2, 1).settings:
         for b in range(4):
-            bits = (b >> 1, b & 1)
-            want = np.kron(*[(np.eye(2) + (-1) ** k * PAULIS[p]) / 2 for p, k in zip(setting, bits)])
-            assert np.abs(outcome_projector(setting, b) - want).max() < 1e-12, (setting, b)
             prob = measure_probabilities(rho, setting)[b]
-            assert abs(prob - np.trace(want @ rho).real) < 1e-12, (setting, b)
+            assert abs(prob - np.trace(closed_effect(setting, b) @ rho).real) < 1e-12, (setting, b)
 
 
 def test_outcome_projectors_resolve_identity():
-    for setting in ("XY", "ZZ", "YX"):
-        total = sum(outcome_projector(setting, b) for b in range(4))
-        assert np.abs(total - np.eye(4)).max() < 1e-12
+    # each basis's two read-out effects in the noiseless table sum to I
+    _, readout = tomography._spam_table(None)
+    assert np.abs(readout.sum(axis=1) - np.eye(2)).max() < 1e-15
 
 
 def test_measurement_circuit_diagonalizes_setting():
@@ -204,7 +233,7 @@ def test_measurement_circuit_diagonalizes_setting():
         circ = measurement_circuit(setting, 2)
         rotated = simulate(circ, initial=rho)
         probs = np.real(np.diag(rotated))
-        expected = [np.trace(outcome_projector(setting, b) @ rho).real for b in range(4)]
+        expected = [np.trace(closed_effect(setting, b) @ rho).real for b in range(4)]
         assert np.allclose(probs, expected, atol=1e-10)
 
 
@@ -440,11 +469,21 @@ def _as_frequency_record(values):
             lambda d: d["jobs"][2].update(counts={"shots": 20, "counts": {"0": 20, "1": 0}}),
             r"job \('0', 'Z'\) has 20 shots, not the dataset's 16",
         ),
+        (
+            lambda d: d["jobs"].append(dict(d["jobs"][2])),
+            r"job \('0', 'Z'\) has more than one record",
+        ),
+        (lambda d: d["jobs"][0].update(prep="q"), r"job \('q', 'X'\) is not in the 1-qubit plan"),
+        (
+            lambda d: d["jobs"][2]["counts"].update(counts=[16, 0]),
+            r"counts \[16, 0\] are not a mapping",
+        ),
     ],
     ids=[
         "negative_count", "unknown_outcome", "no_num_qubits", "no_jobs", "no_prep", "no_setting",
         "frequency_below_zero", "frequencies_sum_below_one", "fractional_count", "infinite_count",
         "nan_count", "fractional_shots", "fractional_job_shots", "job_shots_mismatch",
+        "duplicate_job", "job_not_in_plan", "counts_not_a_mapping",
     ],
 )
 def test_dataset_from_dict_rejects_impossible_records(edit, message):
