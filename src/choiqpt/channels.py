@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -109,6 +109,11 @@ class KrausSet:
     @property
     def dim(self) -> int:
         return self.operators[0].shape[0]
+
+    @cached_property
+    def superop(self) -> np.ndarray:
+        """The channel's :func:`kraus_superop`, built on first use."""
+        return kraus_superop(self.operators)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex_matrix, dagger, whole_number
+from .linalg import as_complex_matrix, dagger, finite_number, whole_number
 
 _C = np.complex128
 
@@ -115,7 +115,8 @@ class GateApplication:
         name = canonical_gate_name(self.name)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "qubits", tuple(whole_number(q, "qubit") for q in self.qubits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        params = tuple(finite_number(p, f"gate {name} parameter") for p in self.params)
+        object.__setattr__(self, "params", params)
         arity, n_params, _ = GATE_DEFS[name]
         if len(self.qubits) != arity:
             raise ValueError(f"gate {name} acts on {arity} qubit(s), got {self.qubits}")
@@ -398,17 +399,10 @@ class IdentityCheck:
         return self.deviation < self.tolerance
 
 
-def verify_gate_identities(overrides: dict[str, np.ndarray] | None = None) -> list[IdentityCheck]:
-    """Run the library's algebraic self-checks and report max deviations.
-
-    ``overrides`` substitutes matrices by gate name before checking; it
-    exists so a corrupted table demonstrably fails (negative testing).
-    """
+def verify_gate_identities() -> list[IdentityCheck]:
+    """Run the library's algebraic self-checks and report max deviations."""
     tbl = {name: gate_unitary(name) for name in
            ("X", "SX", "H", "CNOT", "CZ", "SWAP", "SQRT_SWAP", "SQRT_CZ", "SQSCZ")}
-    if overrides:
-        for k, v in overrides.items():
-            tbl[canonical_gate_name(k)] = np.asarray(v, dtype=_C)
 
     checks: list[IdentityCheck] = []
 

@@ -8,6 +8,7 @@ or GPU path.
 
 from __future__ import annotations
 
+import math
 import numbers
 from functools import reduce
 
@@ -33,6 +34,14 @@ def whole_number(value, name: str) -> int:
     if isinstance(value, numbers.Real) and value % 1 == 0:  # inf % 1 and nan % 1 are nan
         return int(value)
     raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
+def finite_number(value, name: str) -> float:
+    """``value`` as a float; a ValueError naming ``name`` if it is NaN or infinite."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return x
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import KrausSet, kraus_superop, pauli_basis
-from .gates import gate_unitary
-from .linalg import kron_all, whole_number
+from .channels import KrausSet, pauli_basis
+from .linalg import finite_number, kron_all, whole_number
 
 _C = np.complex128
 
@@ -36,6 +35,10 @@ MEDIAN_CNOT_ERROR = 8.690e-3
 MEDIAN_SX_ERROR = 2.860e-4
 
 DEFAULT_DURATIONS_NS = {"SX": 35.0, "X": 35.0, "CNOT": 300.0}
+
+_QUBIT_FIELDS = (
+    "t1_us", "t2_us", "freq_ghz", "anharm_ghz", "readout_err", "p01", "p10", "readout_ns", "sx_error"
+)
 
 
 @dataclass(frozen=True)
@@ -118,26 +121,30 @@ def parse_calibration(source) -> DeviceCalibration:
     try:
         qubits = []
         for row in raw["qubits"]:
+            row = {"sx_error": MEDIAN_SX_ERROR} | row
+            num = {k: finite_number(row[k], k) for k in _QUBIT_FIELDS}
             qubits.append(
                 QubitCalibration(
                     index=whole_number(row["index"], "index"),
-                    t1=float(row["t1_us"]) * 1e-6,
-                    t2=float(row["t2_us"]) * 1e-6,
-                    frequency=float(row["freq_ghz"]) * 1e9,
-                    anharmonicity=float(row["anharm_ghz"]) * 1e9,
-                    readout_err=float(row["readout_err"]),
-                    p_meas0_prep1=float(row["p01"]),
-                    p_meas1_prep0=float(row["p10"]),
-                    readout_length=float(row["readout_ns"]) * 1e-9,
-                    sx_error=float(row.get("sx_error", MEDIAN_SX_ERROR)),
+                    t1=num["t1_us"] * 1e-6,
+                    t2=num["t2_us"] * 1e-6,
+                    frequency=num["freq_ghz"] * 1e9,
+                    anharmonicity=num["anharm_ghz"] * 1e9,
+                    readout_err=num["readout_err"],
+                    p_meas0_prep1=num["p01"],
+                    p_meas1_prep0=num["p10"],
+                    readout_length=num["readout_ns"] * 1e-9,
+                    sx_error=num["sx_error"],
                 )
             )
         cnot = tuple(
-            CnotCalibration(*(whole_number(r[k], k) for k in ("control", "target")), float(r["error"]))
+            CnotCalibration(
+                *(whole_number(r[k], k) for k in ("control", "target")), finite_number(r["error"], "error")
+            )
             for r in raw.get("cnot", ())
         )
         durations = {
-            name.upper(): float(ns) * 1e-9
+            name.upper(): finite_number(ns, f"durations_ns.{name}") * 1e-9
             for name, ns in raw.get("durations_ns", {}).items()
         }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -226,40 +233,25 @@ class NoiseModel:
     after the ideal gate on those qubits.  The pseudo-gate name ``"measure"``
     keyed per qubit carries decay over the readout window; execution paths
     apply it right before sampling.  Gates without an entry are noiseless
-    (RZ/Ph are virtual), which is why noisy pipelines lower circuits to the
-    native gate set first.  Gate durations enter only through these Kraus
+    (RZ/Ph are virtual).  Gate durations enter only through these Kraus
     sets; ``label`` is keyword-only.
     """
 
     gate_noise: dict[tuple[str, tuple[int, ...]], KrausSet]
     readout_confusion: dict[int, np.ndarray]
     label: str = field(default="calibrated", kw_only=True)
-    _superops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def kraus_for(self, name: str, qubits: tuple[int, ...]) -> KrausSet | None:
         return self.gate_noise.get((name, tuple(qubits)))
 
-    def superop_for(
-        self, name: str, qubits: tuple[int, ...], params: tuple[float, ...] = ()
-    ) -> np.ndarray | None:
-        """Superoperator of gate ``name`` followed by its noise on ``qubits``; None if noiseless.
+    def superop_for(self, name: str, qubits: tuple[int, ...]) -> np.ndarray | None:
+        """Superoperator of the noise after gate ``name`` on ``qubits``; None if noiseless.
 
-        Built once as ``(sum_k K_k (x) conj(K_k)) (U (x) conj(U))`` and cached
-        per ``gate_noise`` entry, so the cache never outgrows the model; other
-        ``params`` or a replaced Kraus set rebuild the entry.  ``"measure"``
-        has no gate, so its entry is the readout decay alone.
+        It is the entry's :attr:`KrausSet.superop`, built once per Kraus set,
+        so views from :meth:`on_qubit` share the parent model's.
         """
-        key = (name, tuple(qubits))
-        ks = self.gate_noise.get(key)
-        if ks is None:
-            return None
-        hit = self._superops.get(key)
-        if hit is None or hit[0] is not ks or hit[1] != params:
-            ops = np.stack(ks.operators)
-            if name != "measure":
-                ops = ops @ gate_unitary(name, params)
-            hit = self._superops[key] = (ks, params, kraus_superop(ops))
-        return hit[2]
+        ks = self.kraus_for(name, qubits)
+        return None if ks is None else ks.superop
 
     def measure_kraus(self, qubit: int) -> KrausSet | None:
         return self.gate_noise.get(("measure", (qubit,)))

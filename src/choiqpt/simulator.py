@@ -1,14 +1,15 @@
 """Density-matrix circuit simulation with optional noise and shot sampling.
 
 States are plain ``numpy`` density matrices (Hermitian, unit trace, PSD
-within tolerance), alone or stacked on a leading batch axis.  Each gate
-application, with its noise, acts as one cached local superoperator
-``(sum_k K_k (x) conj(K_k)) (U (x) conj(U))`` (noisy ones cached on the
-:class:`NoiseModel`, noiseless ones per gate and parameters), applied with
-one ``tensordot`` on the gate's row and column axes of the ``(2,) * 2K``
-state tensor; readout decay acts the same way.  Readout confusion acts on
-outcome probabilities (:func:`apply_confusion`), so one multinomial draw
-samples the recorded outcomes.
+within tolerance), alone or stacked on a leading batch axis.  Every noisy
+run first lowers its circuit to the native gate set, so calibrated per-gate
+noise applies.  Each gate acts as one local superoperator: the unitary's
+``U (x) conj(U)`` (cached per gate and parameters), times its noise entry's
+``sum_k K_k (x) conj(K_k)`` (:attr:`KrausSet.superop`) when it has one,
+applied with one ``tensordot`` on the gate's row and column axes of the
+``(2,) * 2K`` state tensor; readout decay acts the same way.  Readout
+confusion acts on outcome probabilities (:func:`apply_confusion`), so one
+multinomial draw samples the recorded outcomes.
 
 Sampling uses numpy's PCG64 generator seeded by an int, a ``SeedSequence``
 or a ``Generator``; a fixed seed reproduces counts exactly, which
@@ -87,9 +88,10 @@ def _run(rho: np.ndarray, c: Circuit, noise: NoiseModel | None) -> np.ndarray:
     """Apply the circuit's gates, each followed by its noise entry, to a state or a stack."""
     t = rho.reshape((-1,) + (2,) * (2 * c.num_qubits))
     for g in c.gates:
-        s = noise.superop_for(g.name, g.qubits, g.params) if noise is not None else None
-        if s is None:
-            s = _unitary_superop(g.name, g.params)
+        s = _unitary_superop(g.name, g.params)
+        n = noise.superop_for(g.name, g.qubits) if noise is not None else None
+        if n is not None:
+            s = n @ s
         t = _apply(t, s, g.qubits, c.num_qubits)
     return t.reshape(rho.shape)
 
@@ -99,12 +101,11 @@ def simulate(
     noise: NoiseModel | None = None,
     initial: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Run a circuit on a density matrix, gate by gate.
+    """Run a circuit on a density matrix (the ground state by default), gate by gate.
 
-    Each gate acts as its cached superoperator: the unitary, then (when a
-    noise model is given) that gate's Kraus set on the same wires.  Gates
-    without a noise entry run clean, so lower circuits with
-    :func:`choiqpt.gates.to_native` before noisy simulation.
+    As :func:`evolve` on one validated state: with a noise model the circuit
+    is lowered to the native gate set and each gate is followed by its
+    calibrated Kraus set on the same wires.
     """
     dim = 2**c.num_qubits
     if initial is None:
@@ -115,7 +116,7 @@ def simulate(
             raise ValueError(
                 f"initial state dim {rho.shape[0]} does not match circuit width {c.num_qubits}"
             )
-    return _run(rho, c, noise)
+    return evolve(rho[None], c, noise)[0]
 
 
 def evolve(states: np.ndarray, c: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
@@ -154,7 +155,7 @@ def measure_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
     if rho.shape != (2**num_qubits, 2**num_qubits):
         raise ValueError(f"state dim {rho.shape[0]} does not match setting {setting!r}")
     basis_change = _token_circuit(setting.upper(), MEAS_GATES, None, "measurement basis")
-    return z_probabilities(_run(rho, basis_change, None))
+    return recorded_probabilities(np.diagonal(_run(rho, basis_change, None)).real, None)
 
 
 def apply_confusion(probs: np.ndarray, confusion) -> np.ndarray:
@@ -173,18 +174,6 @@ def apply_confusion(probs: np.ndarray, confusion) -> np.ndarray:
         axis = t.ndim - k + q
         t = np.moveaxis(np.tensordot(m, t, axes=(1, axis)), 0, axis)
     return t.reshape(probs.shape)
-
-
-def z_probabilities(states: np.ndarray, noise: NoiseModel | None = None) -> np.ndarray:
-    """Recorded computational-basis outcome probabilities of a state or a ``(B, d, d)`` stack.
-
-    Readout decay acts first when a noise model is given.  Each vector must
-    sum to 1 within 1e-9; it is then clipped at 0, renormalised and, with
-    noise, mapped through the readout confusion.
-    """
-    num_qubits = states.shape[-1].bit_length() - 1
-    rho = apply_measure_noise(states, noise, num_qubits)
-    return recorded_probabilities(np.diagonal(rho, axis1=-2, axis2=-1).real, noise)
 
 
 def recorded_probabilities(probs: np.ndarray, noise: NoiseModel | None) -> np.ndarray:
@@ -207,10 +196,11 @@ def circuit_probabilities(c: Circuit, noise: NoiseModel | None = None) -> np.nda
     """Probabilities of the recorded Z-basis outcomes of a circuit run from the ground state.
 
     With a noise model the circuit is first lowered to the native gate set
-    so calibrated per-gate noise applies, and readout decay and confusion
-    act in the read-out (:func:`z_probabilities`).
+    so calibrated per-gate noise applies, and readout decay
+    (:func:`apply_measure_noise`) and confusion act in the read-out.
     """
-    return z_probabilities(evolve(ground_state(c.num_qubits)[None], c, noise), noise)[0]
+    rho = apply_measure_noise(simulate(c, noise), noise, c.num_qubits)
+    return recorded_probabilities(np.diagonal(rho).real, noise)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from choiqpt import gates
 from choiqpt.channels import choi_from_json, choi_to_chi, is_cptp
 from choiqpt.cli import _choi_labels, main
 from choiqpt.tomography import TomographyDataset
@@ -30,8 +31,11 @@ def test_gate_check_passes(capsys):
     assert "phase" in out  # synthesis global phase is reported
 
 
-def test_gate_check_corrupted_table_fails(capsys):
-    assert run_cli("gate-check", "--corrupt", "SQSCZ") == 1
+def test_gate_check_corrupted_table_fails(capsys, monkeypatch):
+    bad = gates.SQSCZ_MATRIX.copy()
+    bad[0, 0] += 1e-3
+    monkeypatch.setitem(gates.GATE_DEFS, "SQSCZ", (2, 0, lambda: bad))
+    assert run_cli("gate-check") == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
 
@@ -191,10 +195,16 @@ def test_malformed_circuit_is_input_error(tmp_path, capsys):
         lambda c: c.update(durations_ns=[35]),
         lambda c: c["qubits"][1].update(index=1.8),
         lambda c: c["cnot"][0].update(control=0.6),
+        lambda c: c["qubits"][0].update(t1_us=float("nan")),
+        lambda c: c["qubits"][1].update(t2_us=float("nan")),
+        lambda c: c["qubits"][0].update(readout_ns=float("nan")),
+        lambda c: c["durations_ns"].update(cnot=float("nan")),
+        lambda c: c["durations_ns"].update(sx=float("inf")),
     ],
     ids=[
         "null_t1", "qubits_not_a_list", "durations_not_an_object", "fractional_index",
-        "fractional_cnot_control",
+        "fractional_cnot_control", "nan_t1", "nan_t2", "nan_readout_length", "nan_cnot_duration",
+        "infinite_sx_duration",
     ],
 )
 def test_malformed_calibration_is_input_error(tmp_path, capsys, edit):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from choiqpt import gates
 from choiqpt.gates import (
     Circuit,
     GateApplication,
@@ -230,6 +231,10 @@ def test_circuit_from_dict_malformed():
     cnot = {"name": "CNOT", "qubits": [0.9, 1.2]}
     with pytest.raises(ValueError, match="qubit must be a whole number, got 0.9"):
         circuit_from_dict({"num_qubits": 2, "gates": [cnot]})
+    for text in ("NaN", "Infinity"):
+        rz = json.loads(f'{{"name": "RZ", "qubits": [0], "params": [{text}]}}')
+        with pytest.raises(ValueError, match="gate RZ parameter must be finite"):
+            circuit_from_dict({"num_qubits": 1, "gates": [rz]})
 
 
 def test_circuit_dict_roundtrip_identity():
@@ -242,9 +247,10 @@ def test_verify_gate_identities_all_pass():
     assert all(c.passed for c in checks)
 
 
-def test_verify_gate_identities_detects_corruption():
+def test_verify_gate_identities_detects_corruption(monkeypatch):
     bad = SQSCZ.copy()
     bad[0, 0] += 1e-3
-    checks = verify_gate_identities({"SQSCZ": bad})
+    monkeypatch.setitem(gates.GATE_DEFS, "SQSCZ", (2, 0, lambda: bad))
+    checks = verify_gate_identities()
     failed = [c.name for c in checks if not c.passed]
     assert any("SQRT_SWAP @ SQRT_CZ" in name for name in failed)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from choiqpt import channels, simulator
 from choiqpt.channels import choi_from_unitary, is_cptp, kraus_superop, kraus_to_choi
 from choiqpt.gates import PAULI_X, Circuit, ga
 from choiqpt.metrics import process_fidelity
@@ -17,8 +18,8 @@ from choiqpt.noise import (
     noise_model_from_calibration,
     parse_calibration,
 )
-from choiqpt.simulator import circuit_probabilities
-from choiqpt.tomography import qpt
+from choiqpt.simulator import _unitary_superop, circuit_probabilities
+from choiqpt.tomography import build_plan, execute_plan, qpt
 from conftest import apply_kraus, data_path, random_density
 
 
@@ -245,11 +246,12 @@ def test_superop_for_caches_per_entry_and_follows_the_model():
     model = NoiseModel({("X", (0,)): depolarizing_kraus(0.1, 1)}, {})
     first = model.superop_for("X", (0,))
     assert model.superop_for("X", (0,)) is first
-    assert model.superop_for("X", (1,)) is None and model.superop_for("RZ", (0,), (0.3,)) is None
+    assert model.superop_for("X", (1,)) is None and model.superop_for("RZ", (0,)) is None
     model.gate_noise[("X", (0,))] = depolarizing_kraus(0.5, 1)
+    assert model.superop_for("X", (0,)) is model.gate_noise[("X", (0,))].superop is not first
     ops = [k @ PAULI_X for k in depolarizing_kraus(0.5, 1).operators]
-    assert np.abs(model.superop_for("X", (0,)) - kraus_superop(ops)).max() < 1e-15
-    assert len(model._superops) == 1
+    gate_then_noise = model.superop_for("X", (0,)) @ _unitary_superop("X", ())
+    assert np.abs(gate_then_noise - kraus_superop(ops)).max() < 1e-15
 
 
 def test_on_qubit_relabels_the_qubit_entries_to_wire_zero(tab1):
@@ -261,6 +263,25 @@ def test_on_qubit_relabels_the_qubit_entries_to_wire_zero(tab1):
             assert one.gate_noise[(name, (0,))] is model.gate_noise[(name, (q,))]
         assert one.readout_confusion == {0: model.readout_confusion[q]}
         assert one.label == model.label
+
+
+def test_on_qubit_views_share_the_models_superoperators(tab1, monkeypatch):
+    model = noise_model_from_calibration(tab1, num_qubits=2)
+    for q in range(2):
+        for name in ("SX", "X", "measure"):
+            assert model.on_qubit(q).superop_for(name, (0,)) is model.superop_for(name, (q,))
+    target = Circuit(2, (ga("SQSCZ", (0, 1)),))
+    execute_plan(build_plan(2, shots=10), target, model, seed=0)
+    calls = []
+
+    def counting(operators):
+        calls.append(len(operators))
+        return kraus_superop(operators)
+
+    monkeypatch.setattr(channels, "kraus_superop", counting)
+    monkeypatch.setattr(simulator, "kraus_superop", counting)
+    execute_plan(build_plan(2, shots=10), target, model, seed=0)
+    assert calls == []
 
 
 def test_narrow_noise_model_names_the_missing_qubit(tab1):

@@ -1,4 +1,7 @@
+import ast
 import inspect
+import sys
+from pathlib import Path
 
 import choiqpt
 
@@ -34,3 +37,18 @@ def test_submodules_stay_importable_outside_all():
 
     assert tomography.qpt is choiqpt.qpt and callable(viz.svg_city)
     assert not {"tomography", "viz", "simulator"} & set(choiqpt.__all__)
+
+
+def test_package_imports_nothing_beyond_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "choiqpt"}
+    sources = sorted(Path(choiqpt.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                roots = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = {node.module.split(".")[0]}
+            else:
+                continue
+            assert roots <= allowed, f"{path.name}:{node.lineno} imports {sorted(roots - allowed)}"

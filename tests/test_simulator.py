@@ -70,8 +70,8 @@ def test_noiseless_simulation_matches_unitary_conjugation(seed):
 
 def random_noisy_circuit(rng: np.random.Generator, num_qubits: int) -> tuple[Circuit, NoiseModel]:
     """Random 1- and 2-qubit gates on any ordered wires, with random CPTP noise on every
-    gate key and on each qubit's readout.  RX acts twice on wire 0 with different
-    angles, so one noise entry serves two parameter sets."""
+    gate key of the lowered circuit and on each qubit's readout.  RX acts twice on wire 0
+    with different angles, so one RZ noise entry serves several parameter sets."""
     one = [name for name, (arity, _, _) in GATE_DEFS.items() if arity == 1]
     two = [name for name, (arity, _, _) in GATE_DEFS.items() if arity == 2]
     gates = [ga("RX", 0, float(rng.uniform(-np.pi, np.pi)))]
@@ -86,12 +86,14 @@ def random_noisy_circuit(rng: np.random.Generator, num_qubits: int) -> tuple[Cir
     if num_qubits == 3:
         gates.append(ga("CNOT", (2, 0)))
     gates.append(ga("RX", 0, float(rng.uniform(-np.pi, np.pi))))
-    keys = {(g.name, g.qubits) for g in gates} | {("measure", (q,)) for q in range(num_qubits)}
+    c = Circuit(num_qubits, tuple(gates))
+    keys = {(g.name, g.qubits) for g in to_native(c).gates}
+    keys |= {("measure", (q,)) for q in range(num_qubits)}
     gate_noise = {
         key: KrausSet(tuple(random_kraus_ops(rng, 2 ** len(key[1]), n_env=int(rng.integers(1, 4)))))
         for key in sorted(keys)
     }
-    return Circuit(num_qubits, tuple(gates)), NoiseModel(gate_noise, {})
+    return c, NoiseModel(gate_noise, {})
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -100,8 +102,9 @@ def test_simulate_matches_kraus_oracle_on_random_circuits(seed):
     k = 1 + seed % 3
     c, noise = random_noisy_circuit(rng, k)
     rho0 = random_density(rng, 2**k)
-    for model in (None, noise):
-        want = oracle_simulate(c, model, initial=rho0)
+    # noisy runs lower the circuit first, so the oracle runs the native gates
+    for circuit, model in ((c, None), (to_native(c), noise)):
+        want = oracle_simulate(circuit, model, initial=rho0)
         assert np.abs(simulate(c, model, initial=rho0) - want).max() <= 1e-12
     decayed = apply_measure_noise(simulate(c, noise, initial=rho0), noise, k)
     assert np.abs(decayed - oracle_measure_noise(want, noise, k)).max() <= 1e-12
@@ -111,6 +114,14 @@ def test_simulate_matches_kraus_oracle_on_random_circuits(seed):
     for rho, out in zip(stack, got):
         want = oracle_measure_noise(oracle_simulate(c, None, initial=rho), noise, k)
         assert np.abs(out - want).max() <= 1e-12
+
+
+def test_noisy_simulate_lowers_to_native_gates(perth_noise):
+    rho0 = random_density(np.random.default_rng(3), 4)
+    c = Circuit(2, (ga("SQSCZ", (0, 1)),))
+    noisy = simulate(c, perth_noise, initial=rho0)
+    assert np.abs(noisy - simulate(to_native(c), perth_noise, initial=rho0)).max() <= 1e-12
+    assert np.abs(noisy - simulate(c, initial=rho0)).max() > 1e-3
 
 
 def test_simulate_width_mismatch():

@@ -345,10 +345,15 @@ def test_superop_caches_stay_small(tab1_path):
             prep_circuit(prep, 2).extended(SQSCZ_CIRCUIT, measurement_circuit(setting, 2))
         ).gates
     }
+    # one unitary superoperator per gate and parameters, one noise superoperator
+    # per Kraus set the jobs use (readout decay included), and nothing else
     clean_entries = _unitary_superop.cache_info().currsize
-    assert len(noise._superops) + clean_entries <= len(applications)
+    assert clean_entries == len({(name, params) for name, _, params in applications})
+    built = {key: ks.superop for key, ks in noise.gate_noise.items() if "superop" in vars(ks)}
+    used = {(name, qubits) for name, qubits, _ in applications} | {("measure", (0,)), ("measure", (1,))}
+    assert set(built) == used & set(noise.gate_noise)
     # noiseless gates act on at most 2 wires: 16 x 16 complex entries each
-    noisy_bytes = sum(entry[-1].nbytes for entry in noise._superops.values())
+    noisy_bytes = sum(s.nbytes for s in built.values())
     assert noisy_bytes + clean_entries * 16 * 16 * 16 < 1_000_000
 
 
