@@ -20,6 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .gates import ID2, PAULI_X, PAULI_Y, PAULI_Z
 from .linalg import (
     PSD_TOL,
     as_complex_matrix,
@@ -33,12 +34,7 @@ from .linalg import (
 
 _C = np.complex128
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=_C),
-    "X": np.array([[0, 1], [1, 0]], dtype=_C),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=_C),
-    "Z": np.array([[1, 0], [0, -1]], dtype=_C),
-}
+_PAULI_1Q = {"I": ID2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 @dataclass(frozen=True)
@@ -187,12 +183,10 @@ def outcome_probability(c: ChoiMatrix, prep: np.ndarray, projector: np.ndarray) 
 
 
 def kraus_to_choi(kraus: KrausSet) -> ChoiMatrix:
+    """The realigned superoperator, ``C[(k, r), (m, s)] = S[(r, s), (k, m)]``."""
     d = kraus.dim
-    c = np.zeros((d * d, d * d), dtype=_C)
-    for k in kraus.operators:
-        v = k.T.reshape(d * d)
-        c += np.outer(v, v.conj())
-    return ChoiMatrix(d, d, c)
+    s = kraus.superop.reshape(d, d, d, d)
+    return ChoiMatrix(d, d, s.transpose(2, 0, 3, 1).reshape(d * d, d * d))
 
 
 def kraus_superop(operators) -> np.ndarray:

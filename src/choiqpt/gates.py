@@ -401,8 +401,7 @@ class IdentityCheck:
 
 def verify_gate_identities() -> list[IdentityCheck]:
     """Run the library's algebraic self-checks and report max deviations."""
-    tbl = {name: gate_unitary(name) for name in
-           ("X", "SX", "H", "CNOT", "CZ", "SWAP", "SQRT_SWAP", "SQRT_CZ", "SQSCZ")}
+    tbl = {name: gate_unitary(name) for name, (_, n_params, _) in GATE_DEFS.items() if n_params == 0}
 
     checks: list[IdentityCheck] = []
 
@@ -433,8 +432,7 @@ def verify_gate_identities() -> list[IdentityCheck]:
     )
     checks.append(IdentityCheck("SQSCZ basis action", dev(tbl["SQSCZ"], want), 1e-12))
 
-    for name in ("X", "SX", "H", "CNOT", "CZ", "SWAP", "SQRT_SWAP", "SQRT_CZ", "SQSCZ"):
-        u = tbl[name]
+    for name, u in tbl.items():
         checks.append(IdentityCheck(
             f"{name} unitary", dev(dagger(u) @ u, np.eye(u.shape[0])), 1e-12))
 

@@ -36,9 +36,13 @@ MEDIAN_SX_ERROR = 2.860e-4
 
 DEFAULT_DURATIONS_NS = {"SX": 35.0, "X": 35.0, "CNOT": 300.0}
 
-_QUBIT_FIELDS = (
-    "t1_us", "t2_us", "freq_ghz", "anharm_ghz", "readout_err", "p01", "p10", "readout_ns", "sx_error"
-)
+# QubitCalibration field -> (record key, factor to SI units)
+_QUBIT_FIELDS = {
+    "t1": ("t1_us", 1e-6), "t2": ("t2_us", 1e-6),
+    "frequency": ("freq_ghz", 1e9), "anharmonicity": ("anharm_ghz", 1e9),
+    "readout_err": ("readout_err", 1.0), "p_meas0_prep1": ("p01", 1.0), "p_meas1_prep0": ("p10", 1.0),
+    "readout_length": ("readout_ns", 1e-9), "sx_error": ("sx_error", 1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,12 @@ class QubitCalibration:
     sx_error: float
 
     def __post_init__(self):
+        if self.index < 0:
+            raise ValueError(f"qubit index {self.index} is negative")
         if self.t1 <= 0 or self.t2 <= 0:
             raise ValueError(f"qubit {self.index}: coherence times must be positive")
+        if self.readout_length < 0:
+            raise ValueError(f"qubit {self.index}: readout_length must be non-negative")
         for name in ("readout_err", "p_meas0_prep1", "p_meas1_prep0", "sx_error"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -72,30 +80,36 @@ class CnotCalibration:
     error: float
 
     def __post_init__(self):
+        if self.control == self.target or min(self.control, self.target) < 0:
+            raise ValueError(f"CNOT control {self.control} and target {self.target} "
+                             "must be distinct non-negative qubits")
         if not 0.0 <= self.error <= 1.0:
             raise ValueError(f"CNOT({self.control},{self.target}) error outside [0, 1]")
 
 
 @dataclass(frozen=True)
 class DeviceCalibration:
-    qubits: tuple[QubitCalibration, ...]
-    cnot: tuple[CnotCalibration, ...]
+    """Calibration rows keyed as they are looked up: qubits by index, CNOTs by (control, target)."""
+
+    qubits: dict[int, QubitCalibration]
+    cnot: dict[tuple[int, int], CnotCalibration]
     durations: dict[str, float] = field(default_factory=dict)  # gate name -> seconds
 
     def qubit(self, index: int) -> QubitCalibration:
-        for q in self.qubits:
-            if q.index == index:
-                return q
-        raise ValueError(f"calibration has no qubit {index}")
+        if index not in self.qubits:
+            raise ValueError(f"calibration has no qubit {index}")
+        return self.qubits[index]
 
     def cnot_error(self, control: int, target: int) -> float:
-        for c in self.cnot:
-            if (c.control, c.target) == (control, target):
-                return c.error
-        for c in self.cnot:  # error rates are symmetric in practice
-            if (c.control, c.target) == (target, control):
-                return c.error
-        return MEDIAN_CNOT_ERROR
+        # error rates are symmetric in practice
+        row = self.cnot.get((control, target)) or self.cnot.get((target, control))
+        return MEDIAN_CNOT_ERROR if row is None else row.error
+
+
+def _insert(table: dict, key, value, what: str) -> None:
+    if key in table:
+        raise ValueError(f"{what} appears twice")
+    table[key] = value
 
 
 def parse_calibration(source) -> DeviceCalibration:
@@ -111,45 +125,36 @@ def parse_calibration(source) -> DeviceCalibration:
 
     ``p01`` is P(measure 0 | prepared 1), ``p10`` is P(measure 1 | prepared 0).
     Units are converted here (us -> s, GHz -> Hz, ns -> s).  ``sx_error`` may
-    be omitted, in which case the fleet median is substituted.
+    be omitted, in which case the fleet median is substituted.  Each qubit
+    index, CNOT pair and gate duration has one row; durations are
+    non-negative.
     """
     if isinstance(source, dict):
         raw = source
     else:
         with open(source) as fh:
             raw = json.load(fh)
+    qubits: dict[int, QubitCalibration] = {}
+    cnot: dict[tuple[int, int], CnotCalibration] = {}
+    durations: dict[str, float] = {}
     try:
-        qubits = []
         for row in raw["qubits"]:
             row = {"sx_error": MEDIAN_SX_ERROR} | row
-            num = {k: finite_number(row[k], k) for k in _QUBIT_FIELDS}
-            qubits.append(
-                QubitCalibration(
-                    index=whole_number(row["index"], "index"),
-                    t1=num["t1_us"] * 1e-6,
-                    t2=num["t2_us"] * 1e-6,
-                    frequency=num["freq_ghz"] * 1e9,
-                    anharmonicity=num["anharm_ghz"] * 1e9,
-                    readout_err=num["readout_err"],
-                    p_meas0_prep1=num["p01"],
-                    p_meas1_prep0=num["p10"],
-                    readout_length=num["readout_ns"] * 1e-9,
-                    sx_error=num["sx_error"],
-                )
-            )
-        cnot = tuple(
-            CnotCalibration(
-                *(whole_number(r[k], k) for k in ("control", "target")), finite_number(r["error"], "error")
-            )
-            for r in raw.get("cnot", ())
-        )
-        durations = {
-            name.upper(): finite_number(ns, f"durations_ns.{name}") * 1e-9
-            for name, ns in raw.get("durations_ns", {}).items()
-        }
+            num = {f: finite_number(row[k], k) * scale for f, (k, scale) in _QUBIT_FIELDS.items()}
+            q = QubitCalibration(whole_number(row["index"], "index"), **num)
+            _insert(qubits, q.index, q, f"qubit index {q.index}")
+        for r in raw.get("cnot", ()):
+            pair = tuple(whole_number(r[k], k) for k in ("control", "target"))
+            c = CnotCalibration(*pair, finite_number(r["error"], "error"))
+            _insert(cnot, pair, c, f"CNOT pair {pair}")
+        for name, ns in raw.get("durations_ns", {}).items():
+            ns = finite_number(ns, f"durations_ns.{name}")
+            if ns < 0:
+                raise ValueError(f"durations_ns.{name} must be non-negative, got {ns!r}")
+            _insert(durations, name.upper(), ns * 1e-9, f"durations_ns.{name.upper()}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed calibration record: {exc}") from exc
-    return DeviceCalibration(tuple(qubits), cnot, durations)
+    return DeviceCalibration(qubits, cnot, durations)
 
 
 # ---------------------------------------------------------------------------

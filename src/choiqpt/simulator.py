@@ -37,7 +37,7 @@ _C = np.complex128
 # Per-qubit basis change for each Pauli measurement basis, as (gate, *params)
 # entries applied in order: it rotates the basis's +1/-1 eigenstates onto
 # |0>/|1>.  The only definition of the bases (table order is plan order);
-# the rotation matrices in ``tomography`` derive from it.
+# ``tomography`` builds its read-out tensors by simulating these circuits.
 MEAS_GATES = {"X": (("H",),), "Y": (("Ph", -math.pi / 2), ("H",)), "Z": ()}
 
 
@@ -84,18 +84,6 @@ def _apply(rho: np.ndarray, s: np.ndarray, qubits: tuple[int, ...], num_qubits: 
     return np.moveaxis(out, range(2 * m), axes)
 
 
-def _run(rho: np.ndarray, c: Circuit, noise: NoiseModel | None) -> np.ndarray:
-    """Apply the circuit's gates, each followed by its noise entry, to a state or a stack."""
-    t = rho.reshape((-1,) + (2,) * (2 * c.num_qubits))
-    for g in c.gates:
-        s = _unitary_superop(g.name, g.params)
-        n = noise.superop_for(g.name, g.qubits) if noise is not None else None
-        if n is not None:
-            s = n @ s
-        t = _apply(t, s, g.qubits, c.num_qubits)
-    return t.reshape(rho.shape)
-
-
 def simulate(
     c: Circuit,
     noise: NoiseModel | None = None,
@@ -120,14 +108,21 @@ def simulate(
 
 
 def evolve(states: np.ndarray, c: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
-    """Execute a circuit on a ``(B, d, d)`` stack of states.
+    """Execute a circuit on a state or a ``(B, d, d)`` stack of states.
 
     With a noise model the circuit is first lowered to the native gate set
-    so calibrated per-gate noise applies.  States are not validated.
+    and each gate is followed by its noise entry.  States are not validated.
     """
     if noise is not None:
         c = to_native(c)
-    return _run(states, c, noise)
+    t = states.reshape((-1,) + (2,) * (2 * c.num_qubits))
+    for g in c.gates:
+        s = _unitary_superop(g.name, g.params)
+        n = noise.superop_for(g.name, g.qubits) if noise is not None else None
+        if n is not None:
+            s = n @ s
+        t = _apply(t, s, g.qubits, c.num_qubits)
+    return t.reshape(states.shape)
 
 
 def apply_measure_noise(rho: np.ndarray, noise: NoiseModel | None, num_qubits: int) -> np.ndarray:
@@ -155,7 +150,7 @@ def measure_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
     if rho.shape != (2**num_qubits, 2**num_qubits):
         raise ValueError(f"state dim {rho.shape[0]} does not match setting {setting!r}")
     basis_change = _token_circuit(setting.upper(), MEAS_GATES, None, "measurement basis")
-    return recorded_probabilities(np.diagonal(_run(rho, basis_change, None)).real, None)
+    return recorded_probabilities(np.diagonal(evolve(rho, basis_change)).real, None)
 
 
 def apply_confusion(probs: np.ndarray, confusion) -> np.ndarray:

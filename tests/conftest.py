@@ -77,6 +77,16 @@ def oracle_simulate(c, noise=None, initial=None) -> np.ndarray:
     return rho
 
 
+def oracle_kraus_to_choi(operators) -> np.ndarray:
+    """Choi matrix as the sum of outer products of the Kraus operators' vectors (oracle)."""
+    d = operators[0].shape[0]
+    c = np.zeros((d * d, d * d), dtype=complex)
+    for k in operators:
+        v = k.T.reshape(d * d)
+        c += np.outer(v, v.conj())
+    return c
+
+
 def oracle_measure_noise(rho: np.ndarray, noise, num_qubits: int) -> np.ndarray:
     for q in range(num_qubits):
         ks = noise.measure_kraus(q)

@@ -28,6 +28,7 @@ from choiqpt.linalg import frobenius
 from conftest import (
     apply_kraus,
     oracle_choi_json,
+    oracle_kraus_to_choi,
     random_density,
     random_effect,
     random_kraus_ops,
@@ -135,6 +136,16 @@ def test_complete_projectors_sum_to_one(seed):
         for k in range(4)
     )
     assert abs(total - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_kraus_to_choi_matches_outer_product_oracle(num_qubits):
+    rng = np.random.default_rng(num_qubits)
+    d = 2**num_qubits
+    for n_env in (1, 2, 5):
+        ops = random_kraus_ops(rng, d, n_env=n_env)
+        c = kraus_to_choi(KrausSet(tuple(ops)))
+        assert np.abs(c.matrix - oracle_kraus_to_choi(ops)).max() < 1e-12
 
 
 def test_single_unitary_kraus_matches_choi():

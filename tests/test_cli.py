@@ -200,11 +200,19 @@ def test_malformed_circuit_is_input_error(tmp_path, capsys):
         lambda c: c["qubits"][0].update(readout_ns=float("nan")),
         lambda c: c["durations_ns"].update(cnot=float("nan")),
         lambda c: c["durations_ns"].update(sx=float("inf")),
+        lambda c: c["durations_ns"].update(sx=-5),
+        lambda c: c["qubits"][0].update(readout_ns=-5),
+        lambda c: c["cnot"][0].update(target=0),
+        lambda c: c["qubits"][0].update(index=-1),
+        lambda c: c["qubits"][1].update(index=0),
+        lambda c: c["cnot"].append(dict(c["cnot"][0])),
+        lambda c: c["durations_ns"].update(SX=35),
     ],
     ids=[
         "null_t1", "qubits_not_a_list", "durations_not_an_object", "fractional_index",
         "fractional_cnot_control", "nan_t1", "nan_t2", "nan_readout_length", "nan_cnot_duration",
-        "infinite_sx_duration",
+        "infinite_sx_duration", "negative_sx_duration", "negative_readout_length", "self_cnot",
+        "negative_index", "duplicate_qubit", "duplicate_cnot_pair", "duplicate_duration",
     ],
 )
 def test_malformed_calibration_is_input_error(tmp_path, capsys, edit):

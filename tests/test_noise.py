@@ -10,6 +10,7 @@ from choiqpt.gates import PAULI_X, Circuit, ga
 from choiqpt.metrics import process_fidelity
 from choiqpt.noise import (
     MEDIAN_CNOT_ERROR,
+    CnotCalibration,
     NoiseModel,
     compose_kraus,
     confusion_matrix,
@@ -63,6 +64,60 @@ def test_parse_tab3_defaults_sx_error():
     assert calib.qubit(0).sx_error == pytest.approx(2.860e-4)
     # no CNOT rows recorded: the fleet median applies
     assert calib.cnot_error(0, 1) == MEDIAN_CNOT_ERROR
+
+
+def tab1_record() -> dict:
+    with open(data_path("ibm_perth_tab1.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize(
+    ("edit", "named"),
+    [
+        (lambda c: c["qubits"][1].update(index=0), "qubit index 0 appears twice"),
+        (lambda c: c["cnot"].append(dict(c["cnot"][0], error=0.5)), "CNOT pair (0, 1) appears twice"),
+        (lambda c: c["durations_ns"].update(SX=40), "durations_ns.SX appears twice"),
+        (lambda c: c["durations_ns"].update(sx=-5), "durations_ns.sx must be non-negative"),
+        (lambda c: c["qubits"][0].update(readout_ns=-5), "readout_length"),
+        (lambda c: c["cnot"][0].update(target=0), "CNOT control 0 and target 0"),
+        (lambda c: c["cnot"][0].update(control=-1), "CNOT control -1"),
+        (lambda c: c["qubits"][0].update(index=-1), "qubit index -1 is negative"),
+    ],
+    ids=[
+        "duplicate_qubit", "duplicate_cnot_pair", "duplicate_duration", "negative_duration",
+        "negative_readout_length", "self_cnot", "negative_cnot_control", "negative_index",
+    ],
+)
+def test_calibration_record_errors_name_the_field(edit, named):
+    record = tab1_record()
+    edit(record)
+    with pytest.raises(ValueError, match="malformed calibration record") as exc:
+        parse_calibration(record)
+    assert named in str(exc.value)
+
+
+def test_cnot_error_reads_the_pair_then_the_reversed_pair_then_the_median():
+    record = tab1_record()
+    record["cnot"] = [{"control": 0, "target": 1, "error": 0.02}, {"control": 2, "target": 1, "error": 0.03}]
+    calib = parse_calibration(record)
+    assert calib.cnot == {(0, 1): CnotCalibration(0, 1, 0.02), (2, 1): CnotCalibration(2, 1, 0.03)}
+    assert calib.cnot_error(0, 1) == calib.cnot_error(1, 0) == 0.02
+    assert calib.cnot_error(1, 2) == 0.03
+    assert calib.cnot_error(0, 2) == MEDIAN_CNOT_ERROR
+    record["cnot"].append({"control": 1, "target": 0, "error": 0.04})
+    assert parse_calibration(record).cnot_error(1, 0) == 0.04
+
+
+@pytest.mark.parametrize("name", ["ibm_perth_tab1.json", "ibm_perth_tab3.json", "ibm_perth_tab4.json"])
+def test_bundled_calibrations_parse_and_build_a_two_qubit_model(name):
+    calib = parse_calibration(data_path(name))
+    assert list(calib.qubits) == list(range(7))
+    assert all(calib.qubit(i).index == i for i in range(7))
+    assert all(pair == (c.control, c.target) for pair, c in calib.cnot.items())
+    model = noise_model_from_calibration(calib, num_qubits=2)
+    one_qubit = {(g, (q,)) for g in ("SX", "X", "measure") for q in (0, 1)}
+    assert set(model.gate_noise) == one_qubit | {("CNOT", (0, 1)), ("CNOT", (1, 0))}
+    assert sorted(model.readout_confusion) == [0, 1]
 
 
 def test_damping_zero_duration_is_identity():
