@@ -31,13 +31,17 @@ def as_complex_matrix(m) -> np.ndarray:
 
 def whole_number(value, name: str) -> int:
     """``value`` as an int; a ValueError naming ``name`` if it is not a whole number."""
-    if isinstance(value, numbers.Real) and value % 1 == 0:  # inf % 1 and nan % 1 are nan
+    # a bool (json's true) is an int, and numpy's bool_ is no numbers.Real: neither
+    # is taken as a number here; inf % 1 and nan % 1 are nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and value % 1 == 0:
         return int(value)
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def finite_number(value, name: str) -> float:
-    """``value`` as a float; a ValueError naming ``name`` if it is NaN or infinite."""
+    """``value`` as a float; a ValueError naming ``name`` if it is not a finite number."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):  # as in whole_number
+        raise ValueError(f"{name} must be a number, got {value!r}")
     x = float(value)
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {value!r}")

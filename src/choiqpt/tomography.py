@@ -7,22 +7,17 @@ The pipeline mirrors how one characterizes a gate on hardware:
 2. measure every qubit in each of the X/Y/Z bases (all outcomes kept),
    rotated into the computational frame by ``simulator.MEAS_GATES``; every
    plan is the full 4^K x 3^K product of the two tables' tokens,
-3. run the target between preparation and basis rotation; the frequencies
-   are one (4^K, 3^K, 2^K) array, axes (preparation, setting, outcome).
-   Preparation and read-out noise act on one qubit at a time, so each
-   qubit has one SPAM table (:func:`_spam_table`), simulated on one wire
-   from the two gate tables: its four prepared 2 x 2 states and its
-   read-out tensor, the 3 basis changes and readout decay run on its four
-   matrix units |i><j|.  The prepared stack is the Kronecker product of the
-   K tables' states, the target runs once on it, and contracting the
-   target outputs with the K read-out tensors gives the probabilities;
-   one generator draws every job's shots in one call,
-4. invert the Born-rule linear system for the Choi matrix qubit by qubit:
-   the plan is a tensor product of one 4-preparation x 3-setting plan per
-   qubit, so the least-squares solution applies the pseudo-inverse of the
-   24 x 16 one-qubit design matrix, built once from the noiseless SPAM
-   table, along each qubit axis of the frequency tensor (no dense
-   24^K x 16^K system is ever built),
+3. run the target once, on the d^2 matrix units |i><j|, for the channel's
+   Choi matrix (:func:`channel_choi`).  Preparation and read-out noise act
+   on one qubit at a time, so each qubit's Born rule is one 24 x 16 frame
+   (:func:`_frame`) of its SPAM table (:func:`_spam_table`: its 4 prepared
+   states and its read-out tensor, simulated on one wire from the two gate
+   tables).  Applying each frame along its qubit's axes of the Choi matrix
+   (:func:`_along_qubits`) gives the (4^K, 3^K, 2^K) probabilities, axes
+   (preparation, setting, outcome),
+4. invert the Born rule the same way: the least-squares solution applies
+   the pseudo-inverse of the noiseless frame along each qubit's axes of the
+   frequencies (no dense 24^K x 16^K system is ever built),
 5. optionally project the estimate onto the CPTP set: the nearest CPTP
    point is the PSD clip of ``R + L (x) I`` for the d x d Hermitian L that
    makes it trace preserving, and a dual Newton-CG solve finds L in a few
@@ -38,11 +33,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
 
-from .channels import ChoiMatrix, choi_from_unitary, pauli_basis
+from .channels import ChoiMatrix, choi_from_unitary
 from .gates import Circuit, circuit_unitary
 from .linalg import dagger, frobenius, partial_trace, whole_number
 from .metrics import FidelityReport, fidelity_report
@@ -83,11 +79,11 @@ class TomographyPlan:
         if self.num_qubits < 1 or self.shots < 1:
             raise ValueError(f"plan needs num_qubits, shots >= 1, not {self.num_qubits}, {self.shots}")
 
-    @property
+    @cached_property  # built once per plan; not a field, so eq and hash ignore it
     def preparations(self) -> tuple[str, ...]:
         return _product_labels(PREP_TOKENS, self.num_qubits)
 
-    @property
+    @cached_property
     def settings(self) -> tuple[str, ...]:
         return _product_labels(SETTING_TOKENS, self.num_qubits)
 
@@ -250,6 +246,40 @@ class TomographyDataset:
         return cls(plan, np.reshape(rows, shape), counts, metadata)
 
 
+def channel_choi(target: Circuit, noise: NoiseModel | None = None) -> ChoiMatrix:
+    """The simulated channel's Choi matrix ``C[(i, r), (j, s)] = E(|i><j|)[r, s]``, from
+    one :func:`choiqpt.simulator.evolve` call on the d^2 matrix units ``|i><j|``."""
+    d = 2**target.num_qubits
+    out = evolve(np.eye(d * d, dtype=complex).reshape(-1, d, d), target, noise)
+    return ChoiMatrix(d, d, out.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d))
+
+
+def _frame(prep: np.ndarray, readout: np.ndarray) -> np.ndarray:
+    """One qubit's Born rule as a 24 x 16 matrix, from a :func:`_spam_table`.
+
+    ``F[(p, s, b), (j, l, i, k)] = prep_p[j, i] R[s, b, l, k]``, so ``F``
+    times the flattened one-qubit Choi matrix ``C[(j, l), (i, k)]`` is
+    ``Tr[(prep_p^T (x) E_sb) C]`` with the effect ``E_sb[k, l] = R[s, b, l, k]``.
+    """
+    return np.einsum("pji,sblk->psbjlik", prep, readout).reshape(24, 16)
+
+
+def _along_qubits(x, maps, sizes, out_sizes) -> np.ndarray:
+    """Apply ``maps[q]`` along qubit q's axes of a role-major tensor.
+
+    ``x`` has one group of K axes per role, of size ``sizes[role]``, qubit 0
+    first in each group.  ``maps[q]`` is a ``prod(out_sizes) x prod(sizes)``
+    matrix acting on qubit q's axes (roles in order); the result is role-major
+    over ``out_sizes``.  No matrix on more than one qubit is built.
+    """
+    k, n, n_out = len(maps), len(sizes), len(out_sizes)
+    x = np.reshape(x, [size for size in sizes for _ in range(k)])
+    for q, m in enumerate(maps):  # qubit q's axes lead; its new axes go last
+        m = np.reshape(m, tuple(out_sizes) + tuple(sizes))
+        x = np.tensordot(x, m, axes=(range(0, n * (k - q), k - q), range(-n, 0)))
+    return x.transpose([n_out * q + role for role in range(n_out) for q in range(k)])
+
+
 def execute_plan(
     plan: TomographyPlan,
     target: Circuit,
@@ -259,18 +289,12 @@ def execute_plan(
 ) -> TomographyDataset:
     """Simulate every (preparation, setting) job of the plan.
 
-    Nothing is simulated per job, and preparation and read-out are simulated
-    per qubit, because their noise acts on one qubit at a time:
-
-    - each qubit's SPAM table (:func:`_spam_table` under
-      :meth:`NoiseModel.on_qubit`) holds its four prepared states and its
-      read-out tensor, from at most 5 one-qubit
-      :func:`choiqpt.simulator.evolve` calls;
-    - the prepared stack of 4^K states is the Kronecker product of the K
-      tables' states, one ``einsum`` per qubit, qubit 0 most significant;
-    - the target runs once on that stack, and contracting its outputs with
-      the K read-out tensors gives the ``(4^K, 3^K, 2^K)`` probabilities,
-      which are clipped, renormalised and then mapped by readout confusion.
+    Nothing is simulated per job: the target runs once (:func:`channel_choi`),
+    and each qubit's frame (:func:`_frame` of its :func:`_spam_table` under
+    :meth:`NoiseModel.on_qubit`, at most 5 one-qubit ``evolve`` calls) acts
+    along its axes of the Choi matrix (:func:`_along_qubits`).  This gives the
+    ``(4^K, 3^K, 2^K)`` probabilities, then clipped, renormalised and mapped
+    by readout confusion.
 
     ``exact=True`` records these probabilities as the frequencies; otherwise
     the plan is one stream: ``draw_counts`` draws every job's counts, in job
@@ -279,16 +303,8 @@ def execute_plan(
     if target.num_qubits != plan.num_qubits:
         raise ValueError("target width does not match the plan")
     k, d = plan.num_qubits, 2**plan.num_qubits
-    tables = [_spam_table(None if noise is None else noise.on_qubit(q)) for q in range(k)]
-    prepared = np.ones((1, 1, 1))
-    for states, _ in tables:  # qubit 0 stays most significant
-        n = 2 * prepared.shape[-1]
-        prepared = np.einsum("aij,bkl->abikjl", prepared, states).reshape(-1, n, n)
-    x = evolve(prepared, target, noise).reshape((-1,) + (2,) * (2 * k))
-    for q, (_, readout) in enumerate(tables):
-        # qubit q's (row, col) axes -> its (basis, outcome) axes at the end
-        x = np.tensordot(x, readout, axes=((1, 1 + k - q), (2, 3)))
-    x = x.transpose([0] + [1 + 2 * q for q in range(k)] + [2 + 2 * q for q in range(k)])
+    frames = [_frame(*_spam_table(None if noise is None else noise.on_qubit(q))) for q in range(k)]
+    x = _along_qubits(channel_choi(target, noise).matrix, frames, (2, 2, 2, 2), (4, 3, 2))
     shape = (len(plan.preparations), len(plan.settings), d)
     freqs = recorded_probabilities(x.real.reshape(shape), noise)
     counts = None
@@ -311,28 +327,14 @@ def execute_plan(
 
 
 def _one_qubit_dual() -> np.ndarray:
-    """Dual frame of the one-qubit design ``A1``, axes (prep, setting, outcome, operator).
-
-    ``A1[(p, s, b), (a, c)] = Tr[(prep_p^T (x) E_sb) (P_a (x) P_c) / 2]``
-    over the normalised Pauli operators on one qubit's (input, output) pair
-    and the rows of ``PREP_TOKENS`` x ``SETTING_TOKENS`` x {0, 1}, where the
-    noiseless SPAM table gives the states ``prep_p`` and the effects
-    ``E_sb[k, l] = R[s, b, l, k]`` (:func:`_spam_table`).  The dual
-    row ``(p, s, b)`` is ``sum_a pinv(A1)[a, (p, s, b)] ops[a]`` with operator
-    axes (in row, out row, in col, out col).  Raises if ``A1`` is rank
-    deficient, i.e. the token tables do not span the operator space.
-    """
-    ops = np.stack(pauli_basis(2).operators) / 2  # (P_a (x) P_c) / 2 on (input, output)
-    prep, readout = _spam_table(None)
-    rows = np.einsum("pji,sblk->psbikjl", prep, readout).reshape(-1, 4, 4)
-    a1 = np.einsum("rij,aji->ra", rows, ops).real
-    rank = np.linalg.matrix_rank(a1)
-    if rank < 16:
+    """``pinv(F)``, 16 x 24, of the noiseless one-qubit frame ``F`` (:func:`_frame`);
+    raises if ``F`` is rank deficient, i.e. the tokens do not span the operator space."""
+    frame = _frame(*_spam_table(None))
+    if (rank := np.linalg.matrix_rank(frame)) < 16:
         raise ValueError(
             f"one-qubit design matrix rank {rank} < 16: tokens are not informationally complete"
         )
-    dual = np.tensordot(np.linalg.pinv(a1), ops.reshape(16, 2, 2, 2, 2), axes=(0, 0))
-    return dual.reshape(len(PREP_TOKENS), len(SETTING_TOKENS), 2, 2, 2, 2, 2)
+    return np.linalg.pinv(frame)
 
 
 _DUAL = _one_qubit_dual()
@@ -341,22 +343,15 @@ _DUAL = _one_qubit_dual()
 def linear_inversion(dataset: TomographyDataset) -> ChoiMatrix:
     """Least-squares Choi estimate from measured frequencies.
 
-    The K-qubit design matrix is a row- and column-permuted
-    ``kron(A1, ..., A1)`` of the one-qubit design (see
-    :func:`_one_qubit_dual`), so its pseudo-inverse is applied one qubit
-    axis at a time.  Exact probabilities recover the true Choi matrix to
-    solver precision; finite-shot input yields a Hermitian but possibly
-    non-PSD estimate.
+    The K-qubit design matrix is a permuted ``kron(F, ..., F)`` of the
+    noiseless one-qubit frame, so its pseudo-inverse is ``_DUAL``
+    (:func:`_one_qubit_dual`) applied along each qubit's axes of the
+    frequencies (:func:`_along_qubits`).  Exact probabilities recover the
+    true Choi matrix to solver precision; finite-shot input yields a
+    Hermitian but possibly non-PSD estimate.
     """
-    k = dataset.plan.num_qubits
-    shape = (len(PREP_TOKENS),) * k + (len(SETTING_TOKENS),) * k + (2,) * k
-    x = np.reshape(dataset.frequencies, shape)
-    for remaining in range(k, 0, -1):
-        # leading qubit's (prep, setting, outcome) axes -> its 4 operator axes at the end
-        x = np.tensordot(x, _DUAL, axes=((0, remaining, 2 * remaining), (0, 1, 2)))
-    # axes now (in row, out row, in col, out col) per qubit; Choi order is inputs first
-    x = x.transpose([4 * q + role for role in range(4) for q in range(k)])
-    d = 2**k
+    k, d = dataset.plan.num_qubits, 2**dataset.plan.num_qubits
+    x = _along_qubits(dataset.frequencies, [_DUAL] * k, (4, 3, 2), (2, 2, 2, 2))
     return ChoiMatrix(d, d, x.reshape(d * d, d * d))
 
 

@@ -207,12 +207,18 @@ def test_malformed_circuit_is_input_error(tmp_path, capsys):
         lambda c: c["qubits"][1].update(index=0),
         lambda c: c["cnot"].append(dict(c["cnot"][0])),
         lambda c: c["durations_ns"].update(SX=35),
+        lambda c: c["qubits"][0].update(t1_us="112.2"),
+        lambda c: c["qubits"][1].update(index=True),
+        lambda c: c["cnot"][0].update(target=True),
+        lambda c: c["cnot"][0].update(error="0.5"),
+        lambda c: c["durations_ns"].update(sx="35"),
     ],
     ids=[
         "null_t1", "qubits_not_a_list", "durations_not_an_object", "fractional_index",
         "fractional_cnot_control", "nan_t1", "nan_t2", "nan_readout_length", "nan_cnot_duration",
         "infinite_sx_duration", "negative_sx_duration", "negative_readout_length", "self_cnot",
         "negative_index", "duplicate_qubit", "duplicate_cnot_pair", "duplicate_duration",
+        "string_t1", "boolean_index", "boolean_cnot_target", "string_cnot_error", "string_duration",
     ],
 )
 def test_malformed_calibration_is_input_error(tmp_path, capsys, edit):

@@ -231,6 +231,13 @@ def test_circuit_from_dict_malformed():
     cnot = {"name": "CNOT", "qubits": [0.9, 1.2]}
     with pytest.raises(ValueError, match="qubit must be a whole number, got 0.9"):
         circuit_from_dict({"num_qubits": 2, "gates": [cnot]})
+    with pytest.raises(ValueError, match="num_qubits must be a whole number, got '2'"):
+        circuit_from_dict({"num_qubits": "2", "gates": []})
+    with pytest.raises(ValueError, match="qubit must be a whole number, got True"):
+        circuit_from_dict({"num_qubits": 2, "gates": [{"name": "H", "qubits": [True]}]})
+    with pytest.raises(ValueError, match="gate RZ parameter must be a number, got '0.5'"):
+        rz = {"name": "RZ", "qubits": [0], "params": ["0.5"]}
+        circuit_from_dict({"num_qubits": 1, "gates": [rz]})
     for text in ("NaN", "Infinity"):
         rz = json.loads(f'{{"name": "RZ", "qubits": [0], "params": [{text}]}}')
         with pytest.raises(ValueError, match="gate RZ parameter must be finite"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +9,11 @@ from choiqpt.linalg import (
     as_complex_matrix,
     dagger,
     eig_hermitian,
+    finite_number,
     kron_all,
     partial_trace,
     psd_sqrt,
+    whole_number,
 )
 from conftest import random_density, random_hermitian
 
@@ -23,6 +27,20 @@ def test_as_complex_matrix_rejects_nonfinite():
         as_complex_matrix([[np.nan, 0], [0, 1]])
     with pytest.raises(ValueError):
         as_complex_matrix([1, 2, 3])
+
+
+@pytest.mark.parametrize("value", ["112.2", "1", True, False, np.True_, None, [1]])
+def test_number_readers_reject_strings_and_booleans(value):
+    for read in (whole_number, finite_number):
+        message = f"field must be a (whole )?number, got {re.escape(repr(value))}"
+        with pytest.raises(ValueError, match=message):
+            read(value, "field")
+
+
+def test_number_readers_accept_numpy_scalars():
+    assert whole_number(np.int64(3), "n") == 3 and whole_number(np.float64(2.0), "n") == 2
+    assert finite_number(np.float32(0.5), "x") == 0.5 and finite_number(np.int32(4), "x") == 4.0
+    assert type(whole_number(np.int64(3), "n")) is int and type(finite_number(2, "x")) is float
 
 
 def test_kron_identity():

@@ -82,10 +82,19 @@ def tab1_record() -> dict:
         (lambda c: c["cnot"][0].update(target=0), "CNOT control 0 and target 0"),
         (lambda c: c["cnot"][0].update(control=-1), "CNOT control -1"),
         (lambda c: c["qubits"][0].update(index=-1), "qubit index -1 is negative"),
+        (lambda c: c["qubits"][0].update(t1_us="112.2"), "t1_us must be a number, got '112.2'"),
+        (lambda c: c["qubits"][1].update(index=True), "index must be a whole number, got True"),
+        (lambda c: c["qubits"][1].update(index=np.True_), "index must be a whole number"),
+        (lambda c: c["cnot"][0].update(control=False), "control must be a whole number, got False"),
+        (lambda c: c["cnot"][0].update(target=True), "target must be a whole number, got True"),
+        (lambda c: c["cnot"][0].update(error="0.5"), "error must be a number, got '0.5'"),
+        (lambda c: c["durations_ns"].update(sx="35"), "durations_ns.sx must be a number"),
     ],
     ids=[
         "duplicate_qubit", "duplicate_cnot_pair", "duplicate_duration", "negative_duration",
         "negative_readout_length", "self_cnot", "negative_cnot_control", "negative_index",
+        "string_qubit_number", "boolean_index", "numpy_boolean_index", "boolean_cnot_control",
+        "boolean_cnot_target", "string_cnot_error", "string_duration",
     ],
 )
 def test_calibration_record_errors_name_the_field(edit, named):

@@ -149,6 +149,14 @@ def test_plan_sizes():
             build_plan(2, shots=shots)
 
 
+def test_plan_labels_are_built_once_and_stay_out_of_eq_and_hash():
+    plan, fresh = build_plan(2, shots=10), build_plan(2, shots=10)
+    assert plan.preparations is plan.preparations and plan.settings is plan.settings
+    assert list(plan.jobs()) == [(p, s) for p in plan.preparations for s in plan.settings]
+    assert plan == fresh and hash(plan) == hash(fresh)
+    assert {plan: 1}[fresh] == 1 and plan != build_plan(2, shots=11)
+
+
 def test_design_matrix_spans_operator_space():
     a, _ = dense_design(build_plan(2, shots=1))
     assert a.shape == (576, 256)
@@ -201,6 +209,24 @@ def test_on_qubit_tables_match_one_qubit_models(tab1_path):
             assert np.array_equal(a, b), q
             assert np.abs(a - c).max() > 1e-4, q  # the noise shows in the table
         assert np.array_equal(model.on_qubit(q).readout_confusion[0], one.readout_confusion[0])
+
+
+@pytest.mark.parametrize("qubit", [None, 0, 1])
+def test_frame_matches_outcome_probability(qubit, tab1_path):
+    # the noiseless frame, and the noisy frames of tab1's qubits 0 and 1
+    model = _oracle_noise(tab1_path, 2)
+    prep, readout = tomography._spam_table(None if qubit is None else model.on_qubit(qubit))
+    choi = kraus_to_choi(KrausSet(tuple(random_kraus_ops(np.random.default_rng(5), 2))))
+    got = (tomography._frame(prep, readout) @ choi.matrix.reshape(-1)).reshape(4, 3, 2)
+    for p, s, b in np.ndindex(got.shape):
+        want = outcome_probability(choi, prep[p], readout[s, b].T)
+        assert abs(got[p, s, b] - want) < 1e-13, (p, s, b)
+
+
+def test_dual_inverts_the_noiseless_frame():
+    frame = tomography._frame(*tomography._spam_table(None))
+    assert frame.shape == (24, 16) and tomography._DUAL.shape == (16, 24)
+    assert np.abs(tomography._DUAL @ frame - np.eye(16)).max() < 1e-12
 
 
 def test_unknown_tokens_rejected():
@@ -288,6 +314,32 @@ def test_execute_plan_matches_composed_circuit_oracle(num_qubits, noisy, tab1_pa
     for (prep, setting), want in want_by_job.items():
         got = data.frequencies[plan.preparations.index(prep), plan.settings.index(setting)]
         assert np.abs(got - want).max() <= 1e-12, (prep, setting)
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_channel_choi_matches_unitary_choi(num_qubits):
+    target = ORACLE_TARGETS[num_qubits]
+    got = tomography.channel_choi(target, None)
+    want = choi_from_unitary(circuit_unitary(target))
+    assert (got.dim_in, got.dim_out) == (want.dim_in, want.dim_out)
+    assert np.abs(got.matrix - want.matrix).max() <= 1e-12
+
+
+@pytest.mark.parametrize("gate", [ga("SX", 1), ga("CNOT", (0, 1)), ga("CNOT", (1, 0))])
+def test_channel_choi_of_one_noisy_gate_matches_kraus_choi(gate, tab1_path):
+    noise = _oracle_noise(tab1_path, 2)
+    kraus = noise.gate_noise[(gate.name, gate.qubits)]
+    u = circuit_unitary(Circuit(2, (gate,)))
+    # the Kraus set acts on the gate's wires, in the gate's order
+    if gate.qubits == (1,):
+        ops = [np.kron(np.eye(2), k) for k in kraus.operators]
+    elif gate.qubits == (1, 0):
+        ops = [k.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4) for k in kraus.operators]
+    else:
+        ops = kraus.operators
+    want = kraus_to_choi(KrausSet(tuple(k @ u for k in ops)))
+    got = tomography.channel_choi(Circuit(2, (gate,)), noise)
+    assert np.abs(got.matrix - want.matrix).max() <= 1e-12
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3])
@@ -469,6 +521,16 @@ def _as_frequency_record(values):
             "not all whole numbers",
         ),
         (lambda d: d.update(shots=16.9), "shots must be a whole number, got 16.9"),
+        (lambda d: d.update(num_qubits=True), "num_qubits must be a whole number, got True"),
+        (lambda d: d.update(shots="16"), "shots must be a whole number, got '16'"),
+        (
+            lambda d: d["jobs"][2]["counts"].update(counts={"0": 16, "1": False}),
+            "not all whole numbers",
+        ),
+        (
+            lambda d: d["jobs"][2]["counts"].update(counts={"0": "16", "1": 0}),
+            "not all whole numbers",
+        ),
         (lambda d: d["jobs"][2]["counts"].update(shots=16.9), "shots must be a whole number"),
         (
             lambda d: d["jobs"][2].update(counts={"shots": 20, "counts": {"0": 20, "1": 0}}),
@@ -487,7 +549,8 @@ def _as_frequency_record(values):
     ids=[
         "negative_count", "unknown_outcome", "no_num_qubits", "no_jobs", "no_prep", "no_setting",
         "frequency_below_zero", "frequencies_sum_below_one", "fractional_count", "infinite_count",
-        "nan_count", "fractional_shots", "fractional_job_shots", "job_shots_mismatch",
+        "nan_count", "fractional_shots", "boolean_num_qubits", "string_shots", "boolean_count",
+        "string_count", "fractional_job_shots", "job_shots_mismatch",
         "duplicate_job", "job_not_in_plan", "counts_not_a_mapping",
     ],
 )
