@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -23,6 +24,7 @@ import numpy as np
 from .gates import ID2, PAULI_X, PAULI_Y, PAULI_Z
 from .linalg import (
     PSD_TOL,
+    along_qubits,
     as_complex_matrix,
     dagger,
     eig_hermitian,
@@ -220,47 +222,56 @@ def choi_to_kraus(c: ChoiMatrix) -> KrausSet:
     return KrausSet(tuple(ops))
 
 
-def _pauli_choi_vectors(basis: PauliBasis) -> np.ndarray:
-    """Rows v_m with v_m[(k, r)] = W_m[r, k] (Choi vectors of the basis)."""
-    d = basis.dim
-    return np.array([w.T.reshape(d * d) for w in basis.operators])
+# One qubit's 16 x 16 Pauli changes of basis on its (in, out, in', out') Choi axes, with
+# w_m[(k, r)] = W_m[r, k]: to chi conj(w_m) w_n / 4, back w_m conj(w_n), to the PTM
+# W_m[s, r] W_n[k, l] / 2; their K-fold tensor powers are the K-qubit conversions.
+_PAULI_1 = np.stack(pauli_basis(1).operators)
+_W = _PAULI_1.transpose(0, 2, 1).reshape(4, 4)
+_TO_CHI = np.einsum("mx,ny->mnxy", _W.conj(), _W).reshape(16, 16) / 4
+_FROM_CHI = np.einsum("mx,ny->xymn", _W, _W.conj()).reshape(16, 16)
+_TO_PTM = np.einsum("msr,nkl->mnkrls", _PAULI_1, _PAULI_1).reshape(16, 16) / 2
+
+
+def _num_qubits(dim: float) -> int:
+    """K of a channel on K qubits, from its dimension 2^K; any other dimension raises."""
+    k = round(math.log2(dim)) if dim > 0 else -1
+    if k < 0 or 2**k != dim:
+        raise ValueError(f"Pauli basis needs a power-of-two dimension, got {dim:g}")
+    return k
 
 
 def choi_to_chi(c: ChoiMatrix) -> ChiMatrix:
-    """Expand a channel over the Pauli basis of its qubits: chi_mn = <w_m| C |w_n> / d^2."""
-    d = c.dim_in
-    num_qubits = int(round(np.log2(d)))
-    if 2**num_qubits != d:
-        raise ValueError("Pauli basis needs a power-of-two dimension")
-    basis = pauli_basis(num_qubits)
-    v = _pauli_choi_vectors(basis)
-    chi = (v.conj() @ c.matrix @ v.T) / d**2
-    return ChiMatrix(chi, basis.labels)
+    """Expand a channel over the Pauli basis of its qubits: chi_mn = <w_m| C |w_n> / d^2.
+
+    The change of basis acts qubit by qubit (:func:`linalg.along_qubits`),
+    so no 4^K x 4^K basis matrix is built.
+    """
+    k = _num_qubits(c.dim_in)
+    chi = along_qubits(c.matrix, [_TO_CHI] * k, (2, 2, 2, 2), (4, 4))
+    return ChiMatrix(chi.reshape(4**k, 4**k), pauli_basis(k).labels)
 
 
 def chi_to_choi(chi: ChiMatrix) -> ChoiMatrix:
-    n = chi.matrix.shape[0]
-    d = int(round(np.sqrt(n)))
-    v = _pauli_choi_vectors(pauli_basis(int(round(np.log2(d)))))
-    c = v.T @ np.asarray(chi.matrix, dtype=_C) @ v.conj()
-    return ChoiMatrix(d, d, c)
+    """Inverse of :func:`choi_to_chi`: ``C = sum_mn chi_mn |w_m><w_n|``, qubit by qubit."""
+    k = _num_qubits(np.shape(chi.matrix)[0] ** 0.5)  # chi is d^2 x d^2
+    c = along_qubits(chi.matrix, [_FROM_CHI] * k, (4, 4), (2, 2, 2, 2))
+    return ChoiMatrix(2**k, 2**k, c.reshape(4**k, 4**k))
 
 
 def choi_to_ptm(c: ChoiMatrix) -> PTMatrix:
-    """Pauli transfer matrix R[m,n] = Tr(W_m E(W_n)) / d.
+    """Pauli transfer matrix R[m,n] = Tr(W_m E(W_n)) / d, qubit by qubit.
 
-    Entries are real for Hermiticity-preserving channels; a residual
-    imaginary part above tolerance raises.
+    ``Tr(W_m E(W_n)) = Tr[(W_n^T (x) W_m) C]`` factors over the qubits, so
+    :func:`linalg.along_qubits` applies one 16 x 16 map per qubit.  Entries
+    are real for Hermiticity-preserving channels; a residual imaginary part
+    above tolerance raises.
     """
-    d = c.dim_in
-    basis = pauli_basis(int(round(np.log2(d))))
-    w = np.stack(basis.operators)
-    # Tr(W_m E(W_n)) = Tr[(W_n^T (x) W_m) C], summed over C's (in, out, in, out) axes
-    r = np.einsum("msr,nkl,krls->mn", w, w, c.matrix.reshape(d, d, d, d), optimize=True) / d
+    k = _num_qubits(c.dim_in)
+    r = along_qubits(c.matrix, [_TO_PTM] * k, (2, 2, 2, 2), (4, 4)).reshape(4**k, 4**k)
     worst_imag = float(np.abs(r.imag).max())
     if worst_imag > 1e-9:
         raise ValueError(f"transfer matrix has imaginary residue {worst_imag:.3e}")
-    return PTMatrix(r.real, basis.labels)
+    return PTMatrix(r.real, pauli_basis(k).labels)
 
 
 # ---------------------------------------------------------------------------

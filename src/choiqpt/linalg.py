@@ -1,9 +1,11 @@
-"""Dense complex linear algebra and input checks shared by the whole package.
+"""Complex linear algebra and input checks shared by the whole package.
 
 Everything here operates on plain ``numpy`` arrays of dtype complex128.
 Choi matrices are 4^K x 4^K (16x16 for two qubits, 64x64 and 256x256 for
-three and four), so all routines are dense and exact; there is no sparse
-or GPU path.
+three and four).  Per-qubit changes of basis go through
+:func:`along_qubits`, which contracts one small map per qubit and never
+builds the K-qubit matrix; the other routines are dense and exact.  There
+is no sparse or GPU path.
 """
 
 from __future__ import annotations
@@ -119,3 +121,19 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     if w.min() < -1e-7:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w.min():.3e})")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
+
+
+def along_qubits(x, maps, sizes, out_sizes) -> np.ndarray:
+    """Apply ``maps[q]`` along qubit q's axes of a role-major tensor.
+
+    ``x`` has one group of K axes per role, of size ``sizes[role]``, qubit 0
+    first in each group.  ``maps[q]`` is a ``prod(out_sizes) x prod(sizes)``
+    matrix acting on qubit q's axes (roles in order); the result is role-major
+    over ``out_sizes``.  No matrix on more than one qubit is built.
+    """
+    k, n, n_out = len(maps), len(sizes), len(out_sizes)
+    x = np.reshape(x, [size for size in sizes for _ in range(k)])
+    for q, m in enumerate(maps):  # qubit q's axes lead; its new axes go last
+        m = np.reshape(m, tuple(out_sizes) + tuple(sizes))
+        x = np.tensordot(x, m, axes=(range(0, n * (k - q), k - q), range(-n, 0)))
+    return x.transpose([n_out * q + role for role in range(n_out) for q in range(k)])

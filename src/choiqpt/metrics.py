@@ -8,7 +8,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .channels import ChoiMatrix, is_cptp
-from .linalg import as_complex_matrix, eig_hermitian, psd_sqrt
+from .linalg import HERM_TOL, as_complex_matrix, dagger, eig_hermitian, psd_sqrt
 
 
 def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -31,25 +31,25 @@ def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 def process_fidelity(measured: ChoiMatrix, ideal: ChoiMatrix) -> float:
     """Entanglement (process) fidelity of a measured channel to an ideal one.
 
-    For a unitary ideal the Choi state is pure and the fidelity is the
-    overlap ``<phi| C_meas/Tr(C_meas) |phi>`` with the ideal's normalized
-    Choi vector.  A non-rank-1 ideal falls back (with a warning) to the
-    Uhlmann fidelity of the two normalized Choi states.
+    For a unitary ideal the Choi state ``rho = |phi><phi|`` is pure, and the
+    overlap ``<phi| C_meas/Tr(C_meas) |phi>`` is ``Tr(rho C_meas) / Tr(C_meas)``.
+    An ideal with ``Tr rho^2 < 1 - 2e-7`` falls back (with a warning) to the
+    Uhlmann fidelity of the two normalized Choi states; a non-Hermitian one raises.
     """
     if (measured.dim_in, measured.dim_out) != (ideal.dim_in, ideal.dim_out):
         raise ValueError("channel dimensions do not match")
-    ideal_norm = ideal.normalized()
-    w, v = eig_hermitian(ideal_norm)
-    if w[0] < 1.0 - 1e-7:  # ideal Choi state not pure
+    rho = ideal.normalized()
+    dev = np.abs(rho - dagger(rho)).max()
+    if dev > HERM_TOL:
+        raise ValueError(f"ideal Choi matrix is not Hermitian (deviation {dev:.3e})")
+    if np.vdot(rho, rho).real < 1.0 - 2e-7:  # ideal Choi state not pure
         warnings.warn(
             "ideal channel is not unitary (Choi not rank one); "
             "falling back to Uhlmann fidelity of Choi states",
             stacklevel=2,
         )
-        return state_fidelity(measured.normalized(), ideal_norm)
-    phi = v[:, 0]
-    overlap = phi.conj() @ measured.normalized() @ phi
-    return float(overlap.real)
+        return state_fidelity(measured.normalized(), rho)
+    return float(np.vdot(rho, measured.normalized()).real)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,11 @@ The pipeline mirrors how one characterizes a gate on hardware:
    (:func:`_frame`) of its SPAM table (:func:`_spam_table`: its 4 prepared
    states and its read-out tensor, simulated on one wire from the two gate
    tables).  Applying each frame along its qubit's axes of the Choi matrix
-   (:func:`_along_qubits`) gives the (4^K, 3^K, 2^K) probabilities, axes
-   (preparation, setting, outcome),
-4. invert the Born rule the same way: the least-squares solution applies
-   the pseudo-inverse of the noiseless frame along each qubit's axes of the
-   frequencies (no dense 24^K x 16^K system is ever built),
+   (:func:`linalg.along_qubits`) gives the (4^K, 3^K, 2^K) probabilities,
+   axes (preparation, setting, outcome),
+4. invert the Born rule the same way: the pseudo-inverse of the noiseless
+   frame acts along each qubit's axes of the frequencies (again
+   :func:`linalg.along_qubits`; no dense 24^K x 16^K system is built),
 5. optionally project the estimate onto the CPTP set: the nearest CPTP
    point is the PSD clip of ``R + L (x) I`` for the d x d Hermitian L that
    makes it trace preserving, and a dual Newton-CG solve finds L in a few
@@ -40,7 +40,7 @@ import numpy as np
 
 from .channels import ChoiMatrix, choi_from_unitary
 from .gates import Circuit, circuit_unitary
-from .linalg import dagger, frobenius, partial_trace, whole_number
+from .linalg import along_qubits, dagger, frobenius, partial_trace, whole_number
 from .metrics import FidelityReport, fidelity_report
 from .noise import NoiseModel
 from .simulator import (
@@ -264,20 +264,7 @@ def _frame(prep: np.ndarray, readout: np.ndarray) -> np.ndarray:
     return np.einsum("pji,sblk->psbjlik", prep, readout).reshape(24, 16)
 
 
-def _along_qubits(x, maps, sizes, out_sizes) -> np.ndarray:
-    """Apply ``maps[q]`` along qubit q's axes of a role-major tensor.
-
-    ``x`` has one group of K axes per role, of size ``sizes[role]``, qubit 0
-    first in each group.  ``maps[q]`` is a ``prod(out_sizes) x prod(sizes)``
-    matrix acting on qubit q's axes (roles in order); the result is role-major
-    over ``out_sizes``.  No matrix on more than one qubit is built.
-    """
-    k, n, n_out = len(maps), len(sizes), len(out_sizes)
-    x = np.reshape(x, [size for size in sizes for _ in range(k)])
-    for q, m in enumerate(maps):  # qubit q's axes lead; its new axes go last
-        m = np.reshape(m, tuple(out_sizes) + tuple(sizes))
-        x = np.tensordot(x, m, axes=(range(0, n * (k - q), k - q), range(-n, 0)))
-    return x.transpose([n_out * q + role for role in range(n_out) for q in range(k)])
+_FRAME = _frame(*_spam_table(None))  # the noiseless frame, shared by every qubit
 
 
 def execute_plan(
@@ -290,11 +277,11 @@ def execute_plan(
     """Simulate every (preparation, setting) job of the plan.
 
     Nothing is simulated per job: the target runs once (:func:`channel_choi`),
-    and each qubit's frame (:func:`_frame` of its :func:`_spam_table` under
-    :meth:`NoiseModel.on_qubit`, at most 5 one-qubit ``evolve`` calls) acts
-    along its axes of the Choi matrix (:func:`_along_qubits`).  This gives the
-    ``(4^K, 3^K, 2^K)`` probabilities, then clipped, renormalised and mapped
-    by readout confusion.
+    and each qubit's frame acts along its axes of the Choi matrix
+    (:func:`linalg.along_qubits`): ``_FRAME`` without noise, else :func:`_frame`
+    of its :func:`_spam_table` under :meth:`NoiseModel.on_qubit` (at most 5
+    one-qubit ``evolve`` calls).  This gives the ``(4^K, 3^K, 2^K)``
+    probabilities, then clipped, renormalised and mapped by readout confusion.
 
     ``exact=True`` records these probabilities as the frequencies; otherwise
     the plan is one stream: ``draw_counts`` draws every job's counts, in job
@@ -303,8 +290,8 @@ def execute_plan(
     if target.num_qubits != plan.num_qubits:
         raise ValueError("target width does not match the plan")
     k, d = plan.num_qubits, 2**plan.num_qubits
-    frames = [_frame(*_spam_table(None if noise is None else noise.on_qubit(q))) for q in range(k)]
-    x = _along_qubits(channel_choi(target, noise).matrix, frames, (2, 2, 2, 2), (4, 3, 2))
+    frames = [_FRAME if noise is None else _frame(*_spam_table(noise.on_qubit(q))) for q in range(k)]
+    x = along_qubits(channel_choi(target, noise).matrix, frames, (2, 2, 2, 2), (4, 3, 2))
     shape = (len(plan.preparations), len(plan.settings), d)
     freqs = recorded_probabilities(x.real.reshape(shape), noise)
     counts = None
@@ -326,10 +313,9 @@ def execute_plan(
 # ---------------------------------------------------------------------------
 
 
-def _one_qubit_dual() -> np.ndarray:
-    """``pinv(F)``, 16 x 24, of the noiseless one-qubit frame ``F`` (:func:`_frame`);
-    raises if ``F`` is rank deficient, i.e. the tokens do not span the operator space."""
-    frame = _frame(*_spam_table(None))
+def _one_qubit_dual(frame: np.ndarray) -> np.ndarray:
+    """``pinv(F)``, 16 x 24, of a one-qubit frame ``F`` (:func:`_frame`); raises
+    if ``F`` is rank deficient, i.e. the tokens do not span the operator space."""
     if (rank := np.linalg.matrix_rank(frame)) < 16:
         raise ValueError(
             f"one-qubit design matrix rank {rank} < 16: tokens are not informationally complete"
@@ -337,21 +323,21 @@ def _one_qubit_dual() -> np.ndarray:
     return np.linalg.pinv(frame)
 
 
-_DUAL = _one_qubit_dual()
+_DUAL = _one_qubit_dual(_FRAME)
 
 
 def linear_inversion(dataset: TomographyDataset) -> ChoiMatrix:
     """Least-squares Choi estimate from measured frequencies.
 
     The K-qubit design matrix is a permuted ``kron(F, ..., F)`` of the
-    noiseless one-qubit frame, so its pseudo-inverse is ``_DUAL``
-    (:func:`_one_qubit_dual`) applied along each qubit's axes of the
-    frequencies (:func:`_along_qubits`).  Exact probabilities recover the
-    true Choi matrix to solver precision; finite-shot input yields a
-    Hermitian but possibly non-PSD estimate.
+    noiseless one-qubit frame ``F = _FRAME``, so its pseudo-inverse is
+    ``_DUAL`` (:func:`_one_qubit_dual`) applied along each qubit's axes of
+    the frequencies by :func:`linalg.along_qubits`.  Exact probabilities
+    recover the true Choi matrix to solver precision; finite-shot input
+    yields a Hermitian but possibly non-PSD estimate.
     """
     k, d = dataset.plan.num_qubits, 2**dataset.plan.num_qubits
-    x = _along_qubits(dataset.frequencies, [_DUAL] * k, (4, 3, 2), (2, 2, 2, 2))
+    x = along_qubits(dataset.frequencies, [_DUAL] * k, (4, 3, 2), (2, 2, 2, 2))
     return ChoiMatrix(d, d, x.reshape(d * d, d * d))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from choiqpt import ground_state, noise_model_from_calibration, parse_calibration, to_native
-from choiqpt.channels import matrix_to_json_dict
+from choiqpt.channels import matrix_to_json_dict, pauli_basis
 from choiqpt.linalg import kron_all
 from choiqpt.tomography import measurement_circuit, prep_circuit
 
@@ -85,6 +85,29 @@ def oracle_kraus_to_choi(operators) -> np.ndarray:
         v = k.T.reshape(d * d)
         c += np.outer(v, v.conj())
     return c
+
+
+def _pauli_choi_vectors(d: int) -> np.ndarray:
+    """Rows v_m with v_m[(k, r)] = W_m[r, k]: the dense 4^K x 4^K matrix of Pauli Choi vectors."""
+    return np.array([w.T.reshape(d * d) for w in pauli_basis(int(round(np.log2(d)))).operators])
+
+
+def oracle_choi_to_chi(c: np.ndarray, d: int) -> np.ndarray:
+    """chi = v* C v^T / d^2 over the dense Pauli Choi vectors (oracle)."""
+    v = _pauli_choi_vectors(d)
+    return v.conj() @ c @ v.T / d**2
+
+
+def oracle_chi_to_choi(chi: np.ndarray, d: int) -> np.ndarray:
+    """C = v^T chi v* over the dense Pauli Choi vectors (oracle)."""
+    v = _pauli_choi_vectors(d)
+    return v.T @ chi @ v.conj()
+
+
+def oracle_choi_to_ptm(c: np.ndarray, d: int) -> np.ndarray:
+    """R[m, n] = Tr[(W_n^T (x) W_m) C] / d from the stacked K-qubit Paulis (oracle)."""
+    w = np.stack(pauli_basis(int(round(np.log2(d)))).operators)
+    return np.einsum("msr,nkl,krls->mn", w, w, c.reshape(d, d, d, d), optimize=True) / d
 
 
 def oracle_measure_noise(rho: np.ndarray, noise, num_qubits: int) -> np.ndarray:

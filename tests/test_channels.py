@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from choiqpt.channels import (
+    ChiMatrix,
     ChoiMatrix,
     KrausSet,
     apply_choi,
@@ -27,7 +28,10 @@ from choiqpt.gates import gate_unitary
 from choiqpt.linalg import frobenius
 from conftest import (
     apply_kraus,
+    oracle_chi_to_choi,
     oracle_choi_json,
+    oracle_choi_to_chi,
+    oracle_choi_to_ptm,
     oracle_kraus_to_choi,
     random_density,
     random_effect,
@@ -260,6 +264,31 @@ def test_ptm_matches_loop_oracle(d):
         want = ptm_loop(c)
         assert np.abs(want.imag).max() < 1e-12
         assert np.abs(choi_to_ptm(c).matrix - want.real).max() < 1e-12
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+def test_pauli_conversions_match_dense_oracles(num_qubits):
+    rng = np.random.default_rng(num_qubits)
+    d = 2**num_qubits
+    for _ in range(3):
+        c = kraus_to_choi(KrausSet(tuple(random_kraus_ops(rng, d))))
+        chi = choi_to_chi(c)
+        assert chi.labels == pauli_basis(num_qubits).labels
+        assert np.abs(chi.matrix - oracle_choi_to_chi(c.matrix, d)).max() < 1e-12
+        back = chi_to_choi(chi)
+        assert (back.dim_in, back.dim_out) == (d, d)
+        assert np.abs(back.matrix - oracle_chi_to_choi(chi.matrix, d)).max() < 1e-12
+        ptm = choi_to_ptm(c)
+        assert ptm.labels == pauli_basis(num_qubits).labels
+        assert np.abs(ptm.matrix - oracle_choi_to_ptm(c.matrix, d)).max() < 1e-12
+
+
+def test_pauli_conversions_reject_non_power_of_two_dimension():
+    c = ChoiMatrix(3, 3, np.eye(9))
+    msg = "Pauli basis needs a power-of-two dimension, got 3$"
+    for convert, arg in [(choi_to_chi, c), (choi_to_ptm, c), (chi_to_choi, ChiMatrix(np.eye(9), ()))]:
+        with pytest.raises(ValueError, match=msg):
+            convert(arg)
 
 
 def test_ptm_rejects_imaginary_residue():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choiqpt.channels import KrausSet, choi_from_unitary, kraus_to_choi
+from choiqpt.channels import ChoiMatrix, KrausSet, choi_from_unitary, kraus_to_choi
 from choiqpt.gates import gate_unitary
 from choiqpt.metrics import fidelity_report, process_fidelity, state_fidelity
 from choiqpt.noise import depolarizing_kraus
@@ -81,6 +81,26 @@ def test_process_fidelity_unitary_invariance(seed):
 def test_process_fidelity_dimension_mismatch():
     with pytest.raises(ValueError):
         process_fidelity(choi_from_unitary(np.eye(2)), choi_from_unitary(np.eye(4)))
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_process_fidelity_matches_eigenvector_overlap(num_qubits):
+    rng = np.random.default_rng(num_qubits)
+    d = 2**num_qubits
+    for _ in range(5):
+        measured = kraus_to_choi(KrausSet(tuple(random_kraus_ops(rng, d))))
+        ideal = choi_from_unitary(random_unitary(rng, d))
+        _, v = np.linalg.eigh(ideal.normalized())
+        phi = v[:, -1]  # the pure ideal state's eigenvector
+        want = (phi.conj() @ measured.normalized() @ phi).real
+        assert abs(process_fidelity(measured, ideal) - want) < 1e-12
+
+
+def test_process_fidelity_rejects_non_hermitian_ideal():
+    ideal = choi_from_unitary(np.eye(2))
+    skewed = ChoiMatrix(2, 2, ideal.matrix + 1e-3j * np.triu(np.ones((4, 4)), 1))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        process_fidelity(ideal, skewed)
 
 
 def test_process_fidelity_nonunitary_ideal_falls_back():

@@ -372,6 +372,9 @@ def test_execute_plan_simulates_preparation_and_readout_per_qubit(
     execute_plan(build_plan(num_qubits, shots=10), ORACLE_TARGETS[num_qubits], noise, seed=1)
     # 3K preparation tokens with gates, the target once, and K basis changes X and Y
     assert len(calls) <= 5 * num_qubits + 1
+    calls.clear()  # without noise the frame is built once, so only the target runs
+    execute_plan(build_plan(num_qubits, shots=10), ORACLE_TARGETS[num_qubits], None, seed=1)
+    assert len(calls) == 1
 
 
 def test_execute_plan_memory_stays_bounded_at_four_qubits(tab1_path):
