@@ -52,13 +52,14 @@ class PauliBasis:
 
 
 @lru_cache(maxsize=8)
+def _pauli_labels(num_qubits: int) -> tuple[str, ...]:
+    return tuple("".join(combo) for combo in itertools.product("IXYZ", repeat=num_qubits))
+
+
+@lru_cache(maxsize=8)
 def pauli_basis(num_qubits: int) -> PauliBasis:
-    labels = []
-    ops = []
-    for combo in itertools.product("IXYZ", repeat=num_qubits):
-        labels.append("".join(combo))
-        ops.append(kron_all(_PAULI_1Q[c] for c in combo))
-    return PauliBasis(tuple(labels), tuple(ops))
+    labels = _pauli_labels(num_qubits)
+    return PauliBasis(labels, tuple(kron_all(_PAULI_1Q[c] for c in label) for label in labels))
 
 
 @dataclass(frozen=True)
@@ -240,15 +241,23 @@ def _num_qubits(dim: float) -> int:
     return k
 
 
+def _choi_qubits(c: ChoiMatrix) -> int:
+    """K of a Choi matrix on K qubits in and out; unequal dimensions raise."""
+    if c.dim_in != c.dim_out:
+        msg = f"Pauli conversion needs dim_in == dim_out, got {c.dim_in} and {c.dim_out}"
+        raise ValueError(msg)
+    return _num_qubits(c.dim_in)
+
+
 def choi_to_chi(c: ChoiMatrix) -> ChiMatrix:
     """Expand a channel over the Pauli basis of its qubits: chi_mn = <w_m| C |w_n> / d^2.
 
     The change of basis acts qubit by qubit (:func:`linalg.along_qubits`),
     so no 4^K x 4^K basis matrix is built.
     """
-    k = _num_qubits(c.dim_in)
+    k = _choi_qubits(c)
     chi = along_qubits(c.matrix, [_TO_CHI] * k, (2, 2, 2, 2), (4, 4))
-    return ChiMatrix(chi.reshape(4**k, 4**k), pauli_basis(k).labels)
+    return ChiMatrix(chi.reshape(4**k, 4**k), _pauli_labels(k))
 
 
 def chi_to_choi(chi: ChiMatrix) -> ChoiMatrix:
@@ -266,12 +275,12 @@ def choi_to_ptm(c: ChoiMatrix) -> PTMatrix:
     are real for Hermiticity-preserving channels; a residual imaginary part
     above tolerance raises.
     """
-    k = _num_qubits(c.dim_in)
+    k = _choi_qubits(c)
     r = along_qubits(c.matrix, [_TO_PTM] * k, (2, 2, 2, 2), (4, 4)).reshape(4**k, 4**k)
     worst_imag = float(np.abs(r.imag).max())
     if worst_imag > 1e-9:
         raise ValueError(f"transfer matrix has imaginary residue {worst_imag:.3e}")
-    return PTMatrix(r.real, pauli_basis(k).labels)
+    return PTMatrix(r.real, _pauli_labels(k))
 
 
 # ---------------------------------------------------------------------------

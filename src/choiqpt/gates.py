@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -336,12 +337,14 @@ def _lower_gate(g: GateApplication) -> list[GateApplication]:
     raise ValueError(f"no native lowering for gate {g.name}")
 
 
+@lru_cache(maxsize=32)
 def to_native(c: Circuit) -> Circuit:
     """Rewrite a circuit over the native gate set {RZ, SX, X, CNOT}.
 
     The result is channel-equivalent to the input (equal up to global
     phase).  Noisy execution paths lower circuits first so that calibrated
     per-gate noise applies to the gates a device would actually run.
+    Circuits are frozen, so each is lowered once and the last 32 are kept.
     """
     gates: list[GateApplication] = []
     for g in c.gates:

@@ -3,13 +3,15 @@
 States are plain ``numpy`` density matrices (Hermitian, unit trace, PSD
 within tolerance), alone or stacked on a leading batch axis.  Every noisy
 run first lowers its circuit to the native gate set, so calibrated per-gate
-noise applies.  Each gate acts as one local superoperator: the unitary's
-``U (x) conj(U)`` (cached per gate and parameters), times its noise entry's
-``sum_k K_k (x) conj(K_k)`` (:attr:`KrausSet.superop`) when it has one,
-applied with one ``tensordot`` on the gate's row and column axes of the
-``(2,) * 2K`` state tensor; readout decay acts the same way.  Readout
-confusion acts on outcome probabilities (:func:`apply_confusion`), so one
-multinomial draw samples the recorded outcomes.
+noise applies (``to_native`` keeps its last 32 lowerings, so a circuit run
+again is not lowered again).  Each gate acts as one local superoperator:
+the unitary's ``U (x) conj(U)`` (cached per gate and parameters), times
+its noise entry's ``sum_k K_k (x) conj(K_k)`` (:attr:`KrausSet.superop`)
+when it has one, applied with one ``tensordot`` on the gate's row and
+column axes of the ``(2,) * 2K`` state tensor; readout decay acts the
+same way.  Readout confusion acts on outcome probabilities
+(:func:`apply_confusion`), so one multinomial draw samples the recorded
+outcomes.
 
 Sampling uses numpy's PCG64 generator seeded by an int, a ``SeedSequence``
 or a ``Generator``; a fixed seed reproduces counts exactly, which

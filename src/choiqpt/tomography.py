@@ -14,7 +14,11 @@ The pipeline mirrors how one characterizes a gate on hardware:
    states and its read-out tensor, simulated on one wire from the two gate
    tables).  Applying each frame along its qubit's axes of the Choi matrix
    (:func:`linalg.along_qubits`) gives the (4^K, 3^K, 2^K) probabilities,
-   axes (preparation, setting, outcome),
+   axes (preparation, setting, outcome).  They depend on neither seed nor
+   shots, so each (target, noise model) pair is simulated once per process
+   (:func:`_probabilities`): a bounded memo keeps the last 4 pairs of at most
+   4 qubits (10.6 MB at K = 4), keyed by the target circuit and the model's
+   Kraus operator and confusion matrix bytes,
 4. invert the Born rule the same way: the pseudo-inverse of the noiseless
    frame acts along each qubit's axes of the frequencies (again
    :func:`linalg.along_qubits`; no dense 24^K x 16^K system is built),
@@ -32,6 +36,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
@@ -267,6 +272,59 @@ def _frame(prep: np.ndarray, readout: np.ndarray) -> np.ndarray:
 _FRAME = _frame(*_spam_table(None))  # the noiseless frame, shared by every qubit
 
 
+def _noise_key(noise: NoiseModel | None) -> tuple | None:
+    """The noise model by value: every ``gate_noise`` entry's Kraus operator bytes
+    and every qubit's confusion matrix bytes, in the model's dict order."""
+    if noise is None:
+        return None
+    gates = tuple(
+        (key, ks.dim, b"".join(op.tobytes() for op in ks.operators))
+        for key, ks in noise.gate_noise.items()
+    )
+    confusion = tuple(
+        (q, np.shape(m), np.asarray(m, dtype=float).tobytes())
+        for q, m in noise.readout_confusion.items()
+    )
+    return gates, confusion
+
+
+# (target, noise key) -> recorded probabilities, least recently used first
+_MEMO: dict[tuple, np.ndarray] = {}
+_MEMO_LOCK = threading.Lock()
+_MEMO_ENTRIES = 4
+_MEMO_MAX_QUBITS = 4
+
+
+def _probabilities(target: Circuit, noise: NoiseModel | None) -> np.ndarray:
+    """The read-only ``(4^K, 3^K, 2^K)`` recorded probabilities of every plan job.
+
+    The target runs once (:func:`channel_choi`), and each qubit's frame acts
+    along its axes of the Choi matrix (:func:`linalg.along_qubits`): ``_FRAME``
+    without noise, else :func:`_frame` of its :func:`_spam_table` under
+    :meth:`NoiseModel.on_qubit`; clipping, renormalising and readout
+    confusion follow.  Memoised by the target and :func:`_noise_key`, so an
+    equal model hits and a model whose entries have changed misses.
+    """
+    key = (target, _noise_key(noise))
+    with _MEMO_LOCK:
+        probs = _MEMO.pop(key, None)
+        if probs is not None:
+            _MEMO[key] = probs  # now the most recently used
+            return probs
+    k = target.num_qubits
+    frames = [_FRAME if noise is None else _frame(*_spam_table(noise.on_qubit(q))) for q in range(k)]
+    x = along_qubits(channel_choi(target, noise).matrix, frames, (2, 2, 2, 2), (4, 3, 2))
+    shape = (len(PREP_TOKENS) ** k, len(SETTING_TOKENS) ** k, 2**k)
+    probs = recorded_probabilities(x.real.reshape(shape), noise)
+    probs.flags.writeable = False
+    if k <= _MEMO_MAX_QUBITS:  # larger arrays are not kept
+        with _MEMO_LOCK:
+            _MEMO[key] = probs
+            if len(_MEMO) > _MEMO_ENTRIES:
+                del _MEMO[next(iter(_MEMO))]
+    return probs
+
+
 def execute_plan(
     plan: TomographyPlan,
     target: Circuit,
@@ -276,34 +334,33 @@ def execute_plan(
 ) -> TomographyDataset:
     """Simulate every (preparation, setting) job of the plan.
 
-    Nothing is simulated per job: the target runs once (:func:`channel_choi`),
-    and each qubit's frame acts along its axes of the Choi matrix
-    (:func:`linalg.along_qubits`): ``_FRAME`` without noise, else :func:`_frame`
-    of its :func:`_spam_table` under :meth:`NoiseModel.on_qubit` (at most 5
-    one-qubit ``evolve`` calls).  This gives the ``(4^K, 3^K, 2^K)``
-    probabilities, then clipped, renormalised and mapped by readout confusion.
+    Nothing is simulated per job, and nothing per call once a (target, noise
+    model) pair has run: the ``(4^K, 3^K, 2^K)`` probabilities come from
+    :func:`_probabilities`, which simulates the channel and builds the
+    per-qubit frames once per pair and keeps the last ``_MEMO_ENTRIES``
+    pairs of at most ``_MEMO_MAX_QUBITS`` qubits.
 
-    ``exact=True`` records these probabilities as the frequencies; otherwise
-    the plan is one stream: ``draw_counts`` draws every job's counts, in job
-    order, from ``SeedSequence(seed)``, and the frequencies are counts per shot.
+    ``exact=True`` records a copy of these probabilities as the frequencies;
+    otherwise the plan is one stream: ``draw_counts`` draws every job's
+    counts, in job order, from ``SeedSequence(seed)``, and the frequencies
+    are counts per shot.
     """
     if target.num_qubits != plan.num_qubits:
         raise ValueError("target width does not match the plan")
     k, d = plan.num_qubits, 2**plan.num_qubits
-    frames = [_FRAME if noise is None else _frame(*_spam_table(noise.on_qubit(q))) for q in range(k)]
-    x = along_qubits(channel_choi(target, noise).matrix, frames, (2, 2, 2, 2), (4, 3, 2))
-    shape = (len(plan.preparations), len(plan.settings), d)
-    freqs = recorded_probabilities(x.real.reshape(shape), noise)
+    probs = _probabilities(target, noise)
     counts = None
-    if not exact:  # the flattened (prep, setting) axes are in preparation-major job order
-        rows = freqs.reshape(plan.num_jobs, d)
+    if exact:
+        freqs = probs.copy()  # the dataset's own array; the memoised one stays read-only
+    else:  # the flattened (prep, setting) axes are in preparation-major job order
+        rows = probs.reshape(plan.num_jobs, d)
         drawn = draw_counts(rows, plan.shots, np.random.SeedSequence(seed))
         labels = _product_labels(("0", "1"), k)
         counts = {
             key: CountsTable(plan.shots, dict(zip(labels, row)))
             for key, row in zip(plan.jobs(), drawn.tolist())
         }
-        freqs = drawn.reshape(shape) / plan.shots
+        freqs = drawn.reshape(probs.shape) / plan.shots
     metadata = {"seed": seed, "exact": exact, "noise": noise.label if noise is not None else None}
     return TomographyDataset(plan, freqs, counts, metadata)
 

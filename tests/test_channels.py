@@ -9,6 +9,7 @@ from choiqpt.channels import (
     ChiMatrix,
     ChoiMatrix,
     KrausSet,
+    _pauli_labels,
     apply_choi,
     chi_to_choi,
     choi_from_json,
@@ -289,6 +290,21 @@ def test_pauli_conversions_reject_non_power_of_two_dimension():
     for convert, arg in [(choi_to_chi, c), (choi_to_ptm, c), (chi_to_choi, ChiMatrix(np.eye(9), ()))]:
         with pytest.raises(ValueError, match=msg):
             convert(arg)
+
+
+@pytest.mark.parametrize("convert", [choi_to_chi, choi_to_ptm])
+def test_pauli_conversions_reject_unequal_dimensions(convert):
+    with pytest.raises(ValueError, match="needs dim_in == dim_out, got 2 and 4$"):
+        convert(ChoiMatrix(2, 4, np.eye(8)))
+
+
+def test_pauli_labels_need_no_basis_operators():
+    for k in range(1, 5):
+        assert _pauli_labels(k) == pauli_basis(k).labels
+    c = choi_from_unitary(np.eye(16))
+    pauli_basis.cache_clear()
+    assert choi_to_chi(c).labels == choi_to_ptm(c).labels == _pauli_labels(4)
+    assert pauli_basis.cache_info().misses == 0
 
 
 def test_ptm_rejects_imaginary_residue():

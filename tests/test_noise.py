@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choiqpt import channels, simulator
+from choiqpt import channels, simulator, tomography
 from choiqpt.channels import choi_from_unitary, is_cptp, kraus_superop, kraus_to_choi
 from choiqpt.gates import PAULI_X, Circuit, ga
 from choiqpt.metrics import process_fidelity
@@ -335,7 +335,9 @@ def test_on_qubit_views_share_the_models_superoperators(tab1, monkeypatch):
         for name in ("SX", "X", "measure"):
             assert model.on_qubit(q).superop_for(name, (0,)) is model.superop_for(name, (q,))
     target = Circuit(2, (ga("SQSCZ", (0, 1)),))
+    tomography._MEMO.clear()  # both runs simulate, so the second must reuse the superoperators
     execute_plan(build_plan(2, shots=10), target, model, seed=0)
+    tomography._MEMO.clear()
     calls = []
 
     def counting(operators):

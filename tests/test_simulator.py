@@ -124,6 +124,16 @@ def test_noisy_simulate_lowers_to_native_gates(perth_noise):
     assert np.abs(noisy - simulate(c, initial=rho0)).max() > 1e-3
 
 
+def test_noisy_runs_lower_each_circuit_once(perth_noise):
+    c = Circuit(2, (ga("SQSCZ", (1, 0)), ga("RX", 0, 0.123)))
+    misses = to_native.cache_info().misses
+    first = simulate(c, perth_noise)
+    second = evolve(ground_state(2), Circuit(2, c.gates), perth_noise)  # an equal circuit
+    assert to_native.cache_info().misses == misses + 1
+    assert np.array_equal(first, second)
+    assert to_native.cache_info().maxsize <= 64
+
+
 def test_simulate_width_mismatch():
     with pytest.raises(ValueError):
         simulate(Circuit(2, (ga("X", 0),)), initial=np.eye(2) / 2)

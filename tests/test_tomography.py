@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,6 +23,7 @@ from choiqpt.gates import Circuit, circuit_unitary, ga, gate_unitary, to_native
 from choiqpt.linalg import frobenius, partial_trace
 from choiqpt.noise import (
     NoiseModel,
+    compose_kraus,
     depolarizing_kraus,
     noise_model_from_calibration,
     parse_calibration,
@@ -357,10 +360,7 @@ def test_execute_plan_counts_match_per_job_sampling_oracle(num_qubits, tab1_path
             assert data.counts[key] == sample_counts(row, plan.shots, g), (seed, key)
 
 
-@pytest.mark.parametrize("num_qubits", [1, 2, 3])
-def test_execute_plan_simulates_preparation_and_readout_per_qubit(
-    num_qubits, tab1_path, monkeypatch
-):
+def _counting_evolve(monkeypatch) -> list:
     calls = []
 
     def counting_evolve(states, c, noise=None):
@@ -368,6 +368,15 @@ def test_execute_plan_simulates_preparation_and_readout_per_qubit(
         return evolve(states, c, noise)
 
     monkeypatch.setattr(tomography, "evolve", counting_evolve)
+    return calls
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_execute_plan_simulates_preparation_and_readout_per_qubit(
+    num_qubits, tab1_path, monkeypatch
+):
+    calls = _counting_evolve(monkeypatch)
+    tomography._MEMO.clear()
     noise = _oracle_noise(tab1_path, num_qubits)
     execute_plan(build_plan(num_qubits, shots=10), ORACLE_TARGETS[num_qubits], noise, seed=1)
     # 3K preparation tokens with gates, the target once, and K basis changes X and Y
@@ -375,6 +384,10 @@ def test_execute_plan_simulates_preparation_and_readout_per_qubit(
     calls.clear()  # without noise the frame is built once, so only the target runs
     execute_plan(build_plan(num_qubits, shots=10), ORACLE_TARGETS[num_qubits], None, seed=1)
     assert len(calls) == 1
+    calls.clear()  # a repeat, with another seed and shot count, simulates nothing
+    execute_plan(build_plan(num_qubits, shots=20), ORACLE_TARGETS[num_qubits], noise, seed=2)
+    execute_plan(build_plan(num_qubits, shots=20), ORACLE_TARGETS[num_qubits], None, seed=2)
+    assert calls == []
 
 
 def test_execute_plan_memory_stays_bounded_at_four_qubits(tab1_path):
@@ -391,6 +404,7 @@ def test_execute_plan_memory_stays_bounded_at_four_qubits(tab1_path):
 def test_superop_caches_stay_small(tab1_path):
     noise = noise_model_from_calibration(parse_calibration(tab1_path), num_qubits=2)
     _unitary_superop.cache_clear()
+    tomography._MEMO.clear()
     qpt(SQSCZ_CIRCUIT, noise=noise, shots=1000, seed=0)
     plan = build_plan(2)
     applications = {
@@ -410,6 +424,113 @@ def test_superop_caches_stay_small(tab1_path):
     # noiseless gates act on at most 2 wires: 16 x 16 complex entries each
     noisy_bytes = sum(s.nbytes for s in built.values())
     assert noisy_bytes + clean_entries * 16 * 16 * 16 < 1_000_000
+
+
+def _same_dataset(a: TomographyDataset, b: TomographyDataset) -> bool:
+    return a.to_json() == b.to_json() and np.array_equal(a.frequencies, b.frequencies)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_memoised_probabilities_equal_a_cold_run(num_qubits, noisy, tab1_path, monkeypatch):
+    target, noise = ORACLE_TARGETS[num_qubits], _oracle_noise(tab1_path, num_qubits, noisy)
+    plan = build_plan(num_qubits, shots=300)
+    tomography._MEMO.clear()
+    cold = [execute_plan(plan, target, noise, seed=5, exact=e) for e in (False, True)]
+    calls = _counting_evolve(monkeypatch)
+    warm = [execute_plan(plan, target, noise, seed=5, exact=e) for e in (False, True)]
+    assert calls == []
+    assert all(_same_dataset(w, c) for w, c in zip(warm, cold))
+
+
+def test_memo_hits_an_equal_model_and_misses_a_changed_one(tab1_path, monkeypatch):
+    plan, target = build_plan(2, shots=400), ORACLE_TARGETS[2]
+    noise = _oracle_noise(tab1_path, 2)
+    tomography._MEMO.clear()
+    base = execute_plan(plan, target, noise, seed=4)
+    calls = _counting_evolve(monkeypatch)
+    assert _same_dataset(execute_plan(plan, target, _oracle_noise(tab1_path, 2), seed=4), base)
+    assert calls == []  # a freshly parsed, equal calibration is the same key
+
+    sx = noise.gate_noise[("SX", (1,))]
+    other_kraus = dict(noise.gate_noise) | {("SX", (1,)): compose_kraus(sx, sx)}
+    other_confusion = dict(noise.readout_confusion) | {0: np.array([[0.9, 0.2], [0.1, 0.8]])}
+    changed = [
+        NoiseModel(other_kraus, noise.readout_confusion),
+        NoiseModel(noise.gate_noise, other_confusion),
+    ]
+    for model in changed:
+        calls.clear()
+        warm = execute_plan(plan, target, model, seed=4)
+        assert calls, "a model with one changed entry must be simulated"
+        assert not _same_dataset(warm, base)
+        tomography._MEMO.clear()
+        assert _same_dataset(execute_plan(plan, target, model, seed=4), warm)
+
+    # the key is the model's content, not its identity: a mutated dict misses
+    calls.clear()
+    execute_plan(plan, target, noise, seed=4)
+    noise.gate_noise[("SX", (1,))] = other_kraus[("SX", (1,))]
+    mutated = execute_plan(plan, target, noise, seed=4)
+    assert len(calls) > 0
+    assert _same_dataset(mutated, execute_plan(plan, target, changed[0], seed=4))
+
+
+def test_memo_stays_within_its_bound(monkeypatch):
+    tomography._MEMO.clear()
+    n = tomography._MEMO_ENTRIES
+    targets = [Circuit(1, (ga("RZ", 0, 0.1 * i), ga("H", 0))) for i in range(2 * n)]
+    for t in targets:
+        execute_plan(build_plan(1, shots=10), t, exact=True)
+        assert len(tomography._MEMO) <= n
+    assert [key[0] for key in tomography._MEMO] == targets[-n:]  # the most recently used
+    execute_plan(build_plan(1, shots=10), targets[-n], exact=True)  # a hit moves it last
+    assert next(reversed(tomography._MEMO))[0] == targets[-n]
+    monkeypatch.setattr(tomography, "_MEMO_MAX_QUBITS", 1)  # wider arrays are not kept
+    execute_plan(build_plan(2, shots=10), SQSCZ_CIRCUIT, exact=True)
+    assert all(key[0].num_qubits == 1 for key in tomography._MEMO)
+
+
+def test_memo_is_safe_under_threads():
+    targets = [Circuit(1, (ga("RX", 0, 0.2 * i),)) for i in range(2 * tomography._MEMO_ENTRIES)]
+    tomography._MEMO.clear()
+    expected = [tomography._probabilities(t, None).copy() for t in targets]
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(40):
+                j = (i + offset) % len(targets)
+                if not np.array_equal(tomography._probabilities(targets[j], None), expected[j]):
+                    errors.append(f"target {j} changed")
+        except Exception as exc:  # a lost update surfaces as KeyError or StopIteration
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(tomography._MEMO) <= tomography._MEMO_ENTRIES
+
+
+def test_exact_dataset_writes_do_not_reach_the_memo(perth_noise):
+    plan = build_plan(2, shots=10)
+    first = execute_plan(plan, SQSCZ_CIRCUIT, perth_noise, exact=True)
+    expected = first.frequencies.copy()
+    first.frequencies[...] = 0.25
+    again = execute_plan(plan, SQSCZ_CIRCUIT, perth_noise, exact=True)
+    assert np.array_equal(again.frequencies, expected)
+    memo = tomography._probabilities(SQSCZ_CIRCUIT, perth_noise)
+    with pytest.raises(ValueError):
+        memo[0, 0, 0] = 1.0
 
 
 def test_execute_plan_deterministic():
