@@ -230,7 +230,7 @@ def confusion_matrix(p_meas0_prep1: float, p_meas1_prep0: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Per-gate Kraus noise plus per-qubit readout confusion.
 
@@ -239,12 +239,33 @@ class NoiseModel:
     keyed per qubit carries decay over the readout window; execution paths
     apply it right before sampling.  Gates without an entry are noiseless
     (RZ/Ph are virtual).  Gate durations enter only through these Kraus
-    sets; ``label`` is keyword-only.
+    sets; ``label`` is keyword-only.  Models compare and hash by value
+    (:meth:`_key`, which leaves ``label`` out); the hash is recomputed on
+    every call, so a model whose dicts are changed in place hashes anew.
     """
 
     gate_noise: dict[tuple[str, tuple[int, ...]], KrausSet]
     readout_confusion: dict[int, np.ndarray]
     label: str = field(default="calibrated", kw_only=True)
+
+    def _key(self) -> tuple:
+        """Every ``gate_noise`` entry's key, dim and Kraus operator bytes, and every
+        confusion matrix's qubit, shape and float bytes, in dict order."""
+        gates = tuple(
+            (key, ks.dim, b"".join(map(np.ndarray.tobytes, ks.operators)))
+            for key, ks in self.gate_noise.items()
+        )
+        confusion = tuple(
+            (q, np.shape(m), np.asarray(m, dtype=float).tobytes())
+            for q, m in self.readout_confusion.items()
+        )
+        return gates, confusion
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, NoiseModel) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def kraus_for(self, name: str, qubits: tuple[int, ...]) -> KrausSet | None:
         return self.gate_noise.get((name, tuple(qubits)))

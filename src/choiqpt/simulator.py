@@ -250,7 +250,10 @@ def draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     binomial draws n - Bin(n, 1 - p) for a conditional p > 0.5, so one ulp at
     a conditional of exactly 0.5 swaps two counts, and a zero left at 1e-33
     takes a draw from the generator that shifts the later outcomes and rows.
+    Raises unless ``shots`` fits the generator's 64-bit count.
     """
+    if shots >= 2**63:
+        raise ValueError(f"shots {shots} exceeds the largest drawable count, 2**63 - 1")
     p = np.clip(probs, 0.0, None)
     p = p / p.sum(axis=-1, keepdims=True)
     p = np.round(p * 2.0**40) * 2.0**-40

@@ -16,9 +16,10 @@ The pipeline mirrors how one characterizes a gate on hardware:
    (:func:`linalg.along_qubits`) gives the (4^K, 3^K, 2^K) probabilities,
    axes (preparation, setting, outcome).  They depend on neither seed nor
    shots, so each (target, noise model) pair is simulated once per process
-   (:func:`_probabilities`): a bounded memo keeps the last 4 pairs of at most
-   4 qubits (10.6 MB at K = 4), keyed by the target circuit and the model's
-   Kraus operator and confusion matrix bytes,
+   (:func:`_probabilities`): a ``functools.lru_cache`` keeps the last 4 pairs
+   of at most 4 qubits (10.6 MB at K = 4), keyed by the target circuit and
+   the model, which compares and hashes by its Kraus operator and confusion
+   matrix bytes (``NoiseModel._key``),
 4. invert the Born rule the same way: the pseudo-inverse of the noiseless
    frame acts along each qubit's axes of the frequencies (again
    :func:`linalg.along_qubits`; no dense 24^K x 16^K system is built),
@@ -36,9 +37,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -272,29 +272,10 @@ def _frame(prep: np.ndarray, readout: np.ndarray) -> np.ndarray:
 _FRAME = _frame(*_spam_table(None))  # the noiseless frame, shared by every qubit
 
 
-def _noise_key(noise: NoiseModel | None) -> tuple | None:
-    """The noise model by value: every ``gate_noise`` entry's Kraus operator bytes
-    and every qubit's confusion matrix bytes, in the model's dict order."""
-    if noise is None:
-        return None
-    gates = tuple(
-        (key, ks.dim, b"".join(op.tobytes() for op in ks.operators))
-        for key, ks in noise.gate_noise.items()
-    )
-    confusion = tuple(
-        (q, np.shape(m), np.asarray(m, dtype=float).tobytes())
-        for q, m in noise.readout_confusion.items()
-    )
-    return gates, confusion
+_MEMO_MAX_QUBITS = 4  # wider probabilities are simulated per call, not kept
 
 
-# (target, noise key) -> recorded probabilities, least recently used first
-_MEMO: dict[tuple, np.ndarray] = {}
-_MEMO_LOCK = threading.Lock()
-_MEMO_ENTRIES = 4
-_MEMO_MAX_QUBITS = 4
-
-
+@lru_cache(maxsize=4)
 def _probabilities(target: Circuit, noise: NoiseModel | None) -> np.ndarray:
     """The read-only ``(4^K, 3^K, 2^K)`` recorded probabilities of every plan job.
 
@@ -302,26 +283,16 @@ def _probabilities(target: Circuit, noise: NoiseModel | None) -> np.ndarray:
     along its axes of the Choi matrix (:func:`linalg.along_qubits`): ``_FRAME``
     without noise, else :func:`_frame` of its :func:`_spam_table` under
     :meth:`NoiseModel.on_qubit`; clipping, renormalising and readout
-    confusion follow.  Memoised by the target and :func:`_noise_key`, so an
-    equal model hits and a model whose entries have changed misses.
+    confusion follow.  An ``lru_cache`` keeps the last 4 (target, model)
+    pairs; models compare by value, so an equal model hits and a model whose
+    entries have changed misses.
     """
-    key = (target, _noise_key(noise))
-    with _MEMO_LOCK:
-        probs = _MEMO.pop(key, None)
-        if probs is not None:
-            _MEMO[key] = probs  # now the most recently used
-            return probs
     k = target.num_qubits
     frames = [_FRAME if noise is None else _frame(*_spam_table(noise.on_qubit(q))) for q in range(k)]
     x = along_qubits(channel_choi(target, noise).matrix, frames, (2, 2, 2, 2), (4, 3, 2))
     shape = (len(PREP_TOKENS) ** k, len(SETTING_TOKENS) ** k, 2**k)
     probs = recorded_probabilities(x.real.reshape(shape), noise)
     probs.flags.writeable = False
-    if k <= _MEMO_MAX_QUBITS:  # larger arrays are not kept
-        with _MEMO_LOCK:
-            _MEMO[key] = probs
-            if len(_MEMO) > _MEMO_ENTRIES:
-                del _MEMO[next(iter(_MEMO))]
     return probs
 
 
@@ -337,8 +308,9 @@ def execute_plan(
     Nothing is simulated per job, and nothing per call once a (target, noise
     model) pair has run: the ``(4^K, 3^K, 2^K)`` probabilities come from
     :func:`_probabilities`, which simulates the channel and builds the
-    per-qubit frames once per pair and keeps the last ``_MEMO_ENTRIES``
-    pairs of at most ``_MEMO_MAX_QUBITS`` qubits.
+    per-qubit frames once per pair.  Plans of at most ``_MEMO_MAX_QUBITS``
+    qubits go through its ``lru_cache``; wider ones call the uncached
+    ``_probabilities.__wrapped__``, so no wider array is kept.
 
     ``exact=True`` records a copy of these probabilities as the frequencies;
     otherwise the plan is one stream: ``draw_counts`` draws every job's
@@ -348,7 +320,8 @@ def execute_plan(
     if target.num_qubits != plan.num_qubits:
         raise ValueError("target width does not match the plan")
     k, d = plan.num_qubits, 2**plan.num_qubits
-    probs = _probabilities(target, noise)
+    simulate = _probabilities if k <= _MEMO_MAX_QUBITS else _probabilities.__wrapped__
+    probs = simulate(target, noise)
     counts = None
     if exact:
         freqs = probs.copy()  # the dataset's own array; the memoised one stays read-only

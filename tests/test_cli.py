@@ -176,6 +176,16 @@ def test_negative_seed_rejected(command, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "execute"])
+def test_oversized_shots_is_input_error(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    shots = "99999999999999999999"  # beyond the generator's 64-bit count
+    assert run_cli(command, "--circuit", data_path("sqscz_circuit.json"), "--shots", shots,
+                   "--out", str(out)) == 2
+    assert "shots" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_circuit_is_input_error(tmp_path, capsys):
     assert run_cli("run", "--circuit", str(tmp_path / "nope.json")) == 2
     assert "error:" in capsys.readouterr().err

@@ -277,6 +277,17 @@ def test_gate_durations_come_from_the_calibration_or_the_defaults(tab1_path):
     assert fid[3000] < fid[300]
 
 
+def test_noise_models_compare_and_hash_by_value(tab1_path):
+    a, b = (noise_model_from_calibration(parse_calibration(tab1_path), num_qubits=2) for _ in "ab")
+    assert a is not b and a == b and hash(a) == hash(b)
+    sx = a.gate_noise[("SX", (1,))]
+    other_kraus = NoiseModel(a.gate_noise | {("SX", (1,)): compose_kraus(sx, sx)}, a.readout_confusion)
+    other_confusion = NoiseModel(a.gate_noise, a.readout_confusion | {0: confusion_matrix(0.1, 0.2)})
+    assert other_kraus != a and other_confusion != a
+    assert NoiseModel(a.gate_noise, a.readout_confusion, label="other") == a  # label is not compared
+    assert (a == a.label) is False and (a == None) is False  # noqa: E711
+
+
 def test_noise_model_unknown_qubit(tab1):
     with pytest.raises(ValueError):
         noise_model_from_calibration(tab1, num_qubits=2, qubit_map=(0, 99))
@@ -335,9 +346,10 @@ def test_on_qubit_views_share_the_models_superoperators(tab1, monkeypatch):
         for name in ("SX", "X", "measure"):
             assert model.on_qubit(q).superop_for(name, (0,)) is model.superop_for(name, (q,))
     target = Circuit(2, (ga("SQSCZ", (0, 1)),))
-    tomography._MEMO.clear()  # both runs simulate, so the second must reuse the superoperators
+    # both runs simulate, so the second must reuse the superoperators
+    tomography._probabilities.cache_clear()
     execute_plan(build_plan(2, shots=10), target, model, seed=0)
-    tomography._MEMO.clear()
+    tomography._probabilities.cache_clear()
     calls = []
 
     def counting(operators):

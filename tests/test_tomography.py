@@ -152,6 +152,11 @@ def test_plan_sizes():
             build_plan(2, shots=shots)
 
 
+def test_qpt_rejects_shots_beyond_the_generator():
+    with pytest.raises(ValueError, match="shots"):
+        qpt(SQSCZ_CIRCUIT, shots=2**63)
+
+
 def test_plan_labels_are_built_once_and_stay_out_of_eq_and_hash():
     plan, fresh = build_plan(2, shots=10), build_plan(2, shots=10)
     assert plan.preparations is plan.preparations and plan.settings is plan.settings
@@ -376,7 +381,7 @@ def test_execute_plan_simulates_preparation_and_readout_per_qubit(
     num_qubits, tab1_path, monkeypatch
 ):
     calls = _counting_evolve(monkeypatch)
-    tomography._MEMO.clear()
+    tomography._probabilities.cache_clear()
     noise = _oracle_noise(tab1_path, num_qubits)
     execute_plan(build_plan(num_qubits, shots=10), ORACLE_TARGETS[num_qubits], noise, seed=1)
     # 3K preparation tokens with gates, the target once, and K basis changes X and Y
@@ -404,7 +409,7 @@ def test_execute_plan_memory_stays_bounded_at_four_qubits(tab1_path):
 def test_superop_caches_stay_small(tab1_path):
     noise = noise_model_from_calibration(parse_calibration(tab1_path), num_qubits=2)
     _unitary_superop.cache_clear()
-    tomography._MEMO.clear()
+    tomography._probabilities.cache_clear()
     qpt(SQSCZ_CIRCUIT, noise=noise, shots=1000, seed=0)
     plan = build_plan(2)
     applications = {
@@ -435,7 +440,7 @@ def _same_dataset(a: TomographyDataset, b: TomographyDataset) -> bool:
 def test_memoised_probabilities_equal_a_cold_run(num_qubits, noisy, tab1_path, monkeypatch):
     target, noise = ORACLE_TARGETS[num_qubits], _oracle_noise(tab1_path, num_qubits, noisy)
     plan = build_plan(num_qubits, shots=300)
-    tomography._MEMO.clear()
+    tomography._probabilities.cache_clear()
     cold = [execute_plan(plan, target, noise, seed=5, exact=e) for e in (False, True)]
     calls = _counting_evolve(monkeypatch)
     warm = [execute_plan(plan, target, noise, seed=5, exact=e) for e in (False, True)]
@@ -446,7 +451,7 @@ def test_memoised_probabilities_equal_a_cold_run(num_qubits, noisy, tab1_path, m
 def test_memo_hits_an_equal_model_and_misses_a_changed_one(tab1_path, monkeypatch):
     plan, target = build_plan(2, shots=400), ORACLE_TARGETS[2]
     noise = _oracle_noise(tab1_path, 2)
-    tomography._MEMO.clear()
+    tomography._probabilities.cache_clear()
     base = execute_plan(plan, target, noise, seed=4)
     calls = _counting_evolve(monkeypatch)
     assert _same_dataset(execute_plan(plan, target, _oracle_noise(tab1_path, 2), seed=4), base)
@@ -464,7 +469,7 @@ def test_memo_hits_an_equal_model_and_misses_a_changed_one(tab1_path, monkeypatc
         warm = execute_plan(plan, target, model, seed=4)
         assert calls, "a model with one changed entry must be simulated"
         assert not _same_dataset(warm, base)
-        tomography._MEMO.clear()
+        tomography._probabilities.cache_clear()
         assert _same_dataset(execute_plan(plan, target, model, seed=4), warm)
 
     # the key is the model's content, not its identity: a mutated dict misses
@@ -477,33 +482,45 @@ def test_memo_hits_an_equal_model_and_misses_a_changed_one(tab1_path, monkeypatc
 
 
 def test_memo_stays_within_its_bound(monkeypatch):
-    tomography._MEMO.clear()
-    n = tomography._MEMO_ENTRIES
+    memo = tomography._probabilities
+    memo.cache_clear()
+    n = memo.cache_info().maxsize
+    assert n == 4
     targets = [Circuit(1, (ga("RZ", 0, 0.1 * i), ga("H", 0))) for i in range(2 * n)]
+
+    def run(target):  # the cache's (hits, misses) after one exact run of the target
+        execute_plan(build_plan(target.num_qubits, shots=10), target, exact=True)
+        assert memo.cache_info().currsize <= n
+        return memo.cache_info()[:2]
+
     for t in targets:
-        execute_plan(build_plan(1, shots=10), t, exact=True)
-        assert len(tomography._MEMO) <= n
-    assert [key[0] for key in tomography._MEMO] == targets[-n:]  # the most recently used
-    execute_plan(build_plan(1, shots=10), targets[-n], exact=True)  # a hit moves it last
-    assert next(reversed(tomography._MEMO))[0] == targets[-n]
+        hits, misses = run(t)
+    for i, t in enumerate(targets[-n:], 1):  # the n most recently used are kept
+        assert run(t) == (hits + i, misses)
+    hits += n
+    assert run(targets[-n]) == (hits + 1, misses)  # a hit makes it the most recently used
+    assert run(targets[0]) == (hits + 1, misses + 1)  # the least recently used was evicted
+    assert run(targets[-n]) == (hits + 2, misses + 1)  # so the one just hit stays
     monkeypatch.setattr(tomography, "_MEMO_MAX_QUBITS", 1)  # wider arrays are not kept
+    before = memo.cache_info()
     execute_plan(build_plan(2, shots=10), SQSCZ_CIRCUIT, exact=True)
-    assert all(key[0].num_qubits == 1 for key in tomography._MEMO)
+    assert memo.cache_info() == before
 
 
 def test_memo_is_safe_under_threads():
-    targets = [Circuit(1, (ga("RX", 0, 0.2 * i),)) for i in range(2 * tomography._MEMO_ENTRIES)]
-    tomography._MEMO.clear()
-    expected = [tomography._probabilities(t, None).copy() for t in targets]
+    memo = tomography._probabilities
+    targets = [Circuit(1, (ga("RX", 0, 0.2 * i),)) for i in range(2 * memo.cache_info().maxsize)]
+    memo.cache_clear()
+    expected = [memo(t, None).copy() for t in targets]
     errors = []
 
     def work(offset):
         try:
             for i in range(40):
                 j = (i + offset) % len(targets)
-                if not np.array_equal(tomography._probabilities(targets[j], None), expected[j]):
+                if not np.array_equal(memo(targets[j], None), expected[j]):
                     errors.append(f"target {j} changed")
-        except Exception as exc:  # a lost update surfaces as KeyError or StopIteration
+        except Exception as exc:  # a corrupted cache surfaces as an exception
             errors.append(repr(exc))
 
     interval = sys.getswitchinterval()
@@ -518,7 +535,7 @@ def test_memo_is_safe_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(tomography._MEMO) <= tomography._MEMO_ENTRIES
+    assert memo.cache_info().currsize <= memo.cache_info().maxsize
 
 
 def test_exact_dataset_writes_do_not_reach_the_memo(perth_noise):
