@@ -230,6 +230,13 @@ def confusion_matrix(p_meas0_prep1: float, p_meas1_prep0: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _entry_key(value) -> tuple:
+    """A Kraus set's dim and operator bytes, or a confusion matrix's shape and float bytes."""
+    if isinstance(value, KrausSet):
+        return value.dim, b"".join(map(np.ndarray.tobytes, value.operators))
+    return np.shape(value), np.asarray(value, dtype=float).tobytes()
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Per-gate Kraus noise plus per-qubit readout confusion.
@@ -249,20 +256,22 @@ class NoiseModel:
     label: str = field(default="calibrated", kw_only=True)
 
     def _key(self) -> tuple:
-        """Every ``gate_noise`` entry's key, dim and Kraus operator bytes, and every
-        confusion matrix's qubit, shape and float bytes, in dict order."""
-        gates = tuple(
-            (key, ks.dim, b"".join(map(np.ndarray.tobytes, ks.operators)))
-            for key, ks in self.gate_noise.items()
-        )
-        confusion = tuple(
-            (q, np.shape(m), np.asarray(m, dtype=float).tobytes())
-            for q, m in self.readout_confusion.items()
-        )
-        return gates, confusion
+        """Each entry's key and :func:`_entry_key`, ``gate_noise`` then ``readout_confusion``."""
+        fields = (self.gate_noise, self.readout_confusion)
+        return tuple(tuple((k, *_entry_key(v)) for k, v in entries.items()) for entries in fields)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, NoiseModel) and self._key() == other._key()
+        """``self._key() == other._key()`` entry by entry; one object on both sides is equal."""
+        if not isinstance(other, NoiseModel):
+            return False
+        for mine, theirs in zip((self.gate_noise, self.readout_confusion),
+                                (other.gate_noise, other.readout_confusion)):
+            entries = zip(mine.items(), theirs.items())
+            if len(mine) != len(theirs) or not all(
+                a == b and (x is y or _entry_key(x) == _entry_key(y)) for (a, x), (b, y) in entries
+            ):
+                return False
+        return True
 
     def __hash__(self) -> int:
         return hash(self._key())

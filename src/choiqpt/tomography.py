@@ -16,10 +16,7 @@ The pipeline mirrors how one characterizes a gate on hardware:
    (:func:`linalg.along_qubits`) gives the (4^K, 3^K, 2^K) probabilities,
    axes (preparation, setting, outcome).  They depend on neither seed nor
    shots, so each (target, noise model) pair is simulated once per process
-   (:func:`_probabilities`): a ``functools.lru_cache`` keeps the last 4 pairs
-   of at most 4 qubits (10.6 MB at K = 4), keyed by the target circuit and
-   the model, which compares and hashes by its Kraus operator and confusion
-   matrix bytes (``NoiseModel._key``),
+   (:func:`_probabilities`, an ``lru_cache`` of 4 pairs of at most 4 qubits),
 4. invert the Born rule the same way: the pseudo-inverse of the noiseless
    frame acts along each qubit's axes of the frequencies (again
    :func:`linalg.along_qubits`; no dense 24^K x 16^K system is built),
@@ -45,7 +42,7 @@ import numpy as np
 
 from .channels import ChoiMatrix, choi_from_unitary
 from .gates import Circuit, circuit_unitary
-from .linalg import along_qubits, dagger, frobenius, partial_trace, whole_number
+from .linalg import along_qubits, dagger, frobenius, whole_number
 from .metrics import FidelityReport, fidelity_report
 from .noise import NoiseModel
 from .simulator import (
@@ -83,6 +80,8 @@ class TomographyPlan:
     def __post_init__(self):
         if self.num_qubits < 1 or self.shots < 1:
             raise ValueError(f"plan needs num_qubits, shots >= 1, not {self.num_qubits}, {self.shots}")
+        if self.shots >= 2**63:  # checked again by draw_counts, but here before any simulation
+            raise ValueError(f"shots {self.shots} exceeds the largest drawable count, 2**63 - 1")
 
     @cached_property  # built once per plan; not a field, so eq and hash ignore it
     def preparations(self) -> tuple[str, ...]:
@@ -305,12 +304,10 @@ def execute_plan(
 ) -> TomographyDataset:
     """Simulate every (preparation, setting) job of the plan.
 
-    Nothing is simulated per job, and nothing per call once a (target, noise
-    model) pair has run: the ``(4^K, 3^K, 2^K)`` probabilities come from
-    :func:`_probabilities`, which simulates the channel and builds the
-    per-qubit frames once per pair.  Plans of at most ``_MEMO_MAX_QUBITS``
-    qubits go through its ``lru_cache``; wider ones call the uncached
-    ``_probabilities.__wrapped__``, so no wider array is kept.
+    Nothing is simulated per job: the ``(4^K, 3^K, 2^K)`` probabilities come
+    from :func:`_probabilities`, once per (target, noise model) pair.  Plans
+    wider than ``_MEMO_MAX_QUBITS`` call its uncached ``__wrapped__``, so no
+    wider array is kept.
 
     ``exact=True`` records a copy of these probabilities as the frequencies;
     otherwise the plan is one stream: ``draw_counts`` draws every job's
@@ -394,14 +391,15 @@ class ProjectionResult:
     raw_min_eig: float
 
 
-def _dual_point(r: np.ndarray, lam: np.ndarray):
-    """Eigenpairs of ``R + L (x) I``, their PSD clip C, the dual gradient
-    ``Tr_out C - I`` and the dual objective ``||C||_F^2 / 2 - Tr L``."""
-    d = lam.shape[0]
-    w, v = np.linalg.eigh(r + np.kron(lam, np.eye(d)))
-    p = np.clip(w, 0.0, None)
+def _dual_point(r4: np.ndarray, eye: np.ndarray, lam: np.ndarray):
+    """Eigenpairs of ``R + L (x) I`` (a broadcast onto ``r4``, R as ``(d, d, d, d)``), their PSD
+    clip C, the dual gradient ``Tr_out C - I`` and the dual objective ``||C||_F^2 / 2 - Tr L``."""
+    d = eye.shape[0]
+    w, v = np.linalg.eigh((r4 + lam[:, None, :, None] * eye[:, None, :]).reshape(d * d, d * d))
+    p = np.maximum(w, 0.0)
     c = (v * p) @ dagger(v)
-    return w, v, c, partial_trace(c, d, d) - np.eye(d), 0.5 * p @ p - np.trace(lam).real
+    tr_out = c.reshape(d, d, d, d).trace(axis1=1, axis2=3)
+    return w, v, c, tr_out - eye, 0.5 * p @ p - lam.trace().real
 
 
 def _newton_step(grad: np.ndarray, w: np.ndarray, v: np.ndarray, mu: float, tol: float):
@@ -410,28 +408,20 @@ def _newton_step(grad: np.ndarray, w: np.ndarray, v: np.ndarray, mu: float, tol:
     H is the generalized Hessian of the dual at the eigenpairs (w, v) of
     ``R + L (x) I``: ``H(E) = Tr_out[V (Omega o V^dag (E (x) I) V) V^dag]``
     with ``Omega_ab = (max(w_a, 0) - max(w_b, 0)) / (w_a - w_b)``, which is 1
-    where both eigenvalues are positive and 0 where neither is.  Each product
-    costs two D x D matmuls; no D^2 x D^2 matrix is built.
+    where both eigenvalues are positive and 0 where neither is.  Omega, V^dag
+    and V_in^dag are built once per step; each product is three matmuls.
     """
     d = grad.shape[0]
-    p, pos = np.clip(w, 0.0, None), w > 0
-    omega = np.divide(
-        np.subtract.outer(p, p),
-        np.subtract.outer(w, w),
-        out=np.logical_and.outer(pos, pos).astype(float),
-        where=np.not_equal.outer(pos, pos),
-    )
+    p, pos = np.maximum(w, 0.0), w > 0
+    ones = (pos[:, None] & pos).astype(float)  # 1 where both are positive, 0 where neither is
+    omega = np.divide(p[:, None] - p, w[:, None] - w, out=ones, where=pos[:, None] != pos)
     v_in = v.reshape(d, -1)  # rows: input index; columns: (output index, eigenvector)
-    v_dag = dagger(v)
-
-    def hessian(e):
-        y = v_dag @ (e @ v_in).reshape(v.shape)  # V^dag (E (x) I) V
-        return (v @ (omega * y)).reshape(d, -1) @ dagger(v_in) + mu * e
-
+    v_dag, v_in_dag = dagger(v), dagger(v_in)
     step, res = np.zeros_like(grad), -grad
     direction, rho = res, np.vdot(res, res).real
     for _ in range(d * d):  # the real dimension of the d x d Hermitian matrices
-        h = hessian(direction)
+        y = v_dag @ (direction @ v_in).reshape(v.shape)  # V^dag (E (x) I) V
+        h = (v @ (omega * y)).reshape(d, -1) @ v_in_dag + mu * direction
         a = rho / np.vdot(direction, h).real
         step, res = step + a * direction, res - a * h
         rho, prev = np.vdot(res, res).real, rho
@@ -475,8 +465,9 @@ def project_cptp(
         raise ValueError(f"tol must be positive, got {tol}")
     d = raw.dim_in
     r = 0.5 * (raw.matrix + dagger(raw.matrix))
-    lam = (np.eye(d) - partial_trace(r, d, d)) / d
-    w, v, c, grad, theta = _dual_point(r, lam)
+    r4, eye = r.reshape(d, d, d, d), np.eye(d)
+    lam = (eye - r4.trace(axis1=1, axis2=3)) / d
+    w, v, c, grad, theta = _dual_point(r4, eye, lam)
     delta, steps = frobenius(grad), 0
     while delta >= tol and steps < max_iter:
         steps += 1
@@ -487,7 +478,7 @@ def project_cptp(
         slope, alpha = np.vdot(grad, step).real, 1.0
         for _ in range(30):
             trial_lam = lam + alpha * step
-            trial = _dual_point(r, trial_lam)
+            trial = _dual_point(r4, eye, trial_lam)
             trial_delta = frobenius(trial[3])
             if trial[4] <= theta + 1e-4 * alpha * slope or trial_delta < delta:
                 break

@@ -7,7 +7,7 @@ import pytest
 
 from choiqpt import ground_state, noise_model_from_calibration, parse_calibration, to_native
 from choiqpt.channels import matrix_to_json_dict, pauli_basis
-from choiqpt.linalg import kron_all
+from choiqpt.linalg import dagger, frobenius, kron_all, partial_trace
 from choiqpt.tomography import measurement_circuit, prep_circuit
 
 
@@ -165,6 +165,67 @@ def dykstra_cptp(m: np.ndarray, d: int, tol: float, max_iter: int = 100_000) -> 
         if np.linalg.norm(c - prev) < tol:
             return c
     raise AssertionError(f"Dykstra oracle did not converge in {max_iter} iterations")
+
+
+def _oracle_dual_point(r: np.ndarray, lam: np.ndarray):
+    d = lam.shape[0]
+    w, v = np.linalg.eigh(r + np.kron(lam, np.eye(d)))
+    p = np.clip(w, 0.0, None)
+    c = (v * p) @ dagger(v)
+    return w, v, c, partial_trace(c, d, d) - np.eye(d), 0.5 * p @ p - np.trace(lam).real
+
+
+def _oracle_newton_step(grad, w, v, mu, tol):
+    d = grad.shape[0]
+    p, pos = np.clip(w, 0.0, None), w > 0
+    omega = np.divide(
+        np.subtract.outer(p, p),
+        np.subtract.outer(w, w),
+        out=np.logical_and.outer(pos, pos).astype(float),
+        where=np.not_equal.outer(pos, pos),
+    )
+    v_in = v.reshape(d, -1)
+    v_dag = dagger(v)
+
+    def hessian(e):
+        y = v_dag @ (e @ v_in).reshape(v.shape)
+        return (v @ (omega * y)).reshape(d, -1) @ dagger(v_in) + mu * e
+
+    step, res = np.zeros_like(grad), -grad
+    direction, rho = res, np.vdot(res, res).real
+    for _ in range(d * d):
+        h = hessian(direction)
+        a = rho / np.vdot(direction, h).real
+        step, res = step + a * direction, res - a * h
+        rho, prev = np.vdot(res, res).real, rho
+        if rho < tol**2:
+            break
+        direction = res + (rho / prev) * direction
+    return step
+
+
+def oracle_project_cptp(m: np.ndarray, d: int, tol: float = 1e-10, max_iter: int = 100):
+    """The dual Newton-CG projection with ``np.kron``, ``partial_trace`` and
+    ``np.clip`` on every dual point (oracle): ``(choi, iterations, delta,
+    distance, raw_min_eig)`` as ``tomography.project_cptp`` computes them."""
+    r = 0.5 * (m + dagger(m))
+    lam = (np.eye(d) - partial_trace(r, d, d)) / d
+    w, v, c, grad, theta = _oracle_dual_point(r, lam)
+    delta, steps = frobenius(grad), 0
+    while delta >= tol and steps < max_iter:
+        steps += 1
+        cg_tol = max(min(0.1, delta) * delta, 0.1 * tol)
+        step = _oracle_newton_step(grad, w, v, min(1e-4, delta), cg_tol)
+        slope, alpha = np.vdot(grad, step).real, 1.0
+        for _ in range(30):
+            trial_lam = lam + alpha * step
+            trial = _oracle_dual_point(r, trial_lam)
+            trial_delta = frobenius(trial[3])
+            if trial[4] <= theta + 1e-4 * alpha * slope or trial_delta < delta:
+                break
+            alpha /= 2
+        lam, delta, (w, v, c, grad, theta) = trial_lam, trial_delta, trial
+    return c, steps, delta, frobenius(c - r), float(np.linalg.eigvalsh(r)[0])
 
 
 def oracle_dataset_json(ds) -> str:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from choiqpt import channels, simulator, tomography
-from choiqpt.channels import choi_from_unitary, is_cptp, kraus_superop, kraus_to_choi
+from choiqpt.channels import KrausSet, choi_from_unitary, is_cptp, kraus_superop, kraus_to_choi
 from choiqpt.gates import PAULI_X, Circuit, ga
 from choiqpt.metrics import process_fidelity
 from choiqpt.noise import (
@@ -286,6 +286,29 @@ def test_noise_models_compare_and_hash_by_value(tab1_path):
     assert other_kraus != a and other_confusion != a
     assert NoiseModel(a.gate_noise, a.readout_confusion, label="other") == a  # label is not compared
     assert (a == a.label) is False and (a == None) is False  # noqa: E711
+    # views hold their parent's KrausSet and confusion objects; b's views hold equal copies
+    views = [m.on_qubit(q) for m in (a, b) for q in (0, 1)]
+    assert views[0] == views[2] and views[1] == views[3] and views[0] != views[1]
+    # keys are in dict order, so the same entries in another order make another model
+    reordered = NoiseModel(dict(reversed(a.gate_noise.items())), a.readout_confusion)
+    swapped = NoiseModel(a.gate_noise, dict(reversed(a.readout_confusion.items())))
+    assert reordered != a and swapped != a
+    mutated = NoiseModel(dict(a.gate_noise), dict(a.readout_confusion))
+    assert mutated == a
+    mutated.gate_noise[("SX", (1,))] = compose_kraus(sx, sx)
+    assert mutated != a and mutated == other_kraus
+    mutated.gate_noise[("SX", (1,))] = KrausSet(tuple(op.copy() for op in sx.operators))
+    assert mutated == a  # an equal copy, not the same object
+    # bytes, not values: -0.0 differs from 0.0, and a nested list equals its array
+    eye = NoiseModel({}, {0: np.eye(2)})
+    signed = NoiseModel({}, {0: np.eye(2) * [[1, -1], [-1, 1]]})
+    listed = NoiseModel({}, {0: [[1.0, 0.0], [0.0, 1.0]]})
+    assert eye != signed and eye == listed
+    models = [a, b, other_kraus, other_confusion, *views, reordered, swapped, mutated]
+    models += [eye, signed, listed]
+    for x in models:
+        for y in models:
+            assert (x == y) == (x._key() == y._key())
 
 
 def test_noise_model_unknown_qubit(tab1):

@@ -1,5 +1,6 @@
 import json
 import runpy
+import shutil
 import sys
 from pathlib import Path
 
@@ -34,6 +35,29 @@ def test_qpt_experiments_layout_and_summary(tmp_path, monkeypatch, capsys):
     assert summary["exact_probabilities"][0] == pytest.approx(1.0, abs=1e-9)
     assert summary["calibrated_noise"][0] < summary["clean_simulator"][0]
     assert "calibrated noise" in capsys.readouterr().out
+
+
+def test_exact_agreement_check_fails_only_on_a_moved_exact_entry(tmp_path, monkeypatch, capsys):
+    base, head = tmp_path / "base", tmp_path / "head"
+    run_script(monkeypatch, "run_qpt_experiments.py", "--out", str(base), "--seeds", "3",
+               "--clean-shots", "30", "--noisy-shots", "30")
+    shutil.copytree(base, head)
+    sampled = head / "clean_simulator" / "seed3" / "report.json"
+    sampled.write_text(sampled.read_text().replace('"seed": 3', '"seed": 4'))  # not compared
+    check = ["check_exact_agreement.py", str(base), str(head)]
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, *check)
+    assert exc.value.code == 0
+    choi_path = head / "exact_probabilities" / "seed3" / "choi.json"
+    choi = json.loads(choi_path.read_text())
+    choi["im"][3][5] += 2e-12
+    choi_path.write_text(json.dumps(choi))
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, *check)
+    assert exc.value.code == 1
+    out = capsys.readouterr().out
+    assert "FAIL  seed3 choi.json im: max deviation 2.000e-12" in out
+    assert "ok    seed3 process_fidelity" in out
 
 
 def test_direct_execution_matches_cli(tmp_path, monkeypatch, capsys):

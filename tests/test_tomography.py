@@ -55,6 +55,7 @@ from conftest import (
     dykstra_cptp,
     oracle_dataset_json,
     oracle_job_frequencies,
+    oracle_project_cptp,
     random_density,
     random_hermitian,
     random_kraus_ops,
@@ -153,8 +154,11 @@ def test_plan_sizes():
 
 
 def test_qpt_rejects_shots_beyond_the_generator():
-    with pytest.raises(ValueError, match="shots"):
+    before = tomography._probabilities.cache_info()
+    with pytest.raises(ValueError, match="shots 9223372036854775808 exceeds the largest drawable"):
         qpt(SQSCZ_CIRCUIT, shots=2**63)
+    assert tomography._probabilities.cache_info() == before  # rejected before any simulation
+    assert build_plan(2, shots=2**63 - 1).shots == 2**63 - 1
 
 
 def test_plan_labels_are_built_once_and_stay_out_of_eq_and_hash():
@@ -779,6 +783,41 @@ def test_project_cptp_matches_dykstra_oracle(num_qubits, raw):
     rep = is_cptp(res.choi)
     assert rep.min_eig >= -1e-12
     assert rep.tp_dev < 1e-9
+
+
+def _assert_projection_matches_oracle(raw: ChoiMatrix):
+    res = project_cptp(raw)
+    choi, iterations, delta, distance, raw_min_eig = oracle_project_cptp(raw.matrix, raw.dim_in)
+    assert res.choi.matrix.tobytes() == choi.tobytes()
+    assert (res.iterations, res.delta, res.distance, res.raw_min_eig) == (
+        iterations, delta, distance, raw_min_eig
+    )
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+@pytest.mark.parametrize("scale", [0.05, 1.0, 30.0])
+def test_project_cptp_bit_equals_kron_oracle_on_random_raw(d, scale):
+    rng = np.random.default_rng([d, int(100 * scale)])
+    m = random_hermitian(rng, d * d, scale) + 1j * scale * rng.normal(size=(d * d, d * d))
+    _assert_projection_matches_oracle(ChoiMatrix(d, d, m))
+
+
+@pytest.mark.parametrize("num_qubits", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_project_cptp_bit_equals_kron_oracle_on_noisy_estimates(tab1_path, num_qubits, seed):
+    noise = noise_model_from_calibration(parse_calibration(tab1_path), num_qubits=num_qubits)
+    target = Circuit(num_qubits, (ga("SQSCZ", (0, 1)),) + (ga("H", 2),) * (num_qubits - 2))
+    ds = execute_plan(build_plan(num_qubits, shots=4000), target, noise=noise, seed=seed)
+    _assert_projection_matches_oracle(linear_inversion(ds))
+
+
+def test_project_cptp_takes_one_eigh_per_dual_point(perth_noise, monkeypatch):
+    raw = linear_inversion(execute_plan(build_plan(2, shots=4000), SQSCZ_CIRCUIT, perth_noise))
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    res = project_cptp(raw)
+    # the start and one accepted trial per Newton step: this estimate never backtracks
+    assert res.iterations >= 2 and shapes == [(16, 16)] * (res.iterations + 1)
 
 
 def test_project_cptp_diagnostics_exact_estimate():
