@@ -86,14 +86,22 @@ class ChoiMatrix:
         return self.matrix / np.trace(self.matrix)
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if it is read-only and owns its data, else a read-only copy."""
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class KrausSet:
-    """Trace-preserving set of Kraus operators."""
+    """Trace-preserving Kraus operators, held as read-only copies so ``superop`` cannot go stale."""
 
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = tuple(as_complex_matrix(k) for k in self.operators)
+        ops = tuple(read_only(as_complex_matrix(k)) for k in self.operators)
         if not ops:
             raise ValueError("empty Kraus set")
         d = ops[0].shape[0]

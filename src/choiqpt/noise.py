@@ -21,11 +21,14 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
-from .channels import KrausSet, pauli_basis
+from .channels import KrausSet, pauli_basis, read_only
 from .linalg import finite_number, kron_all, whole_number
 
 _C = np.complex128
@@ -230,51 +233,41 @@ def confusion_matrix(p_meas0_prep1: float, p_meas1_prep0: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _entry_key(value) -> tuple:
-    """A Kraus set's dim and operator bytes, or a confusion matrix's shape and float bytes."""
-    if isinstance(value, KrausSet):
-        return value.dim, b"".join(map(np.ndarray.tobytes, value.operators))
-    return np.shape(value), np.asarray(value, dtype=float).tobytes()
-
-
 @dataclass(frozen=True, eq=False)
 class NoiseModel:
-    """Per-gate Kraus noise plus per-qubit readout confusion.
+    """Per-gate Kraus noise plus per-qubit readout confusion, immutable once built.
 
     ``gate_noise`` maps ``(gate name, qubit tuple)`` to the KrausSet applied
     after the ideal gate on those qubits.  The pseudo-gate name ``"measure"``
     keyed per qubit carries decay over the readout window; execution paths
     apply it right before sampling.  Gates without an entry are noiseless
     (RZ/Ph are virtual).  Gate durations enter only through these Kraus
-    sets; ``label`` is keyword-only.  Models compare and hash by value
-    (:meth:`_key`, which leaves ``label`` out); the hash is recomputed on
-    every call, so a model whose dicts are changed in place hashes anew.
+    sets; ``label`` is keyword-only.  Both maps are read-only copies of the
+    caller's dicts, confusion matrices read-only float arrays.  Models compare
+    and hash by value through :attr:`_key`, built once; ``label`` is left out.
     """
 
-    gate_noise: dict[tuple[str, tuple[int, ...]], KrausSet]
-    readout_confusion: dict[int, np.ndarray]
+    gate_noise: Mapping[tuple[str, tuple[int, ...]], KrausSet]
+    readout_confusion: Mapping[int, np.ndarray]
     label: str = field(default="calibrated", kw_only=True)
 
+    def __post_init__(self):
+        confusion = {q: read_only(np.asarray(m, dtype=float)) for q, m in self.readout_confusion.items()}
+        object.__setattr__(self, "gate_noise", MappingProxyType(dict(self.gate_noise)))
+        object.__setattr__(self, "readout_confusion", MappingProxyType(confusion))
+
+    @cached_property
     def _key(self) -> tuple:
-        """Each entry's key and :func:`_entry_key`, ``gate_noise`` then ``readout_confusion``."""
-        fields = (self.gate_noise, self.readout_confusion)
-        return tuple(tuple((k, *_entry_key(v)) for k, v in entries.items()) for entries in fields)
+        """Entry keys with Kraus dims and operator bytes, then confusion shapes and bytes."""
+        gates = self.gate_noise.items()
+        kraus = tuple((k, ks.dim, b"".join(map(np.ndarray.tobytes, ks.operators))) for k, ks in gates)
+        return kraus, tuple((q, m.shape, m.tobytes()) for q, m in self.readout_confusion.items())
 
     def __eq__(self, other) -> bool:
-        """``self._key() == other._key()`` entry by entry; one object on both sides is equal."""
-        if not isinstance(other, NoiseModel):
-            return False
-        for mine, theirs in zip((self.gate_noise, self.readout_confusion),
-                                (other.gate_noise, other.readout_confusion)):
-            entries = zip(mine.items(), theirs.items())
-            if len(mine) != len(theirs) or not all(
-                a == b and (x is y or _entry_key(x) == _entry_key(y)) for (a, x), (b, y) in entries
-            ):
-                return False
-        return True
+        return isinstance(other, NoiseModel) and (self is other or self._key == other._key)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key)
 
     def kraus_for(self, name: str, qubits: tuple[int, ...]) -> KrausSet | None:
         return self.gate_noise.get((name, tuple(qubits)))

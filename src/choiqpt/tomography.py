@@ -283,8 +283,7 @@ def _probabilities(target: Circuit, noise: NoiseModel | None) -> np.ndarray:
     without noise, else :func:`_frame` of its :func:`_spam_table` under
     :meth:`NoiseModel.on_qubit`; clipping, renormalising and readout
     confusion follow.  An ``lru_cache`` keeps the last 4 (target, model)
-    pairs; models compare by value, so an equal model hits and a model whose
-    entries have changed misses.
+    pairs; models are immutable and compare by value, so an equal model hits.
     """
     k = target.num_qubits
     frames = [_FRAME if noise is None else _frame(*_spam_table(noise.on_qubit(q))) for q in range(k)]

@@ -295,20 +295,22 @@ def test_noise_models_compare_and_hash_by_value(tab1_path):
     assert reordered != a and swapped != a
     mutated = NoiseModel(dict(a.gate_noise), dict(a.readout_confusion))
     assert mutated == a
-    mutated.gate_noise[("SX", (1,))] = compose_kraus(sx, sx)
-    assert mutated != a and mutated == other_kraus
-    mutated.gate_noise[("SX", (1,))] = KrausSet(tuple(op.copy() for op in sx.operators))
-    assert mutated == a  # an equal copy, not the same object
+    with pytest.raises(TypeError):  # a built model is fixed: its entries cannot be replaced
+        mutated.gate_noise[("SX", (1,))] = compose_kraus(sx, sx)
+    assert mutated == a and mutated != other_kraus
+    copied = NoiseModel(a.gate_noise | {("SX", (1,)): KrausSet(tuple(op.copy() for op in sx.operators))},
+                        a.readout_confusion)
+    assert copied == a  # an equal copy, not the same object
     # bytes, not values: -0.0 differs from 0.0, and a nested list equals its array
     eye = NoiseModel({}, {0: np.eye(2)})
     signed = NoiseModel({}, {0: np.eye(2) * [[1, -1], [-1, 1]]})
     listed = NoiseModel({}, {0: [[1.0, 0.0], [0.0, 1.0]]})
     assert eye != signed and eye == listed
-    models = [a, b, other_kraus, other_confusion, *views, reordered, swapped, mutated]
+    models = [a, b, other_kraus, other_confusion, *views, reordered, swapped, mutated, copied]
     models += [eye, signed, listed]
     for x in models:
         for y in models:
-            assert (x == y) == (x._key() == y._key())
+            assert (x == y) == (x._key == y._key)
 
 
 def test_noise_model_unknown_qubit(tab1):
@@ -345,11 +347,57 @@ def test_superop_for_caches_per_entry_and_follows_the_model():
     first = model.superop_for("X", (0,))
     assert model.superop_for("X", (0,)) is first
     assert model.superop_for("X", (1,)) is None and model.superop_for("RZ", (0,)) is None
-    model.gate_noise[("X", (0,))] = depolarizing_kraus(0.5, 1)
+    with pytest.raises(TypeError):
+        model.gate_noise[("X", (0,))] = depolarizing_kraus(0.5, 1)
+    model = NoiseModel({("X", (0,)): depolarizing_kraus(0.5, 1)}, {})  # a new model, not a write
     assert model.superop_for("X", (0,)) is model.gate_noise[("X", (0,))].superop is not first
     ops = [k @ PAULI_X for k in depolarizing_kraus(0.5, 1).operators]
     gate_then_noise = model.superop_for("X", (0,)) @ _unitary_superop("X", ())
     assert np.abs(gate_then_noise - kraus_superop(ops)).max() < 1e-15
+
+
+def test_writing_into_a_built_model_raises_and_leaves_its_probabilities(tab1):
+    model = noise_model_from_calibration(tab1, num_qubits=2)
+    target = Circuit(2, (ga("SQSCZ", (0, 1)),))
+    before = execute_plan(build_plan(2, 400), target, model, exact=True).frequencies
+    sx = model.gate_noise[("SX", (1,))]
+    with pytest.raises(ValueError):  # once a KrausSet's superop is cached, a write would leave it stale
+        sx.operators[0][0, 0] = 0.5
+    with pytest.raises(TypeError):
+        model.gate_noise[("SX", (1,))] = compose_kraus(sx, sx)
+    with pytest.raises(ValueError):
+        model.readout_confusion[0][0, 0] = 0.5
+    tomography._probabilities.cache_clear()
+    after = execute_plan(build_plan(2, 400), target, model, exact=True).frequencies
+    assert np.array_equal(after, before)
+    # a KrausSet keeps its own copy of a caller's writable array
+    x = PAULI_X.astype(complex)
+    ks = KrausSet((x,))
+    flip = NoiseModel({("X", (0,)): ks}, {0: np.eye(2)})
+    x[...] = np.eye(2)
+    assert np.array_equal(ks.superop, kraus_superop([PAULI_X]))
+    assert flip._key == NoiseModel({("X", (0,)): KrausSet((PAULI_X,))}, {0: np.eye(2)})._key
+
+
+def test_the_key_is_built_once_from_copies_of_the_callers_dicts(tab1_path):
+    m, fresh = (noise_model_from_calibration(parse_calibration(tab1_path), num_qubits=2) for _ in "mf")
+    hash(m)
+    key = vars(m)["_key"]
+    assert m == fresh and vars(m)["_key"] is key
+    target = Circuit(2, (ga("SQSCZ", (0, 1)),))
+    memo = tomography._probabilities
+    memo.cache_clear()
+    memo(target, fresh)
+    memo(target, m)  # a warm hit: the stored key is the equal model fresh
+    assert memo.cache_info().hits == 1 and vars(m)["_key"] is key
+    # the model holds copies of the caller's dicts, so later writes into them do not reach it
+    d, c = {("X", (0,)): depolarizing_kraus(0.1, 1)}, {0: confusion_matrix(0.01, 0.02)}
+    model = NoiseModel(d, c)
+    d[("X", (0,))] = depolarizing_kraus(0.5, 1)
+    c[0][0, 0] = 0.5
+    c[1] = np.eye(2)
+    assert model == NoiseModel({("X", (0,)): depolarizing_kraus(0.1, 1)}, {0: confusion_matrix(0.01, 0.02)})
+    assert set(model.readout_confusion) == {0} and model.readout_confusion[0][0, 0] == 0.98
 
 
 def test_on_qubit_relabels_the_qubit_entries_to_wire_zero(tab1):
