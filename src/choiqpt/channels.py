@@ -13,7 +13,6 @@ The Pauli ordering is lexicographic: II, IX, IY, IZ, XI, ..., ZZ.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ from .linalg import (
     is_unitary,
     kron_all,
     partial_trace,
+    product_labels,
 )
 
 _C = np.complex128
@@ -52,13 +52,8 @@ class PauliBasis:
 
 
 @lru_cache(maxsize=8)
-def _pauli_labels(num_qubits: int) -> tuple[str, ...]:
-    return tuple("".join(combo) for combo in itertools.product("IXYZ", repeat=num_qubits))
-
-
-@lru_cache(maxsize=8)
 def pauli_basis(num_qubits: int) -> PauliBasis:
-    labels = _pauli_labels(num_qubits)
+    labels = product_labels("IXYZ", num_qubits)
     return PauliBasis(labels, tuple(kron_all(_PAULI_1Q[c] for c in label) for label in labels))
 
 
@@ -77,10 +72,6 @@ class ChoiMatrix:
             raise ValueError(f"Choi matrix shape {m.shape}, expected {(d, d)}")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.dim_in
-
     def normalized(self) -> np.ndarray:
         """Trace-one view of the Choi matrix (the 'Choi state')."""
         return self.matrix / np.trace(self.matrix)
@@ -94,7 +85,7 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as arrays have no ==
 class KrausSet:
     """Trace-preserving Kraus operators, held as read-only copies so ``superop`` cannot go stale."""
 
@@ -119,8 +110,8 @@ class KrausSet:
 
     @cached_property
     def superop(self) -> np.ndarray:
-        """The channel's :func:`kraus_superop`, built on first use."""
-        return kraus_superop(self.operators)
+        """The channel's :func:`kraus_superop`, built on first use; read-only, as holders share it."""
+        return read_only(kraus_superop(self.operators))
 
 
 @dataclass(frozen=True)
@@ -265,7 +256,7 @@ def choi_to_chi(c: ChoiMatrix) -> ChiMatrix:
     """
     k = _choi_qubits(c)
     chi = along_qubits(c.matrix, [_TO_CHI] * k, (2, 2, 2, 2), (4, 4))
-    return ChiMatrix(chi.reshape(4**k, 4**k), _pauli_labels(k))
+    return ChiMatrix(chi.reshape(4**k, 4**k), product_labels("IXYZ", k))
 
 
 def chi_to_choi(chi: ChiMatrix) -> ChoiMatrix:
@@ -288,7 +279,7 @@ def choi_to_ptm(c: ChoiMatrix) -> PTMatrix:
     worst_imag = float(np.abs(r.imag).max())
     if worst_imag > 1e-9:
         raise ValueError(f"transfer matrix has imaginary residue {worst_imag:.3e}")
-    return PTMatrix(r.real, _pauli_labels(k))
+    return PTMatrix(r.real, product_labels("IXYZ", k))
 
 
 # ---------------------------------------------------------------------------

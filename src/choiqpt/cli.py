@@ -19,6 +19,7 @@ from pathlib import Path
 from . import viz
 from .channels import choi_to_chi, choi_to_json, matrix_csv
 from .gates import load_circuit, verify_gate_identities
+from .linalg import product_labels
 from .noise import noise_model_from_calibration, parse_calibration
 from .simulator import circuit_probabilities, sample_counts
 from .tomography import ReconstructionOptions, qpt
@@ -40,16 +41,6 @@ def _load_noise(args, num_qubits: int):
     return noise_model_from_calibration(
         calib, num_qubits=num_qubits, label=Path(args.calib).name
     )
-
-
-def _choi_labels(num_qubits: int) -> list[str]:
-    # row index encodes (input basis state, output basis state)
-    d = 2**num_qubits
-    return [
-        f"{format(k, f'0{num_qubits}b')}{format(r, f'0{num_qubits}b')}"
-        for k in range(d)
-        for r in range(d)
-    ]
 
 
 def cmd_gate_check(args) -> int:
@@ -91,7 +82,7 @@ def cmd_run(args) -> int:
     _write(out / "choi_re.csv", matrix_csv(result.choi.matrix, "re"))
     _write(out / "choi_im.csv", matrix_csv(result.choi.matrix, "im"))
 
-    labels = _choi_labels(circuit.num_qubits)
+    labels = product_labels("01", 2 * circuit.num_qubits)  # (input, output) basis states
     _write(out / "choi_re_city.svg", viz.svg_city(result.choi.matrix.real, labels, "Re C"))
     _write(out / "choi_im_city.svg", viz.svg_city(result.choi.matrix.imag, labels, "Im C"))
     chi = choi_to_chi(result.choi)

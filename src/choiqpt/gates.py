@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import as_complex_matrix, dagger, finite_number, whole_number
+from .linalg import apply_local, as_complex_matrix, dagger, finite_number, whole_number
 
 _C = np.complex128
 
@@ -176,14 +176,12 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     """Total unitary of a circuit (first listed gate applied first).
 
     Each gate's matrix is contracted with its wires' row axes of the
-    ``(2,) * 2K`` unitary tensor, as the simulator applies superoperators.
+    ``(2,) * 2K`` unitary tensor by :func:`linalg.apply_local`, as in the simulator.
     """
     k = c.num_qubits
     u = np.eye(2**k, dtype=_C).reshape((2,) * (2 * k))
     for g in c.gates:
-        m = len(g.qubits)
-        out = np.tensordot(g.unitary().reshape((2,) * (2 * m)), u, axes=(range(m, 2 * m), g.qubits))
-        u = np.moveaxis(out, range(m), g.qubits)
+        u = apply_local(u, g.unitary(), g.qubits)
     return u.reshape(2**k, 2**k)
 
 

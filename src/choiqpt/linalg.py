@@ -1,18 +1,20 @@
-"""Complex linear algebra and input checks shared by the whole package.
+"""Complex linear algebra, the qubit-order convention, and input checks.
 
 Everything here operates on plain ``numpy`` arrays of dtype complex128.
 Choi matrices are 4^K x 4^K (16x16 for two qubits, 64x64 and 256x256 for
-three and four).  Per-qubit changes of basis go through
-:func:`along_qubits`, which contracts one small map per qubit and never
-builds the K-qubit matrix; the other routines are dense and exact.  There
-is no sparse or GPU path.
+three and four).  Qubit 0 is the leftmost label character and the slowest
+axis: :func:`product_labels` builds every label, :func:`apply_local` makes
+every local contraction, and :func:`along_qubits` applies one small map per
+qubit, never the K-qubit matrix.  The rest is dense and exact; there is no
+sparse or GPU path.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -121,6 +123,23 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     if w.min() < -1e-7:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w.min():.3e})")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
+
+
+@lru_cache(maxsize=16)
+def product_labels(tokens, num_qubits: int) -> tuple[str, ...]:
+    """Every ``num_qubits``-fold product of ``tokens`` as a string, qubit 0 leftmost and slowest."""
+    return tuple("".join(t) for t in itertools.product(tokens, repeat=num_qubits))
+
+
+def apply_local(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
+    """Contract the 2^n x 2^n matrix ``m`` with the n size-2 ``axes`` of ``t``, axes kept in place.
+
+    ``axes[0]`` is the most significant bit of ``m``'s rows and columns; a superoperator on
+    row-major ``vec(rho)`` (Wood, Biamonte & Cory, arXiv:1111.6950) takes row axes, then columns.
+    """
+    n = len(axes)
+    out = np.tensordot(np.reshape(m, (2,) * (2 * n)), t, axes=(range(n, 2 * n), axes))
+    return np.moveaxis(out, range(n), axes)
 
 
 def along_qubits(x, maps, sizes, out_sizes) -> np.ndarray:

@@ -7,9 +7,9 @@ noise applies (``to_native`` keeps its last 32 lowerings, so a circuit run
 again is not lowered again).  Each gate acts as one local superoperator:
 the unitary's ``U (x) conj(U)`` (cached per gate and parameters), times
 its noise entry's ``sum_k K_k (x) conj(K_k)`` (:attr:`KrausSet.superop`)
-when it has one, applied with one ``tensordot`` on the gate's row and
-column axes of the ``(2,) * 2K`` state tensor; readout decay acts the
-same way.  Readout confusion acts on outcome probabilities
+when it has one, contracted by :func:`linalg.apply_local` with the gate's
+row and column axes of the ``(2,) * 2K`` state tensor; readout decay acts
+the same way.  Readout confusion acts on outcome probabilities
 (:func:`apply_confusion`), so one multinomial draw samples the recorded
 outcomes.
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .channels import kraus_superop
 from .gates import Circuit, ga, gate_unitary, to_native
-from .linalg import as_complex_matrix, dagger, whole_number
+from .linalg import apply_local, as_complex_matrix, dagger, product_labels, whole_number
 from .noise import NoiseModel
 
 _C = np.complex128
@@ -51,6 +51,11 @@ def _token_circuit(label: str, table: dict, num_qubits: int | None, kind: str) -
             raise ValueError(f"unknown {kind} {token!r}")
         gates.extend(ga(name, q, *params) for name, *params in table[token])
     return Circuit(num_qubits or len(label), tuple(gates))
+
+
+def measurement_circuit(setting: str, num_qubits: int | None = None) -> Circuit:
+    """Basis-change circuit rotating the setting into the computational frame."""
+    return _token_circuit(setting.upper(), MEAS_GATES, num_qubits, "measurement basis")
 
 
 def ground_state(num_qubits: int) -> np.ndarray:
@@ -78,12 +83,9 @@ def _unitary_superop(name: str, params: tuple[float, ...]) -> np.ndarray:
     return kraus_superop(gate_unitary(name, params)[None])
 
 
-def _apply(rho: np.ndarray, s: np.ndarray, qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
-    """Contract a local superoperator with the given wires of a ``(B, 2, ..., 2)`` state tensor."""
-    m = len(qubits)
-    axes = [1 + q for q in qubits] + [1 + num_qubits + q for q in qubits]
-    out = np.tensordot(s.reshape((2,) * (4 * m)), rho, axes=(range(2 * m, 4 * m), axes))
-    return np.moveaxis(out, range(2 * m), axes)
+def _wires(qubits: tuple[int, ...], num_qubits: int) -> list[int]:
+    """Row then column axes of ``qubits`` in a ``(B, 2, ..., 2)`` state tensor."""
+    return [1 + q for q in qubits] + [1 + num_qubits + q for q in qubits]
 
 
 def simulate(
@@ -123,7 +125,7 @@ def evolve(states: np.ndarray, c: Circuit, noise: NoiseModel | None = None) -> n
         n = noise.superop_for(g.name, g.qubits) if noise is not None else None
         if n is not None:
             s = n @ s
-        t = _apply(t, s, g.qubits, c.num_qubits)
+        t = apply_local(t, s, _wires(g.qubits, c.num_qubits))
     return t.reshape(states.shape)
 
 
@@ -135,7 +137,7 @@ def apply_measure_noise(rho: np.ndarray, noise: NoiseModel | None, num_qubits: i
     for q in range(num_qubits):
         s = noise.superop_for("measure", (q,))
         if s is not None:
-            t = _apply(t, s, (q,), num_qubits)
+            t = apply_local(t, s, _wires((q,), num_qubits))
     return t.reshape(rho.shape)
 
 
@@ -151,8 +153,7 @@ def measure_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
     num_qubits = len(setting)
     if rho.shape != (2**num_qubits, 2**num_qubits):
         raise ValueError(f"state dim {rho.shape[0]} does not match setting {setting!r}")
-    basis_change = _token_circuit(setting.upper(), MEAS_GATES, None, "measurement basis")
-    return recorded_probabilities(np.diagonal(evolve(rho, basis_change)).real, None)
+    return recorded_probabilities(np.diagonal(evolve(rho, measurement_circuit(setting))).real, None)
 
 
 def apply_confusion(probs: np.ndarray, confusion) -> np.ndarray:
@@ -168,8 +169,7 @@ def apply_confusion(probs: np.ndarray, confusion) -> np.ndarray:
         m = np.asarray(m, dtype=float)
         if m.shape != (2, 2) or np.abs(m.sum(axis=0) - 1.0).max() > 1e-12:
             raise ValueError(f"confusion matrix for qubit {q} is not column-stochastic")
-        axis = t.ndim - k + q
-        t = np.moveaxis(np.tensordot(m, t, axes=(1, axis)), 0, axis)
+        t = apply_local(t, m, [t.ndim - k + q])
     return t.reshape(probs.shape)
 
 
@@ -217,10 +217,7 @@ class CountsTable:
         return self.counts.get(outcome, 0) / self.shots
 
     def as_vector(self, num_qubits: int) -> np.ndarray:
-        return np.array(
-            [self.counts.get(format(i, f"0{num_qubits}b"), 0) for i in range(2**num_qubits)],
-            dtype=float,
-        )
+        return np.array([self.counts.get(o, 0) for o in product_labels("01", num_qubits)], dtype=float)
 
     def to_dict(self) -> dict:
         return {"shots": self.shots, "counts": dict(sorted(self.counts.items()))}
@@ -289,4 +286,4 @@ def sample_counts(
         raise ValueError(f"probabilities sum to {probs.sum():.6g}")
     p = probs if confusion is None else apply_confusion(probs, confusion)
     vec = draw_counts(p[None], shots, seed)[0].tolist()
-    return CountsTable(shots, {format(i, f"0{num_qubits}b"): n for i, n in enumerate(vec)})
+    return CountsTable(shots, dict(zip(product_labels("01", num_qubits), vec)))

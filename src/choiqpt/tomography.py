@@ -31,18 +31,17 @@ job's counts, in job order, from one generator seeded by ``SeedSequence(seed)``.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
 
 from .channels import ChoiMatrix, choi_from_unitary
 from .gates import Circuit, circuit_unitary
-from .linalg import along_qubits, dagger, frobenius, whole_number
+from .linalg import along_qubits, dagger, frobenius, product_labels, whole_number
 from .metrics import FidelityReport, fidelity_report
 from .noise import NoiseModel
 from .simulator import (
@@ -53,6 +52,7 @@ from .simulator import (
     draw_counts,
     evolve,
     ground_state,
+    measurement_circuit,
     recorded_probabilities,
 )
 
@@ -62,10 +62,6 @@ _PREP_GATES = {"0": (), "1": (("X",),), "+": (("H",),), "i": (("H",), ("Ph", mat
 
 PREP_TOKENS = tuple(_PREP_GATES)
 SETTING_TOKENS = tuple(MEAS_GATES)
-
-
-def _product_labels(tokens: tuple[str, ...], num_qubits: int) -> tuple[str, ...]:
-    return tuple("".join(t) for t in itertools.product(tokens, repeat=num_qubits))
 
 
 @dataclass(frozen=True)
@@ -83,13 +79,13 @@ class TomographyPlan:
         if self.shots >= 2**63:  # checked again by draw_counts, but here before any simulation
             raise ValueError(f"shots {self.shots} exceeds the largest drawable count, 2**63 - 1")
 
-    @cached_property  # built once per plan; not a field, so eq and hash ignore it
+    @property
     def preparations(self) -> tuple[str, ...]:
-        return _product_labels(PREP_TOKENS, self.num_qubits)
+        return product_labels(PREP_TOKENS, self.num_qubits)
 
-    @cached_property
+    @property
     def settings(self) -> tuple[str, ...]:
-        return _product_labels(SETTING_TOKENS, self.num_qubits)
+        return product_labels(SETTING_TOKENS, self.num_qubits)
 
     @property
     def num_jobs(self) -> int:
@@ -110,11 +106,6 @@ def build_plan(num_qubits: int, shots: int = 4000) -> TomographyPlan:
 def prep_circuit(label: str, num_qubits: int | None = None) -> Circuit:
     """Circuit preparing the labeled product state from |0...0> (see ``_PREP_GATES``)."""
     return _token_circuit(label, _PREP_GATES, num_qubits, "preparation token")
-
-
-def measurement_circuit(setting: str, num_qubits: int | None = None) -> Circuit:
-    """Basis-change circuit rotating the setting into the computational frame."""
-    return _token_circuit(setting.upper(), MEAS_GATES, num_qubits, "measurement basis")
 
 
 def _spam_table(noise: NoiseModel | None) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +211,7 @@ class TomographyDataset:
             missing = [key for key in keys if key not in jobs]
             if missing:
                 raise ValueError(f"dataset is missing {len(missing)} plan job(s), e.g. {missing[0]}")
-            outcomes = set(_product_labels(("0", "1"), k))
+            outcomes = set(product_labels("01", k))
             counts = {} if any("counts" in jobs[key] for key in keys) else None
             rows = []
             for key in keys:
@@ -324,7 +315,7 @@ def execute_plan(
     else:  # the flattened (prep, setting) axes are in preparation-major job order
         rows = probs.reshape(plan.num_jobs, d)
         drawn = draw_counts(rows, plan.shots, np.random.SeedSequence(seed))
-        labels = _product_labels(("0", "1"), k)
+        labels = product_labels("01", k)
         counts = {
             key: CountsTable(plan.shots, dict(zip(labels, row)))
             for key, row in zip(plan.jobs(), drawn.tolist())

@@ -9,7 +9,6 @@ from choiqpt.channels import (
     ChiMatrix,
     ChoiMatrix,
     KrausSet,
-    _pauli_labels,
     apply_choi,
     chi_to_choi,
     choi_from_json,
@@ -25,8 +24,8 @@ from choiqpt.channels import (
     outcome_probability,
     pauli_basis,
 )
-from choiqpt.gates import gate_unitary
-from choiqpt.linalg import frobenius
+from choiqpt.gates import PAULI_X, gate_unitary
+from choiqpt.linalg import frobenius, product_labels
 from conftest import (
     apply_kraus,
     oracle_chi_to_choi,
@@ -300,10 +299,10 @@ def test_pauli_conversions_reject_unequal_dimensions(convert):
 
 def test_pauli_labels_need_no_basis_operators():
     for k in range(1, 5):
-        assert _pauli_labels(k) == pauli_basis(k).labels
+        assert product_labels("IXYZ", k) == pauli_basis(k).labels
     c = choi_from_unitary(np.eye(16))
     pauli_basis.cache_clear()
-    assert choi_to_chi(c).labels == choi_to_ptm(c).labels == _pauli_labels(4)
+    assert choi_to_chi(c).labels == choi_to_ptm(c).labels == product_labels("IXYZ", 4)
     assert pauli_basis.cache_info().misses == 0
 
 
@@ -361,6 +360,13 @@ def test_kraus_set_validation():
         KrausSet((np.eye(2) * 0.5,))
     with pytest.raises(ValueError):
         KrausSet(())
+
+
+def test_kraus_sets_compare_and_hash_by_identity():
+    ks, twin = KrausSet((PAULI_X,)), KrausSet((PAULI_X.copy(),))
+    assert (ks == twin) is False and (ks == ks) is True
+    assert hash(ks) == hash(ks)
+    assert len({ks, twin, ks}) == 2
 
 
 def test_choi_json_and_csv_roundtrip():

@@ -6,7 +6,7 @@ import pytest
 
 from choiqpt import gates
 from choiqpt.channels import choi_from_json, choi_to_chi, is_cptp
-from choiqpt.cli import _choi_labels, main
+from choiqpt.cli import main
 from choiqpt.tomography import TomographyDataset
 from conftest import (
     data_path,
@@ -101,7 +101,8 @@ def test_run_files_match_oracle_writers(tmp_path, num_qubits, mode):
     assert text("dataset.json") == oracle_dataset_json(dataset) + "\n"
     choi = choi_from_json(text("choi.json"))  # bit-exact, so it stands in for the estimate
     assert text("choi.json") == oracle_choi_json(choi) + "\n"
-    labels = _choi_labels(num_qubits)
+    d = 2**num_qubits  # row index encodes (input basis state, output basis state)
+    labels = [f"{k:0{num_qubits}b}{r:0{num_qubits}b}" for k in range(d) for r in range(d)]
     assert text("choi_re_city.svg") == oracle_svg_city(choi.matrix.real, labels, "Re C")
     assert text("choi_im_city.svg") == oracle_svg_city(choi.matrix.imag, labels, "Im C")
     chi = choi_to_chi(choi)

@@ -6,16 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from choiqpt.gates import SQRT_SWAP_MATRIX
 from choiqpt.linalg import (
+    apply_local,
     as_complex_matrix,
     dagger,
     eig_hermitian,
     finite_number,
     kron_all,
     partial_trace,
+    product_labels,
     psd_sqrt,
     whole_number,
 )
-from conftest import random_density, random_hermitian
+from conftest import embed_operator, random_density, random_hermitian
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -159,3 +161,25 @@ def test_psd_sqrt_squares_back():
     assert np.abs(s @ s - rho).max() < 1e-10
     with pytest.raises(ValueError):
         psd_sqrt(np.diag([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_apply_local_matches_the_embedded_matrix(num_qubits, batch):
+    rng = np.random.default_rng(10 * num_qubits + len(batch))
+    d = 2**num_qubits
+    for n in range(1, min(2, num_qubits) + 1):
+        for _ in range(4):
+            qubits = tuple(int(q) for q in rng.permutation(num_qubits)[:n])  # any wires, any order
+            m = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+            t = rng.normal(size=batch + (2,) * num_qubits) + 1j * rng.normal(size=batch + (2,) * num_qubits)
+            out = apply_local(t, m, [len(batch) + q for q in qubits])
+            dense = t.reshape(-1, d) @ embed_operator(m, qubits, num_qubits).T
+            assert out.shape == t.shape
+            assert np.abs(out.reshape(-1, d) - dense).max() < 1e-12
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5])
+def test_product_labels_are_bitstrings_with_qubit_zero_leftmost(num_qubits):
+    labels = product_labels("01", num_qubits)
+    assert labels == tuple(format(i, f"0{num_qubits}b") for i in range(2**num_qubits))

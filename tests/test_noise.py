@@ -379,6 +379,20 @@ def test_writing_into_a_built_model_raises_and_leaves_its_probabilities(tab1):
     assert flip._key == NoiseModel({("X", (0,)): KrausSet((PAULI_X,))}, {0: np.eye(2)})._key
 
 
+def test_a_cached_superoperator_is_read_only(tab1):
+    model = noise_model_from_calibration(tab1, num_qubits=2)
+    target = Circuit(2, (ga("SQSCZ", (0, 1)),))
+    tomography._probabilities.cache_clear()
+    before = execute_plan(build_plan(2, 400), target, model, exact=True).frequencies
+    s = model.superop_for("SX", (0,))
+    with pytest.raises(ValueError):  # the set, every model holding it and its views share s
+        s[0, 0] = 1
+    assert not model.on_qubit(0).superop_for("SX", (0,)).flags.writeable
+    tomography._probabilities.cache_clear()
+    after = execute_plan(build_plan(2, 400), target, model, exact=True).frequencies
+    assert np.array_equal(after, before)
+
+
 def test_the_key_is_built_once_from_copies_of_the_callers_dicts(tab1_path):
     m, fresh = (noise_model_from_calibration(parse_calibration(tab1_path), num_qubits=2) for _ in "mf")
     hash(m)
