@@ -59,13 +59,15 @@ def pauli_basis(num_qubits: int) -> PauliBasis:
 
 @dataclass(frozen=True)
 class ChoiMatrix:
-    """Bipartite operator characterizing a channel (input factor first)."""
+    """Bipartite operator of a d-to-d channel (input factor first); ``dim_in`` must equal ``dim_out``."""
 
     dim_in: int
     dim_out: int
     matrix: np.ndarray
 
     def __post_init__(self):
+        if self.dim_in != self.dim_out:
+            raise ValueError(f"Choi matrix needs dim_in == dim_out, got {self.dim_in} and {self.dim_out}")
         m = as_complex_matrix(self.matrix)
         d = self.dim_in * self.dim_out
         if m.shape != (d, d):
@@ -156,10 +158,10 @@ def apply_choi(c: ChoiMatrix, rho: np.ndarray) -> np.ndarray:
     validation is the caller's concern (the PTM conversion feeds Paulis).
     """
     rho = as_complex_matrix(rho)
-    d_in, d_out = c.dim_in, c.dim_out
-    if rho.shape != (d_in, d_in):
-        raise ValueError(f"state shape {rho.shape} does not match channel input dim {d_in}")
-    c4 = c.matrix.reshape(d_in, d_out, d_in, d_out)
+    d = c.dim_in
+    if rho.shape != (d, d):
+        raise ValueError(f"state shape {rho.shape} does not match channel input dim {d}")
+    c4 = c.matrix.reshape(d, d, d, d)
     return np.einsum("km,krms->rs", rho, c4)
 
 
@@ -171,10 +173,10 @@ def outcome_probability(c: ChoiMatrix, prep: np.ndarray, projector: np.ndarray) 
     """
     prep = as_complex_matrix(prep)
     projector = as_complex_matrix(projector)
-    d_in, d_out = c.dim_in, c.dim_out
-    if prep.shape != (d_in, d_in) or projector.shape != (d_out, d_out):
+    d = c.dim_in
+    if prep.shape != (d, d) or projector.shape != (d, d):
         raise ValueError("preparation/projector dimensions do not match the channel")
-    c4 = c.matrix.reshape(d_in, d_out, d_in, d_out)
+    c4 = c.matrix.reshape(d, d, d, d)
     p = np.einsum("mk,rs,mskr->", prep, projector, c4)
     return float(p.real)
 
@@ -212,12 +214,12 @@ def choi_to_kraus(c: ChoiMatrix) -> KrausSet:
     w, v = eig_hermitian(c.matrix)
     if w.min() < -1e-7:
         raise ValueError(f"Choi matrix is not PSD (min eigenvalue {w.min():.3e})")
-    d_in, d_out = c.dim_in, c.dim_out
+    d = c.dim_in
     ops = []
     for lam, vec in zip(w, v.T):
         if lam <= 1e-10:
             continue
-        k = np.sqrt(lam) * vec.reshape(d_in, d_out).T
+        k = np.sqrt(lam) * vec.reshape(d, d).T
         ops.append(k)
     return KrausSet(tuple(ops))
 
@@ -240,21 +242,13 @@ def _num_qubits(dim: float) -> int:
     return k
 
 
-def _choi_qubits(c: ChoiMatrix) -> int:
-    """K of a Choi matrix on K qubits in and out; unequal dimensions raise."""
-    if c.dim_in != c.dim_out:
-        msg = f"Pauli conversion needs dim_in == dim_out, got {c.dim_in} and {c.dim_out}"
-        raise ValueError(msg)
-    return _num_qubits(c.dim_in)
-
-
 def choi_to_chi(c: ChoiMatrix) -> ChiMatrix:
     """Expand a channel over the Pauli basis of its qubits: chi_mn = <w_m| C |w_n> / d^2.
 
     The change of basis acts qubit by qubit (:func:`linalg.along_qubits`),
     so no 4^K x 4^K basis matrix is built.
     """
-    k = _choi_qubits(c)
+    k = _num_qubits(c.dim_in)
     chi = along_qubits(c.matrix, [_TO_CHI] * k, (2, 2, 2, 2), (4, 4))
     return ChiMatrix(chi.reshape(4**k, 4**k), product_labels("IXYZ", k))
 
@@ -274,7 +268,7 @@ def choi_to_ptm(c: ChoiMatrix) -> PTMatrix:
     are real for Hermiticity-preserving channels; a residual imaginary part
     above tolerance raises.
     """
-    k = _choi_qubits(c)
+    k = _num_qubits(c.dim_in)
     r = along_qubits(c.matrix, [_TO_PTM] * k, (2, 2, 2, 2), (4, 4)).reshape(4**k, 4**k)
     worst_imag = float(np.abs(r.imag).max())
     if worst_imag > 1e-9:

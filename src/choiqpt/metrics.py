@@ -36,7 +36,7 @@ def process_fidelity(measured: ChoiMatrix, ideal: ChoiMatrix) -> float:
     An ideal with ``Tr rho^2 < 1 - 2e-7`` falls back (with a warning) to the
     Uhlmann fidelity of the two normalized Choi states; a non-Hermitian one raises.
     """
-    if (measured.dim_in, measured.dim_out) != (ideal.dim_in, ideal.dim_out):
+    if measured.dim_in != ideal.dim_in:
         raise ValueError("channel dimensions do not match")
     rho = ideal.normalized()
     dev = np.abs(rho - dagger(rho)).max()

@@ -29,7 +29,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .channels import KrausSet, pauli_basis, read_only
-from .linalg import finite_number, kron_all, whole_number
+from .linalg import finite_number, whole_number
 
 _C = np.complex128
 
@@ -323,25 +323,22 @@ def noise_model_from_calibration(
     gate_noise: dict[tuple[str, tuple[int, ...]], KrausSet] = {}
     confusion: dict[int, np.ndarray] = {}
 
-    cals = [calib.qubit(phys) for phys in qubit_map]
-    for q, qc in enumerate(cals):
+    gates = ("SX", "X", "CNOT") if num_qubits > 1 else ("SX", "X")  # CNOT only if there are pairs
+    decay = []  # per qubit: its T1/T2 decay over each gate's duration and its readout, built once
+    for q, phys in enumerate(qubit_map):
+        qc = calib.qubit(phys)
+        times = {name: dur[name] for name in gates} | {"measure": qc.readout_length}
+        decay.append({name: damping_kraus(qc.t1, qc.t2, t) for name, t in times.items()})
+        depolarizing = depolarizing_kraus(qc.sx_error, 1)
         for name in ("SX", "X"):
-            gate_noise[(name, (q,))] = compose_kraus(
-                damping_kraus(qc.t1, qc.t2, dur[name]),
-                depolarizing_kraus(qc.sx_error, 1),
-            )
-        gate_noise[("measure", (q,))] = damping_kraus(qc.t1, qc.t2, qc.readout_length)
+            gate_noise[(name, (q,))] = compose_kraus(decay[q][name], depolarizing)
+        gate_noise[("measure", (q,))] = decay[q]["measure"]
         confusion[q] = confusion_matrix(qc.p_meas0_prep1, qc.p_meas1_prep0)
 
     for i, j in itertools.permutations(range(num_qubits), 2):
         err = calib.cnot_error(qubit_map[i], qubit_map[j])
-        damp = KrausSet(
-            tuple(
-                kron_all([a, b])
-                for a in damping_kraus(cals[i].t1, cals[i].t2, dur["CNOT"]).operators
-                for b in damping_kraus(cals[j].t1, cals[j].t2, dur["CNOT"]).operators
-            )
-        )
+        pair = itertools.product(decay[i]["CNOT"].operators, decay[j]["CNOT"].operators)
+        damp = KrausSet(tuple(np.kron(a, b) for a, b in pair))
         gate_noise[("CNOT", (i, j))] = compose_kraus(damp, depolarizing_kraus(err, 2))
 
     return NoiseModel(gate_noise, confusion, label=label)

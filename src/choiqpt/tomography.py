@@ -398,13 +398,16 @@ def _newton_step(grad: np.ndarray, w: np.ndarray, v: np.ndarray, mu: float, tol:
     H is the generalized Hessian of the dual at the eigenpairs (w, v) of
     ``R + L (x) I``: ``H(E) = Tr_out[V (Omega o V^dag (E (x) I) V) V^dag]``
     with ``Omega_ab = (max(w_a, 0) - max(w_b, 0)) / (w_a - w_b)``, which is 1
-    where both eigenvalues are positive and 0 where neither is.  Omega, V^dag
-    and V_in^dag are built once per step; each product is three matmuls.
+    where both eigenvalues are positive and 0 where neither is.  As ``w``
+    ascends, Omega is those two blocks and ``w_a / (w_a - w_b)`` between them.
+    Omega, V^dag and V_in^dag are built once per step; each product is three matmuls.
     """
     d = grad.shape[0]
-    p, pos = np.maximum(w, 0.0), w > 0
-    ones = (pos[:, None] & pos).astype(float)  # 1 where both are positive, 0 where neither is
-    omega = np.divide(p[:, None] - p, w[:, None] - w, out=ones, where=pos[:, None] != pos)
+    n = np.searchsorted(w, 0.0, side="right")  # w[:n] <= 0 < w[n:]
+    omega = np.zeros((w.size, w.size))
+    omega[n:, n:] = 1.0
+    omega[n:, :n] = w[n:, None] / (w[n:, None] - w[:n])
+    omega[:n, n:] = omega[n:, :n].T
     v_in = v.reshape(d, -1)  # rows: input index; columns: (output index, eigenvector)
     v_dag, v_in_dag = dagger(v), dagger(v_in)
     step, res = np.zeros_like(grad), -grad
@@ -446,9 +449,6 @@ def project_cptp(
     ``iterations`` counts Newton steps, and after ``max_iter`` steps the
     last iterate is returned flagged as non-converged.
     """
-    if raw.dim_in != raw.dim_out:
-        msg = f"CPTP projection needs dim_in == dim_out, got {raw.dim_in} and {raw.dim_out}"
-        raise ValueError(msg)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not tol > 0:

@@ -8,6 +8,9 @@ from __future__ import annotations
 import numpy as np
 
 _FONT = 'font-family="Helvetica,Arial,sans-serif"'
+# Least plot scale: the imaginary part of a real channel, rounding noise of ~1e-15, draws an
+# empty plot instead of noise at full size.  Plots with content peak at 8e-4 or more.
+_MIN_SCALE = 1e-6
 
 
 # One Hinton square per template line, keyed by ``entry >= 0``.
@@ -63,8 +66,7 @@ def svg_hinton(matrix: np.ndarray, labels, title: str = "") -> str:
         f'<rect x="{margin_left}" y="{margin_top}" width="{n * cell}" '
         f'height="{n * cell}" fill="#e8e8e8" stroke="#999"/>'
     )
-    vmax = np.abs(m).max()
-    vmax = vmax if vmax > 0 else 1.0
+    vmax = max(np.abs(m).max(), _MIN_SCALE)
     for j, lab in enumerate(labels):
         x = margin_left + (j + 0.5) * cell
         parts.append(
@@ -96,13 +98,9 @@ def svg_city(matrix: np.ndarray, labels, title: str = "") -> str:
     """
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
-    vmax = np.abs(m).max()
-    vmax = vmax if vmax > 0 else 1.0
+    vmax = max(np.abs(m).max(), _MIN_SCALE)
     ux, uy = 16.0, 8.0
-    with np.errstate(over="ignore"):
-        hz = 90.0 / vmax
-    if np.isinf(hz):  # largest |entry| below about 5e-307: draw m / vmax instead
-        m, vmax, hz = m / vmax, 1.0, 90.0
+    hz = 90.0 / vmax
     width = 2 * n * ux + 120
     height = 2 * n * uy + 200
     ox = width / 2

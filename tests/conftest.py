@@ -175,7 +175,7 @@ def _oracle_dual_point(r: np.ndarray, lam: np.ndarray):
     return w, v, c, partial_trace(c, d, d) - np.eye(d), 0.5 * p @ p - np.trace(lam).real
 
 
-def _oracle_newton_step(grad, w, v, mu, tol):
+def oracle_newton_step(grad, w, v, mu, tol):
     d = grad.shape[0]
     p, pos = np.clip(w, 0.0, None), w > 0
     omega = np.divide(
@@ -215,7 +215,7 @@ def oracle_project_cptp(m: np.ndarray, d: int, tol: float = 1e-10, max_iter: int
     while delta >= tol and steps < max_iter:
         steps += 1
         cg_tol = max(min(0.1, delta) * delta, 0.1 * tol)
-        step = _oracle_newton_step(grad, w, v, min(1e-4, delta), cg_tol)
+        step = oracle_newton_step(grad, w, v, min(1e-4, delta), cg_tol)
         slope, alpha = np.vdot(grad, step).real, 1.0
         for _ in range(30):
             trial_lam = lam + alpha * step
@@ -268,8 +268,7 @@ def oracle_svg_hinton(matrix: np.ndarray, labels, title: str = "") -> str:
         f'<rect x="{margin_left}" y="{margin_top}" width="{n * cell}" '
         f'height="{n * cell}" fill="#e8e8e8" stroke="#999"/>'
     )
-    vmax = np.abs(m).max()
-    vmax = vmax if vmax > 0 else 1.0
+    vmax = max(np.abs(m).max(), 1e-6)
     for j, lab in enumerate(labels):
         x = margin_left + (j + 0.5) * cell
         parts.append(
@@ -312,8 +311,7 @@ def oracle_svg_city(matrix: np.ndarray, labels, title: str = "") -> str:
     """City plot drawn one bar and one point at a time (oracle for ``viz.svg_city``)."""
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
-    vmax = np.abs(m).max()
-    vmax = vmax if vmax > 0 else 1.0
+    vmax = max(np.abs(m).max(), 1e-6)
     ux, uy = 16.0, 8.0
     hz = 90.0 / vmax
     width = 2 * n * ux + 120

@@ -1,10 +1,12 @@
+import collections
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choiqpt import channels, simulator, tomography
+from choiqpt import channels, noise, simulator, tomography
 from choiqpt.channels import KrausSet, choi_from_unitary, is_cptp, kraus_superop, kraus_to_choi
 from choiqpt.gates import PAULI_X, Circuit, ga
 from choiqpt.metrics import process_fidelity
@@ -127,6 +129,32 @@ def test_bundled_calibrations_parse_and_build_a_two_qubit_model(name):
     one_qubit = {(g, (q,)) for g in ("SX", "X", "measure") for q in (0, 1)}
     assert set(model.gate_noise) == one_qubit | {("CNOT", (0, 1)), ("CNOT", (1, 0))}
     assert sorted(model.readout_confusion) == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "name, num_qubits, qubit_map, most_warnings",
+    [
+        ("ibm_perth_tab3.json", 3, None, 4),  # qubit 2 reports T2 > 2 T1
+        ("ibm_perth_tab4.json", 7, None, 8),  # qubits 2 and 5 do
+        ("ibm_perth_tab3.json", 1, (2,), 3),  # no CNOT: SX, X and readout only
+    ],
+)
+def test_noise_model_builds_each_qubits_decay_once_per_duration(
+    monkeypatch, name, num_qubits, qubit_map, most_warnings
+):
+    calls, build = collections.Counter(), noise.damping_kraus
+
+    def counted(t1, t2, duration):
+        calls[t1, t2] += 1  # the bundled qubits' (t1, t2) pairs are distinct
+        return build(t1, t2, duration)
+
+    monkeypatch.setattr(noise, "damping_kraus", counted)
+    calib = parse_calibration(data_path(name))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        noise_model_from_calibration(calib, num_qubits, qubit_map)
+    assert sum("clamping t2" in str(w.message) for w in seen) <= most_warnings
+    assert len(calls) == num_qubits and max(calls.values()) <= (4 if num_qubits > 1 else 3)
 
 
 def test_damping_zero_duration_is_identity():

@@ -55,6 +55,7 @@ from conftest import (
     dykstra_cptp,
     oracle_dataset_json,
     oracle_job_frequencies,
+    oracle_newton_step,
     oracle_project_cptp,
     random_density,
     random_hermitian,
@@ -810,6 +811,21 @@ def test_project_cptp_bit_equals_kron_oracle_on_noisy_estimates(tab1_path, num_q
     _assert_projection_matches_oracle(linear_inversion(ds))
 
 
+@pytest.mark.parametrize("d", [2, 4])
+def test_newton_step_block_omega_bit_equals_masked_oracle(d):
+    # Omega's blocks, read off eigh's ascending order, against the oracle's masked divide over the
+    # whole grid; spectra hold +0.0 and -0.0 entries, and some are all positive or all non-positive
+    rng = np.random.default_rng([d, 23])
+    for _ in range(200):
+        w = rng.normal(size=d * d) + rng.choice([-10.0, -1.0, 0.0, 1.0, 10.0])
+        w[rng.random(d * d) < 0.3] = rng.choice([0.0, -0.0])
+        w.sort()
+        g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        v, grad = np.linalg.qr(g)[0], random_hermitian(rng, d)
+        step = tomography._newton_step(grad, w, v, 1e-4, 1e-12)
+        assert step.tobytes() == oracle_newton_step(grad, w, v, 1e-4, 1e-12).tobytes()
+
+
 def test_project_cptp_takes_one_eigh_per_dual_point(perth_noise, monkeypatch):
     raw = linear_inversion(execute_plan(build_plan(2, shots=4000), SQSCZ_CIRCUIT, perth_noise))
     shapes, eigh = [], np.linalg.eigh
@@ -853,7 +869,7 @@ def test_project_cptp_backtracks_far_from_cptp():
 @pytest.mark.parametrize(
     "choi, kwargs, message",
     [
-        (ChoiMatrix(2, 4, np.eye(8)), {}, "dim_in == dim_out, got 2 and 4"),
+        (ChoiMatrix(2, 2, np.eye(4)), {"tol": float("nan")}, "tol must be positive"),
         (ChoiMatrix(2, 2, np.eye(4)), {"max_iter": 0}, "max_iter must be at least 1"),
         (ChoiMatrix(2, 2, np.eye(4)), {"tol": 0.0}, "tol must be positive"),
         (ChoiMatrix(2, 2, np.eye(4)), {"tol": -1e-10}, "tol must be positive"),

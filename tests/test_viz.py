@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from choiqpt.channels import choi_from_unitary, choi_to_chi
 from choiqpt.viz import _text, svg_city, svg_counts_bar, svg_hinton
 from conftest import oracle_svg_city, oracle_svg_hinton
 
@@ -51,15 +52,25 @@ def test_hinton_square_area_scales_with_magnitude():
 
 def test_city_draws_positive_and_negative_bars():
     tiny = np.zeros((4, 4))
-    tiny[1, 2] = 1e-310  # 90 / 1e-310 overflows
+    tiny[1, 2] = 1e-310  # below the plot scale's floor, like m * 1e-310: no bar, and no overflow
     m = np.array([[0.8, 0.0], [0.0, -0.4]])
-    for mat, bars in ((m, 2), (m * 1e-310, 2), (tiny, 1)):
+    for mat, bars in ((m, 2), (m * 1e-310, 0), (tiny, 0)):
         svg = svg_city(mat, [str(k) for k in range(len(mat))])
         ET.fromstring(svg)
         assert "nan" not in svg and "inf" not in svg
         assert svg.count("<polygon") == 3 * bars  # three faces each
-        assert "#3d85c6" in svg
-        assert ("#cc4125" in svg) == (mat.min() < 0)
+        assert ("#3d85c6" in svg) == (bars > 0)
+        assert ("#cc4125" in svg) == (bars > 0 and mat.min() < 0)
+
+
+@pytest.mark.parametrize("writer", [svg_city, svg_hinton])
+def test_rounding_noise_draws_an_empty_plot(writer):
+    choi = choi_from_unitary(np.eye(4))
+    rng = np.random.default_rng(11)
+    for im in (choi.matrix.imag, choi_to_chi(choi).matrix.imag):
+        noisy = im + rng.choice([-1e-14, 1e-14], size=im.shape)
+        labels = [str(k) for k in range(len(im))]
+        assert writer(noisy, labels, "Im") == writer(np.zeros(im.shape), labels, "Im")
 
 
 def test_counts_bar_has_all_outcomes():
