@@ -291,6 +291,13 @@ def test_pauli_conversions_reject_non_power_of_two_dimension():
             convert(arg)
 
 
+@pytest.mark.parametrize("convert", [choi_to_chi, choi_to_ptm])
+def test_pauli_conversions_reject_unequal_dimensions(convert):
+    # the rejection now comes from ChoiMatrix itself, before the conversion runs
+    with pytest.raises(ValueError, match="needs dim_in == dim_out, got 2 and 4$"):
+        convert(ChoiMatrix(2, 4, np.eye(8)))
+
+
 def test_choi_matrix_rejects_unequal_dimensions():
     # choi.json carries one dim, so only a d-to-d Choi matrix could round-trip
     with pytest.raises(ValueError, match="Choi matrix needs dim_in == dim_out, got 2 and 4$"):

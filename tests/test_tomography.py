@@ -869,15 +869,17 @@ def test_project_cptp_backtracks_far_from_cptp():
 @pytest.mark.parametrize(
     "choi, kwargs, message",
     [
-        (ChoiMatrix(2, 2, np.eye(4)), {"tol": float("nan")}, "tol must be positive"),
-        (ChoiMatrix(2, 2, np.eye(4)), {"max_iter": 0}, "max_iter must be at least 1"),
-        (ChoiMatrix(2, 2, np.eye(4)), {"tol": 0.0}, "tol must be positive"),
-        (ChoiMatrix(2, 2, np.eye(4)), {"tol": -1e-10}, "tol must be positive"),
+        (functools.partial(ChoiMatrix, 2, 4, np.eye(8)), {}, "dim_in == dim_out, got 2 and 4"),
+        (functools.partial(ChoiMatrix, 2, 2, np.eye(4)), {"max_iter": 0}, "max_iter must be at least 1"),
+        (functools.partial(ChoiMatrix, 2, 2, np.eye(4)), {"tol": 0.0}, "tol must be positive"),
+        (functools.partial(ChoiMatrix, 2, 2, np.eye(4)), {"tol": -1e-10}, "tol must be positive"),
+        (functools.partial(ChoiMatrix, 2, 2, np.eye(4)), {"tol": float("nan")}, "tol must be positive"),
     ],
 )
 def test_project_cptp_rejects_bad_arguments(choi, kwargs, message):
+    # the Choi matrix is built inside the check: a rectangular one is rejected by ChoiMatrix itself
     with pytest.raises(ValueError, match=message):
-        project_cptp(choi, **kwargs)
+        project_cptp(choi(), **kwargs)
 
 
 def test_project_cptp_flags_nonconvergence():
