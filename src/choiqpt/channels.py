@@ -154,8 +154,8 @@ def choi_from_unitary(u: np.ndarray) -> ChoiMatrix:
 def apply_choi(c: ChoiMatrix, rho: np.ndarray) -> np.ndarray:
     """Channel action ``E(rho) = Tr_in[(rho^T (x) I) C]``.
 
-    Defined for any input matrix of the right dimension; density-matrix
-    validation is the caller's concern (the PTM conversion feeds Paulis).
+    Accepts any d x d input matrix, not only density matrices; acceptance
+    criterion 11 compares it with :func:`outcome_probability`.
     """
     rho = as_complex_matrix(rho)
     d = c.dim_in

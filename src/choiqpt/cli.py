@@ -25,11 +25,6 @@ from .simulator import circuit_probabilities, sample_counts
 from .tomography import ReconstructionOptions, qpt
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -62,32 +57,29 @@ def cmd_run(args) -> int:
     noise = _load_noise(args, circuit.num_qubits)
     method = "linear_inversion" if args.no_cptp else "linear_inversion_then_cptp"
     options = ReconstructionOptions(method=method)
-    result = qpt(
-        circuit,
-        noise=noise,
-        shots=args.shots,
-        seed=args.seed,
-        options=options,
-        exact=args.exact,
-    )
-    out = Path(args.out)
-    _write(out / "dataset.json", result.dataset.to_json() + "\n")
-    _write(out / "choi.json", choi_to_json(result.choi) + "\n")
-    report = result.report_dict(shots=None if args.exact else args.shots, seed=args.seed)
+    shots = None if args.exact else args.shots
+    result = qpt(circuit, noise=noise, shots=shots, seed=args.seed, options=options)
+    report = result.report_dict(shots=result.dataset.plan.shots, seed=args.seed)
     report["method"] = method
     report["exact"] = args.exact
     report["noise"] = noise.label if noise is not None else None
-    _write(out / "report.json", _json_dumps(report))
-
-    _write(out / "choi_re.csv", matrix_csv(result.choi.matrix, "re"))
-    _write(out / "choi_im.csv", matrix_csv(result.choi.matrix, "im"))
-
     labels = product_labels("01", 2 * circuit.num_qubits)  # (input, output) basis states
-    _write(out / "choi_re_city.svg", viz.svg_city(result.choi.matrix.real, labels, "Re C"))
-    _write(out / "choi_im_city.svg", viz.svg_city(result.choi.matrix.imag, labels, "Im C"))
     chi = choi_to_chi(result.choi)
-    _write(out / "chi_re_hinton.svg", viz.svg_hinton(chi.matrix.real, chi.labels, "Re chi"))
-    _write(out / "chi_im_hinton.svg", viz.svg_hinton(chi.matrix.imag, chi.labels, "Im chi"))
+    files = {
+        "dataset.json": result.dataset.to_json() + "\n",
+        "choi.json": choi_to_json(result.choi) + "\n",
+        "report.json": _json_dumps(report),
+        "choi_re.csv": matrix_csv(result.choi.matrix, "re"),
+        "choi_im.csv": matrix_csv(result.choi.matrix, "im"),
+        "choi_re_city.svg": viz.svg_city(result.choi.matrix.real, labels, "Re C"),
+        "choi_im_city.svg": viz.svg_city(result.choi.matrix.imag, labels, "Im C"),
+        "chi_re_hinton.svg": viz.svg_hinton(chi.matrix.real, chi.labels, "Re chi"),
+        "chi_im_hinton.svg": viz.svg_hinton(chi.matrix.imag, chi.labels, "Im chi"),
+    }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # once every file is computed, so a failed run makes none
+    for name, text in files.items():
+        (out / name).write_text(text)
 
     rep = result.report
     print(
@@ -103,9 +95,11 @@ def cmd_execute(args) -> int:
     circuit = load_circuit(args.circuit)
     noise = _load_noise(args, circuit.num_qubits)
     table = sample_counts(circuit_probabilities(circuit, noise), args.shots, args.seed)
+    svg = viz.svg_counts_bar(table.counts, table.shots, "Measured outcomes")
     out = Path(args.out)
-    _write(out / "counts.json", table.to_json() + "\n")
-    _write(out / "counts.svg", viz.svg_counts_bar(table.counts, table.shots, "Measured outcomes"))
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "counts.json").write_text(table.to_json() + "\n")
+    (out / "counts.svg").write_text(svg)
     top = max(table.counts, key=table.counts.get)
     print(f"{table.shots} shots; most frequent outcome {top!r} ({table.frequency(top):.4f})")
     print(f"outputs written to {out}/")
@@ -158,7 +152,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

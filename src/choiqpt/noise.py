@@ -327,8 +327,12 @@ def noise_model_from_calibration(
     decay = []  # per qubit: its T1/T2 decay over each gate's duration and its readout, built once
     for q, phys in enumerate(qubit_map):
         qc = calib.qubit(phys)
+        if qc.t2 > 2 * qc.t1:  # clamped once here, so a qubit warns once per model, not per duration
+            msg = f"qubit {phys}: t2={qc.t2:.4g}s exceeds 2*t1={2 * qc.t1:.4g}s; clamping t2 to 2*t1"
+            warnings.warn(msg, stacklevel=2)
+        t2 = min(qc.t2, 2 * qc.t1)
         times = {name: dur[name] for name in gates} | {"measure": qc.readout_length}
-        decay.append({name: damping_kraus(qc.t1, qc.t2, t) for name, t in times.items()})
+        decay.append({name: damping_kraus(qc.t1, t2, t) for name, t in times.items()})
         depolarizing = depolarizing_kraus(qc.sx_error, 1)
         for name in ("SX", "X"):
             gate_noise[(name, (q,))] = compose_kraus(decay[q][name], depolarizing)

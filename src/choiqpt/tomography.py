@@ -68,15 +68,15 @@ SETTING_TOKENS = tuple(MEAS_GATES)
 class TomographyPlan:
     """Full factorial schedule: every K-fold product of ``PREP_TOKENS`` (4^K
     preparations) crossed with every K-fold product of ``SETTING_TOKENS``
-    (3^K settings), each job run for ``shots`` shots."""
+    (3^K settings), each job run for ``shots`` shots (``None``: exact probabilities)."""
 
     num_qubits: int
-    shots: int
+    shots: int | None
 
     def __post_init__(self):
-        if self.num_qubits < 1 or self.shots < 1:
+        if self.num_qubits < 1 or self.shots is not None and self.shots < 1:
             raise ValueError(f"plan needs num_qubits, shots >= 1, not {self.num_qubits}, {self.shots}")
-        if self.shots >= 2**63:  # checked again by draw_counts, but here before any simulation
+        if self.shots is not None and self.shots >= 2**63:  # as in draw_counts, before simulating
             raise ValueError(f"shots {self.shots} exceeds the largest drawable count, 2**63 - 1")
 
     @property
@@ -98,8 +98,8 @@ class TomographyPlan:
                 yield prep, setting
 
 
-def build_plan(num_qubits: int, shots: int = 4000) -> TomographyPlan:
-    """The 4^K x 3^K :class:`TomographyPlan` on ``num_qubits`` wires."""
+def build_plan(num_qubits: int, shots: int | None = 4000) -> TomographyPlan:
+    """The 4^K x 3^K :class:`TomographyPlan` on ``num_qubits`` wires; ``shots=None`` is exact."""
     return TomographyPlan(num_qubits, shots)
 
 
@@ -137,7 +137,7 @@ _JOB = '    {\n      %s,\n      "prep": "%%s",\n      "setting": "%%s"\n    }'
 class TomographyDataset:
     """Frequencies of every plan job as one ``(4^K, 3^K, 2^K)`` array with axes
     (preparation, setting, outcome) in plan order; ``counts`` maps each job to
-    its sampled :class:`CountsTable`, or is ``None`` for exact probabilities."""
+    its sampled :class:`CountsTable` if the plan has shots, and is else ``None``."""
 
     plan: TomographyPlan
     frequencies: np.ndarray
@@ -151,6 +151,9 @@ class TomographyDataset:
             raise ValueError(f"frequencies have shape {np.shape(self.frequencies)}, not {shape}")
         if not np.isfinite(self.frequencies).all():
             raise ValueError("frequencies must be finite")
+        if (self.counts is None) != (self.plan.shots is None):
+            need = "must have counts" if self.counts is None else "must not have counts"
+            raise ValueError(f"a dataset whose plan has shots={self.plan.shots} {need}")
         if self.counts is not None and self.counts.keys() != set(self.plan.jobs()):
             raise ValueError("counts do not cover exactly the plan's jobs")
 
@@ -191,15 +194,17 @@ class TomographyDataset:
                     templates[outcomes] = _JOB % block
                 jobs.append(templates[outcomes] % (*map(tab.counts.get, outcomes), tab.shots, *key))
         metadata = json.dumps(self.metadata, indent=2, sort_keys=True).replace("\n", "\n  ")
-        return '{\n  "jobs": [\n%s\n  ],\n  "metadata": %s,\n  "num_qubits": %d,\n  "shots": %d\n}' % (
-            ",\n".join(jobs), metadata, self.plan.num_qubits, self.plan.shots
+        return '{\n  "jobs": [\n%s\n  ],\n  "metadata": %s,\n  "num_qubits": %d,\n  "shots": %s\n}' % (
+            ",\n".join(jobs), metadata, self.plan.num_qubits, json.dumps(self.plan.shots)
         )
 
     @classmethod
     def from_dict(cls, d: dict) -> "TomographyDataset":
         try:
-            plan = build_plan(*(whole_number(d[f], f) for f in ("num_qubits", "shots")))
-            k, keys = plan.num_qubits, list(plan.jobs())
+            k = whole_number(d["num_qubits"], "num_qubits")
+            sampled = any("counts" in j for j in d["jobs"])  # else exact: no shots
+            plan = build_plan(k, whole_number(d["shots"], "shots") if sampled else None)
+            keys = list(plan.jobs())
             jobs, in_plan = {}, set(keys)
             for j in d["jobs"]:
                 key = (j["prep"], j["setting"])
@@ -212,7 +217,7 @@ class TomographyDataset:
             if missing:
                 raise ValueError(f"dataset is missing {len(missing)} plan job(s), e.g. {missing[0]}")
             outcomes = set(product_labels("01", k))
-            counts = {} if any("counts" in jobs[key] for key in keys) else None
+            counts = {} if sampled else None
             rows = []
             for key in keys:
                 if counts is not None:
@@ -290,7 +295,6 @@ def execute_plan(
     target: Circuit,
     noise: NoiseModel | None = None,
     seed: int = 0,
-    exact: bool = False,
 ) -> TomographyDataset:
     """Simulate every (preparation, setting) job of the plan.
 
@@ -299,10 +303,10 @@ def execute_plan(
     wider than ``_MEMO_MAX_QUBITS`` call its uncached ``__wrapped__``, so no
     wider array is kept.
 
-    ``exact=True`` records a copy of these probabilities as the frequencies;
-    otherwise the plan is one stream: ``draw_counts`` draws every job's
-    counts, in job order, from ``SeedSequence(seed)``, and the frequencies
-    are counts per shot.
+    A plan without shots records a copy of these probabilities as the
+    frequencies; otherwise the plan is one stream: ``draw_counts`` draws
+    every job's counts, in job order, from ``SeedSequence(seed)``, and the
+    frequencies are counts per shot.
     """
     if target.num_qubits != plan.num_qubits:
         raise ValueError("target width does not match the plan")
@@ -310,7 +314,7 @@ def execute_plan(
     simulate = _probabilities if k <= _MEMO_MAX_QUBITS else _probabilities.__wrapped__
     probs = simulate(target, noise)
     counts = None
-    if exact:
+    if plan.shots is None:
         freqs = probs.copy()  # the dataset's own array; the memoised one stays read-only
     else:  # the flattened (prep, setting) axes are in preparation-major job order
         rows = probs.reshape(plan.num_jobs, d)
@@ -321,7 +325,7 @@ def execute_plan(
             for key, row in zip(plan.jobs(), drawn.tolist())
         }
         freqs = drawn.reshape(probs.shape) / plan.shots
-    metadata = {"seed": seed, "exact": exact, "noise": noise.label if noise is not None else None}
+    metadata = {"seed": seed, "exact": counts is None, "noise": getattr(noise, "label", None)}
     return TomographyDataset(plan, freqs, counts, metadata)
 
 
@@ -519,19 +523,18 @@ class QptResult:
 def qpt(
     target: Circuit,
     noise: NoiseModel | None = None,
-    shots: int = 4000,
+    shots: int | None = 4000,
     seed: int = 0,
     options: ReconstructionOptions | None = None,
-    exact: bool = False,
 ) -> QptResult:
     """Full tomography of a circuit: plan, execute, invert, project, score.
 
-    The fidelity in the report compares the estimate against the Choi
-    matrix of the target's ideal unitary.
+    ``shots=None`` uses exact probabilities.  The fidelity in the report
+    compares the estimate against the Choi matrix of the target's ideal unitary.
     """
     options = options or ReconstructionOptions()
     plan = build_plan(target.num_qubits, shots)
-    dataset = execute_plan(plan, target, noise=noise, seed=seed, exact=exact)
+    dataset = execute_plan(plan, target, noise=noise, seed=seed)
     raw = linear_inversion(dataset)
     proj = None
     if options.method == "linear_inversion_then_cptp":

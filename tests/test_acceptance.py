@@ -99,7 +99,7 @@ def test_criterion_04_exact_mode_qpt_every_gate():
     worst = 1.0
     for name, (arity, n_params, _) in sorted(GATE_DEFS.items()):
         circuit = Circuit(arity, (ga(name, tuple(range(arity)), *((0.7,) * n_params)),))
-        res = qpt(circuit, exact=True)
+        res = qpt(circuit, shots=None)
         assert res.report.process_fidelity >= 1 - 1e-9, name
         worst = min(worst, res.report.process_fidelity)
     sw.check()

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from choiqpt import gates
+from choiqpt import gates, viz
 from choiqpt.channels import choi_from_json, choi_to_chi, is_cptp
 from choiqpt.cli import main
 from choiqpt.tomography import TomographyDataset
@@ -184,6 +184,29 @@ def test_oversized_shots_is_input_error(command, tmp_path, capsys):
     assert run_cli(command, "--circuit", data_path("sqscz_circuit.json"), "--shots", shots,
                    "--out", str(out)) == 2
     assert "shots" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# 12 qubits: channel_choi's 4 PiB identity; 24 qubits: the 4 PiB ground state.  Both
+# exceed any 64-bit user address space, so numpy fails at once on every host.
+@pytest.mark.parametrize("command, num_qubits", [("run", 12), ("execute", 24)])
+def test_circuit_too_wide_to_allocate_is_input_error(command, num_qubits, tmp_path, capsys):
+    circuit = tmp_path / "wide.json"
+    h = {"name": "H", "params": [], "qubits": [0]}
+    circuit.write_text(json.dumps({"num_qubits": num_qubits, "gates": [h]}))
+    out = tmp_path / "out"
+    assert run_cli(command, "--circuit", str(circuit), "--out", str(out)) == 2
+    assert "error: Unable to allocate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_that_fails_after_tomography_makes_no_output_directory(tmp_path, monkeypatch):
+    def fail(*args):
+        raise ValueError("no plot")
+
+    monkeypatch.setattr(viz, "svg_hinton", fail)  # the last file run computes
+    out = tmp_path / "out"
+    assert run_cli("run", "--circuit", data_path("sqscz_circuit.json"), "--out", str(out)) == 2
     assert not out.exists()
 
 

@@ -157,6 +157,26 @@ def test_noise_model_builds_each_qubits_decay_once_per_duration(
     assert len(calls) == num_qubits and max(calls.values()) <= (4 if num_qubits > 1 else 3)
 
 
+@pytest.mark.parametrize(
+    "name, num_qubits, qubit_map, clamped",
+    [
+        ("ibm_perth_tab1.json", 2, None, []),
+        ("ibm_perth_tab3.json", 3, None, [2]),
+        ("ibm_perth_tab4.json", 7, None, [2, 5]),
+        ("ibm_perth_tab3.json", 1, (2,), [2]),  # named by its calibration qubit, not its wire
+        ("ibm_perth_tab4.json", 2, (5, 2), [5, 2]),
+    ],
+)
+def test_noise_model_warns_once_per_clamped_qubit(name, num_qubits, qubit_map, clamped):
+    calib = parse_calibration(data_path(name))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        noise_model_from_calibration(calib, num_qubits, qubit_map)
+    assert [str(w.message).split(":")[0] for w in seen] == [f"qubit {q}" for q in clamped]
+    assert all("clamping t2 to 2*t1" in str(w.message) for w in seen)
+    assert all(w.filename == __file__ for w in seen)  # attributed to the model's caller
+
+
 def test_damping_zero_duration_is_identity():
     ks = damping_kraus(100e-6, 100e-6, 0.0)
     assert len(ks.operators) == 1
@@ -387,7 +407,7 @@ def test_superop_for_caches_per_entry_and_follows_the_model():
 def test_writing_into_a_built_model_raises_and_leaves_its_probabilities(tab1):
     model = noise_model_from_calibration(tab1, num_qubits=2)
     target = Circuit(2, (ga("SQSCZ", (0, 1)),))
-    before = execute_plan(build_plan(2, 400), target, model, exact=True).frequencies
+    before = execute_plan(build_plan(2, None), target, model).frequencies
     sx = model.gate_noise[("SX", (1,))]
     with pytest.raises(ValueError):  # once a KrausSet's superop is cached, a write would leave it stale
         sx.operators[0][0, 0] = 0.5
@@ -396,7 +416,7 @@ def test_writing_into_a_built_model_raises_and_leaves_its_probabilities(tab1):
     with pytest.raises(ValueError):
         model.readout_confusion[0][0, 0] = 0.5
     tomography._probabilities.cache_clear()
-    after = execute_plan(build_plan(2, 400), target, model, exact=True).frequencies
+    after = execute_plan(build_plan(2, None), target, model).frequencies
     assert np.array_equal(after, before)
     # a KrausSet keeps its own copy of a caller's writable array
     x = PAULI_X.astype(complex)
@@ -411,13 +431,13 @@ def test_a_cached_superoperator_is_read_only(tab1):
     model = noise_model_from_calibration(tab1, num_qubits=2)
     target = Circuit(2, (ga("SQSCZ", (0, 1)),))
     tomography._probabilities.cache_clear()
-    before = execute_plan(build_plan(2, 400), target, model, exact=True).frequencies
+    before = execute_plan(build_plan(2, None), target, model).frequencies
     s = model.superop_for("SX", (0,))
     with pytest.raises(ValueError):  # the set, every model holding it and its views share s
         s[0, 0] = 1
     assert not model.on_qubit(0).superop_for("SX", (0,)).flags.writeable
     tomography._probabilities.cache_clear()
-    after = execute_plan(build_plan(2, 400), target, model, exact=True).frequencies
+    after = execute_plan(build_plan(2, None), target, model).frequencies
     assert np.array_equal(after, before)
 
 
@@ -483,7 +503,7 @@ def test_narrow_noise_model_names_the_missing_qubit(tab1):
         lambda: model.on_qubit(2),
         lambda: model.confusion_for(3),
         lambda: circuit_probabilities(wide, model),
-        lambda: qpt(wide, model, exact=True),
+        lambda: qpt(wide, model, shots=None),
         lambda: qpt(wide, model, shots=10),
     ):
         with pytest.raises(ValueError, match=message):

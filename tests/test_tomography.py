@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import json
 import sys
 import threading
@@ -138,6 +139,7 @@ def channel_dataset(choi: ChoiMatrix, plan: TomographyPlan, seed: int | None) ->
             counts[(prep, setting)] = tab
             rows.append(tab.as_vector(plan.num_qubits) / plan.shots)
     freqs = np.reshape(rows, (len(plan.preparations), len(plan.settings), d))
+    plan = plan if seed is not None else build_plan(plan.num_qubits, None)  # exact: no shots
     return TomographyDataset(plan, freqs, counts, {})
 
 
@@ -322,7 +324,7 @@ def test_execute_plan_matches_composed_circuit_oracle(num_qubits, noisy, tab1_pa
     target = ORACLE_TARGETS[num_qubits]
     noise = _oracle_noise(tab1_path, num_qubits, noisy)
     plan = build_plan(num_qubits)
-    data = execute_plan(plan, target, noise=noise, exact=True)
+    data = execute_plan(build_plan(num_qubits, None), target, noise=noise)
     want_by_job = oracle_job_frequencies(plan, target, noise, _oracle_jobs(plan))
     for (prep, setting), want in want_by_job.items():
         got = data.frequencies[plan.preparations.index(prep), plan.settings.index(setting)]
@@ -360,7 +362,7 @@ def test_execute_plan_counts_match_per_job_sampling_oracle(num_qubits, tab1_path
     # the plan is one stream: job by job, in job order, on one generator
     target, noise = ORACLE_TARGETS[num_qubits], _oracle_noise(tab1_path, num_qubits)
     plan = build_plan(num_qubits, shots=4000)
-    exact = execute_plan(plan, target, noise=noise, exact=True)
+    exact = execute_plan(build_plan(num_qubits, None), target, noise=noise)
     probs = exact.frequencies.reshape(plan.num_jobs, -1)
     for seed in (0, 5):
         data = execute_plan(plan, target, noise=noise, seed=seed)
@@ -404,7 +406,7 @@ def test_execute_plan_memory_stays_bounded_at_four_qubits(tab1_path):
     noise = _oracle_noise(tab1_path, 4)
     tracemalloc.start()
     try:
-        execute_plan(build_plan(4), ORACLE_TARGETS[4], noise, exact=True)
+        execute_plan(build_plan(4, None), ORACLE_TARGETS[4], noise)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -446,9 +448,9 @@ def test_memoised_probabilities_equal_a_cold_run(num_qubits, noisy, tab1_path, m
     target, noise = ORACLE_TARGETS[num_qubits], _oracle_noise(tab1_path, num_qubits, noisy)
     plan = build_plan(num_qubits, shots=300)
     tomography._probabilities.cache_clear()
-    cold = [execute_plan(plan, target, noise, seed=5, exact=e) for e in (False, True)]
+    cold = [execute_plan(p, target, noise, seed=5) for p in (plan, build_plan(num_qubits, None))]
     calls = _counting_evolve(monkeypatch)
-    warm = [execute_plan(plan, target, noise, seed=5, exact=e) for e in (False, True)]
+    warm = [execute_plan(p, target, noise, seed=5) for p in (plan, build_plan(num_qubits, None))]
     assert calls == []
     assert all(_same_dataset(w, c) for w, c in zip(warm, cold))
 
@@ -493,7 +495,7 @@ def test_memo_stays_within_its_bound(monkeypatch):
     targets = [Circuit(1, (ga("RZ", 0, 0.1 * i), ga("H", 0))) for i in range(2 * n)]
 
     def run(target):  # the cache's (hits, misses) after one exact run of the target
-        execute_plan(build_plan(target.num_qubits, shots=10), target, exact=True)
+        execute_plan(build_plan(target.num_qubits, shots=None), target)
         assert memo.cache_info().currsize <= n
         return memo.cache_info()[:2]
 
@@ -507,7 +509,7 @@ def test_memo_stays_within_its_bound(monkeypatch):
     assert run(targets[-n]) == (hits + 2, misses + 1)  # so the one just hit stays
     monkeypatch.setattr(tomography, "_MEMO_MAX_QUBITS", 1)  # wider arrays are not kept
     before = memo.cache_info()
-    execute_plan(build_plan(2, shots=10), SQSCZ_CIRCUIT, exact=True)
+    execute_plan(build_plan(2, shots=None), SQSCZ_CIRCUIT)
     assert memo.cache_info() == before
 
 
@@ -543,11 +545,11 @@ def test_memo_is_safe_under_threads():
 
 
 def test_exact_dataset_writes_do_not_reach_the_memo(perth_noise):
-    plan = build_plan(2, shots=10)
-    first = execute_plan(plan, SQSCZ_CIRCUIT, perth_noise, exact=True)
+    plan = build_plan(2, shots=None)
+    first = execute_plan(plan, SQSCZ_CIRCUIT, perth_noise)
     expected = first.frequencies.copy()
     first.frequencies[...] = 0.25
-    again = execute_plan(plan, SQSCZ_CIRCUIT, perth_noise, exact=True)
+    again = execute_plan(plan, SQSCZ_CIRCUIT, perth_noise)
     assert np.array_equal(again.frequencies, expected)
     memo = tomography._probabilities(SQSCZ_CIRCUIT, perth_noise)
     with pytest.raises(ValueError):
@@ -569,14 +571,14 @@ def test_dataset_roundtrip_sampled_and_exact(perth_noise):
     ds = execute_plan(plan, target, seed=3)
     back = TomographyDataset.from_dict(json.loads(ds.to_json()))
     assert back.to_json() == ds.to_json()
-    exact = execute_plan(plan, target, seed=3, exact=True)
+    exact = execute_plan(build_plan(1, None), target, seed=3)
     back = TomographyDataset.from_dict(json.loads(exact.to_json()))
     assert back.to_json() == exact.to_json()
     assert back.counts is None
     plan = build_plan(2, shots=256)
     for ds in (
         execute_plan(plan, SQSCZ_CIRCUIT, noise=perth_noise, seed=3),
-        execute_plan(plan, SQSCZ_CIRCUIT, noise=perth_noise, exact=True),
+        execute_plan(build_plan(2, None), SQSCZ_CIRCUIT, noise=perth_noise),
     ):
         d = json.loads(ds.to_json())
         back = TomographyDataset.from_dict(d)
@@ -594,7 +596,7 @@ def test_dataset_requires_all_jobs():
 
 
 def test_dataset_frequencies_must_be_finite():
-    ds = execute_plan(build_plan(1, shots=16), Circuit(1), exact=True)
+    ds = execute_plan(build_plan(1, shots=None), Circuit(1))
     for bad in (np.nan, np.inf):
         freqs = ds.frequencies.copy()
         freqs[0, 0, 0] = bad
@@ -611,8 +613,40 @@ def test_dataset_counts_must_cover_exactly_the_plan_jobs():
             TomographyDataset(ds.plan, ds.frequencies, counts, {})
 
 
+def test_dataset_has_counts_exactly_when_its_plan_has_shots():
+    sampled = execute_plan(build_plan(1, shots=16), Circuit(1), seed=2)
+    exact = execute_plan(build_plan(1, shots=None), Circuit(1))
+    with pytest.raises(ValueError, match="plan has shots=None must not have counts"):
+        TomographyDataset(exact.plan, sampled.frequencies, sampled.counts, {})
+    with pytest.raises(ValueError, match="plan has shots=16 must have counts"):
+        TomographyDataset(sampled.plan, exact.frequencies, None, {})
+    assert exact.counts is None and exact.metadata["exact"] and not sampled.metadata["exact"]
+    assert exact.to_dict()["shots"] is None
+    assert exact.to_json().endswith('\n  "shots": null\n}')
+
+
+def test_dataset_from_dict_reads_frequency_records_as_a_plan_without_shots():
+    d = execute_plan(build_plan(1, shots=None), Circuit(1, (ga("H", 0),))).to_dict()
+    want = TomographyDataset.from_dict(d)
+    for shots in (4000, 16.9):  # exact records used to carry their plan's shot count
+        d["shots"] = shots
+        back = TomographyDataset.from_dict(d)
+        assert back.plan.shots is None and back.counts is None
+        assert np.array_equal(back.frequencies, want.frequencies)
+    del d["shots"]
+    assert TomographyDataset.from_dict(d).plan == build_plan(1, None)
+
+
+def test_exact_mode_is_a_plan_without_shots():
+    for f in (qpt, execute_plan):
+        assert "exact" not in inspect.signature(f).parameters, f.__name__
+    result = qpt(SQSCZ_CIRCUIT, shots=None)
+    assert result.dataset.plan == build_plan(2, None) and result.dataset.counts is None
+    assert np.array_equal(result.dataset.frequencies, tomography._probabilities(SQSCZ_CIRCUIT, None))
+
+
 def test_dataset_from_dict_missing_job_is_value_error():
-    d = execute_plan(build_plan(1, shots=1), Circuit(1), exact=True).to_dict()
+    d = execute_plan(build_plan(1, shots=None), Circuit(1)).to_dict()
     del d["jobs"][0]
     with pytest.raises(ValueError, match=r"missing 1 plan job\(s\), e.g. \('0', 'X'\)"):
         TomographyDataset.from_dict(d)
@@ -710,11 +744,11 @@ def test_exact_mode_rejects_non_stochastic_confusion():
     bad = np.array([[0.9, 0.2], [0.2, 0.8]])
     model = NoiseModel(gate_noise={}, readout_confusion={0: bad, 1: bad})
     with pytest.raises(ValueError, match="confusion matrix for qubit 0 is not column-stochastic"):
-        execute_plan(build_plan(2, shots=1), SQSCZ_CIRCUIT, noise=model, exact=True)
+        execute_plan(build_plan(2, shots=None), SQSCZ_CIRCUIT, noise=model)
 
 
 def test_dataset_rejects_bad_frequency_length():
-    d = execute_plan(build_plan(2, shots=1), SQSCZ_CIRCUIT, exact=True).to_dict()
+    d = execute_plan(build_plan(2, shots=None), SQSCZ_CIRCUIT).to_dict()
     d["jobs"][5]["frequencies"] = d["jobs"][5]["frequencies"][:3]
     job = (d["jobs"][5]["prep"], d["jobs"][5]["setting"])
     with pytest.raises(ValueError, match=rf"job \({job[0]!r}, {job[1]!r}\) has 3 frequencies"):
@@ -723,8 +757,8 @@ def test_dataset_rejects_bad_frequency_length():
 
 def test_linear_inversion_recovers_exact_choi():
     for circuit in (SQSCZ_CIRCUIT, Circuit(2)):
-        plan = build_plan(2, shots=1)
-        ds = execute_plan(plan, circuit, exact=True)
+        plan = build_plan(2, shots=None)
+        ds = execute_plan(plan, circuit)
         est = linear_inversion(ds)
         truth = choi_from_unitary(circuit_unitary(circuit))
         assert frobenius(est.matrix - truth.matrix) < 1e-9
@@ -836,7 +870,7 @@ def test_project_cptp_takes_one_eigh_per_dual_point(perth_noise, monkeypatch):
 
 
 def test_project_cptp_diagnostics_exact_estimate():
-    proj = qpt(SQSCZ_CIRCUIT, exact=True).projection
+    proj = qpt(SQSCZ_CIRCUIT, shots=None).projection
     assert proj.distance < 1e-10
     assert proj.raw_min_eig > -1e-10
 
@@ -892,7 +926,7 @@ def test_project_cptp_flags_nonconvergence():
 
 
 def test_qpt_exact_self_consistency():
-    result = qpt(SQSCZ_CIRCUIT, exact=True)
+    result = qpt(SQSCZ_CIRCUIT, shots=None)
     assert result.report.process_fidelity >= 1 - 1e-9
     assert result.converged
 
@@ -900,7 +934,7 @@ def test_qpt_exact_self_consistency():
 def test_qpt_exact_three_qubits():
     sw = Stopwatch(30.0)
     target = Circuit(3, (ga("SQSCZ", (0, 1)), ga("H", 2)))
-    result = qpt(target, exact=True)
+    result = qpt(target, shots=None)
     assert result.report.process_fidelity >= 1 - 1e-9
     sw.check()
 
@@ -931,14 +965,14 @@ def test_qpt_fidelity_monotone_in_depolarizing_strength():
             readout_confusion={0: np.eye(2), 1: np.eye(2)},
             label=f"depol-{p}",
         )
-        res = qpt(Circuit(2, (ga("CNOT", (0, 1)),)), noise=model, exact=True)
+        res = qpt(Circuit(2, (ga("CNOT", (0, 1)),)), noise=model, shots=None)
         fids.append(res.report.process_fidelity)
     assert fids[0] > fids[1] > fids[2]
 
 
 def test_reconstruction_error_shrinks_with_more_shots():
     plan = build_plan(2, shots=1)
-    exact = execute_plan(plan, SQSCZ_CIRCUIT, exact=True)
+    exact = execute_plan(build_plan(2, None), SQSCZ_CIRCUIT)
     truth = choi_from_unitary(circuit_unitary(SQSCZ_CIRCUIT)).matrix
     plan_probs = exact.frequencies.reshape(plan.num_jobs, -1)
 
@@ -989,8 +1023,9 @@ _JSON_VALUES = st.recursive(
 )
 def test_dataset_to_json_matches_oracle(num_qubits, mode, seed, metadata):
     noise = _tab1_noise(num_qubits) if mode in ("exact_noisy", "noisy") else None
-    plan = build_plan(num_qubits, shots=3 if mode == "sparse" else 200)
-    ds = execute_plan(plan, _TARGETS[num_qubits], noise, seed, exact=mode.startswith("exact"))
+    shots = None if mode.startswith("exact") else 3 if mode == "sparse" else 200
+    plan = build_plan(num_qubits, shots)
+    ds = execute_plan(plan, _TARGETS[num_qubits], noise, seed)
     assert ds.to_json() == oracle_dataset_json(ds)
     if mode == "sparse":  # loaded records may leave out zero counts
         counts = {
