@@ -32,7 +32,7 @@ def main():
     args = parser.parse_args()
 
     environments = [
-        ("exact_probabilities", 0, ["--exact"], args.seeds[:1]),
+        ("exact_probabilities", None, ["--exact"], args.seeds[:1]),
         ("clean_simulator", args.clean_shots, [], args.seeds),
         ("calibrated_noise", args.noisy_shots, ["--calib", args.calib], args.seeds),
     ]
@@ -53,7 +53,7 @@ def main():
     for env, shots, _, _ in environments:
         fids = summary[env]
         print(
-            f"{env.replace('_', ' '):<28}{shots:>8}{len(fids):>6}"
+            f"{env.replace('_', ' '):<28}{shots or 'exact':>8}{len(fids):>6}"
             f"{sum(fids) / len(fids):>12.5f}{min(fids):>10.5f}{max(fids):>10.5f}"
         )
     print(f"\nartifacts in {args.out}/")

@@ -34,7 +34,9 @@ def test_qpt_experiments_layout_and_summary(tmp_path, monkeypatch, capsys):
             assert (out / env / "seed3" / fname).is_file()
     assert summary["exact_probabilities"][0] == pytest.approx(1.0, abs=1e-9)
     assert summary["calibrated_noise"][0] < summary["clean_simulator"][0]
-    assert "calibrated noise" in capsys.readouterr().out
+    table = [line.split() for line in capsys.readouterr().out.splitlines()]
+    rows = [row[-5:-3] for row in table if row[:1] in (["exact"], ["clean"], ["calibrated"])]
+    assert rows == [["exact", "1"], ["300", "1"], ["300", "1"]]  # shots and runs per environment
 
 
 def test_exact_agreement_check_fails_only_on_a_moved_exact_entry(tmp_path, monkeypatch, capsys):

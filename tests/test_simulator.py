@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from choiqpt import simulator, tomography
 from choiqpt.channels import KrausSet
 from choiqpt.gates import GATE_DEFS, Circuit, circuit_unitary, ga, to_native
 from choiqpt.linalg import kron_all
-from choiqpt.noise import NoiseModel, depolarizing_kraus
+from choiqpt.noise import (
+    NoiseModel,
+    depolarizing_kraus,
+    noise_model_from_calibration,
+    parse_calibration,
+)
 from choiqpt.simulator import (
     CountsTable,
     apply_confusion,
@@ -19,6 +25,7 @@ from choiqpt.simulator import (
     simulate,
     validate_density_matrix,
 )
+from choiqpt.tomography import qpt
 from conftest import oracle_measure_noise, oracle_simulate, random_density, random_kraus_ops
 
 
@@ -127,8 +134,9 @@ def test_noisy_simulate_lowers_to_native_gates(perth_noise):
 def test_noisy_runs_lower_each_circuit_once(perth_noise):
     c = Circuit(2, (ga("SQSCZ", (1, 0)), ga("RX", 0, 0.123)))
     misses = to_native.cache_info().misses
-    first = simulate(c, perth_noise)
-    second = evolve(ground_state(2), Circuit(2, c.gates), perth_noise)  # an equal circuit
+    first = simulate(c, perth_noise)  # E(|0><0|), the first state of the memoised channel
+    units = np.eye(16, dtype=complex).reshape(-1, 4, 4)
+    second = evolve(units, Circuit(2, c.gates), perth_noise)[0]  # an equal circuit
     assert to_native.cache_info().misses == misses + 1
     assert np.array_equal(first, second)
     assert to_native.cache_info().maxsize <= 64
@@ -324,3 +332,86 @@ def test_counts_table_from_dict_rejects_counts_that_are_not_a_mapping(counts):
 def test_ground_state():
     g = ground_state(2)
     assert g[0, 0] == 1 and np.abs(g).sum() == 1
+
+
+MEMO_TARGETS = {
+    1: Circuit(1, (ga("RX", 0, 0.7), ga("H", 0))),
+    2: Circuit(2, (ga("SQSCZ", (1, 0)), ga("RZ", 0, 0.3))),
+    3: Circuit(3, (ga("SQSCZ", (2, 0)), ga("H", 1), ga("CNOT", (1, 2)))),
+    4: Circuit(4, (ga("SQSCZ", (3, 1)), ga("H", 0), ga("CNOT", (2, 0)), ga("RX", 3, 0.4))),
+}
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_memoised_simulate_matches_kraus_oracle(k, noisy, tab1_path):
+    c = MEMO_TARGETS[k]
+    noise = noise_model_from_calibration(parse_calibration(tab1_path), num_qubits=k) if noisy else None
+    rho0 = random_density(np.random.default_rng(k), 2**k)
+    simulator._channel.cache_clear()
+    for initial in (None, rho0, None, rho0):  # cold, then warm
+        # noisy runs lower the circuit first, so the oracle runs the native gates
+        want = oracle_simulate(to_native(c) if noisy else c, noise, initial=initial)
+        assert np.abs(simulate(c, noise, initial=initial) - want).max() <= 1e-12
+    assert simulator._channel.cache_info()[:2] == (3, 1)  # one channel serves every call
+
+
+def test_writing_into_a_memoised_result_leaves_the_next_one(perth_noise):
+    c = Circuit(2, (ga("SQSCZ", (0, 1)), ga("RX", 1, 0.2)))
+    first = simulate(c, perth_noise)
+    want = first.copy()
+    first[...] = 0.25
+    assert np.array_equal(simulate(c, perth_noise), want)
+    with pytest.raises(ValueError):  # the memoised channel itself is read-only
+        simulator._channel(c, perth_noise)[0, 0, 0] = 1.0
+
+
+def test_wide_simulate_runs_gate_by_gate_outside_the_memo():
+    c = Circuit(5, (ga("H", 0), ga("CNOT", (0, 4)), ga("SQSCZ", (2, 3)), ga("RX", 1, 0.5)))
+    rho0 = random_density(np.random.default_rng(5), 32)
+    before = simulator._channel.cache_info()
+    for initial in (None, rho0):
+        assert np.abs(simulate(c, initial=initial) - oracle_simulate(c, initial=initial)).max() <= 1e-12
+    assert simulator._channel.cache_info() == before
+
+
+def test_channel_memo_keeps_the_four_most_recently_used():
+    memo = simulator._channel
+    memo.cache_clear()
+    n = memo.cache_info().maxsize
+    assert n == 4
+    circuits = [Circuit(1, (ga("RZ", 0, 0.1 * i), ga("H", 0))) for i in range(2 * n)]
+
+    def run(c):  # the cache's (hits, misses) after one simulate of the circuit
+        simulate(c)
+        assert memo.cache_info().currsize <= n
+        return memo.cache_info()[:2]
+
+    for c in circuits:
+        hits, misses = run(c)
+    assert (hits, misses) == (0, 2 * n)
+    for i, c in enumerate(circuits[-n:], 1):  # the n most recently used are kept
+        assert run(c) == (hits + i, misses)
+    hits += n
+    assert run(circuits[-n]) == (hits + 1, misses)  # a hit makes it the most recently used
+    assert run(circuits[0]) == (hits + 1, misses + 1)  # the least recently used was evicted
+    assert run(circuits[-n]) == (hits + 2, misses + 1)  # so the one just hit stays
+
+
+def test_qpt_then_simulate_evolves_the_target_once(tab1_path, monkeypatch):
+    target = Circuit(2, (ga("SQSCZ", (0, 1)), ga("RX", 1, 0.9)))
+    noise = noise_model_from_calibration(parse_calibration(tab1_path), num_qubits=2)
+    calls = []
+
+    def counting_evolve(states, c, noise=None):
+        calls.append(c)
+        return evolve(states, c, noise)
+
+    monkeypatch.setattr(simulator, "evolve", counting_evolve)
+    monkeypatch.setattr(tomography, "evolve", counting_evolve)
+    tomography._probabilities.cache_clear()
+    simulator._channel.cache_clear()
+    qpt(target, noise, shots=1000, seed=0)
+    rho = simulate(target, noise)
+    assert calls.count(target) == 1
+    assert np.abs(rho - oracle_simulate(to_native(target), noise)).max() <= 1e-12
