@@ -11,10 +11,10 @@ when it has one, contracted by :func:`linalg.apply_local` with the gate's
 row and column axes of the ``(2,) * 2K`` state tensor; readout decay acts
 the same way.  Readout confusion acts on outcome probabilities
 (:func:`apply_confusion`), so one multinomial draw samples the recorded
-outcomes.  Up to ``_MEMO_MAX_QUBITS = 4`` qubits a (circuit, noise model) pair
-is simulated once: :func:`_channel` runs the d^2 matrix units and keeps 4 pairs
-for :func:`simulate` and ``tomography.channel_choi``, though its first run at
-4 qubits evolves 256 states, some 20 times the cost of one.
+outcomes.  :func:`simulate` keeps the ground-state runs of its last 4
+(circuit, noise model) pairs (:func:`_from_ground`), so a direct execution
+repeated in one process is simulated once; a first run costs what one
+state's run costs.
 
 Sampling uses numpy's PCG64 generator seeded by an int, a ``SeedSequence``
 or a ``Generator``; a fixed seed reproduces counts exactly, which
@@ -38,7 +38,6 @@ from .linalg import apply_local, as_complex_matrix, dagger, product_labels, whol
 from .noise import NoiseModel
 
 _C = np.complex128
-_MEMO_MAX_QUBITS = 4  # wider channels (and tomography probabilities) are simulated per call
 
 # Per-qubit basis change for each Pauli measurement basis, as (gate, *params)
 # entries applied in order: it rotates the basis's +1/-1 eigenstates onto
@@ -93,10 +92,9 @@ def _wires(qubits: tuple[int, ...], num_qubits: int) -> list[int]:
 
 
 @lru_cache(maxsize=4)
-def _channel(c: Circuit, noise: NoiseModel | None) -> np.ndarray:
-    """The read-only ``(d^2, d, d)`` stack ``E(|i><j|)``, row ``i d + j``, from one :func:`evolve`."""
-    d = 2**c.num_qubits
-    return read_only(evolve(np.eye(d * d, dtype=_C).reshape(-1, d, d), c, noise))
+def _from_ground(c: Circuit, noise: NoiseModel | None) -> np.ndarray:
+    """The read-only ground-state result of :func:`evolve`, kept for 4 (circuit, noise) pairs."""
+    return read_only(evolve(ground_state(c.num_qubits), c, noise))
 
 
 def simulate(
@@ -106,21 +104,20 @@ def simulate(
 ) -> np.ndarray:
     """Run a circuit on a density matrix (the ground state by default) into a new array.
 
-    The result is :func:`evolve`'s on one validated state (with noise: native gates,
-    each followed by its calibrated Kraus set), made by one contraction with the
-    memoised :func:`_channel` up to ``_MEMO_MAX_QUBITS`` qubits and gate by gate above.
+    As :func:`evolve` on one validated state: with a noise model the circuit
+    is lowered to the native gate set and each gate is followed by its
+    calibrated Kraus set on the same wires.  A ground-state run is a copy of
+    the memoised :func:`_from_ground`.
     """
     if initial is None:
-        rho = ground_state(c.num_qubits)
-    else:
-        rho = validate_density_matrix(initial)
-        if rho.shape != (2**c.num_qubits,) * 2:
-            raise ValueError(
-                f"initial state dim {rho.shape[0]} does not match circuit width {c.num_qubits}"
-            )
-    if c.num_qubits > _MEMO_MAX_QUBITS:
-        return evolve(rho[None], c, noise)[0]
-    return np.tensordot(rho.reshape(-1), _channel(c, noise), 1)
+        return _from_ground(c, noise).copy()
+    dim = 2**c.num_qubits
+    rho = validate_density_matrix(initial)
+    if rho.shape != (dim, dim):
+        raise ValueError(
+            f"initial state dim {rho.shape[0]} does not match circuit width {c.num_qubits}"
+        )
+    return evolve(rho[None], c, noise)[0]
 
 
 def evolve(states: np.ndarray, c: Circuit, noise: NoiseModel | None = None) -> np.ndarray:

@@ -8,8 +8,7 @@ The pipeline mirrors how one characterizes a gate on hardware:
    rotated into the computational frame by ``simulator.MEAS_GATES``; every
    plan is the full 4^K x 3^K product of the two tables' tokens,
 3. run the target once, on the d^2 matrix units |i><j|, for the channel's
-   Choi matrix (:func:`channel_choi`: a reshuffle of ``simulator._channel``,
-   which direct execution shares).  Preparation and read-out noise act
+   Choi matrix (:func:`channel_choi`).  Preparation and read-out noise act
    on one qubit at a time, so each qubit's Born rule is one 24 x 16 frame
    (:func:`_frame`) of its SPAM table (:func:`_spam_table`: its 4 prepared
    states and its read-out tensor, simulated on one wire from the two gate
@@ -17,7 +16,7 @@ The pipeline mirrors how one characterizes a gate on hardware:
    (:func:`linalg.along_qubits`) gives the (4^K, 3^K, 2^K) probabilities,
    axes (preparation, setting, outcome).  They depend on neither seed nor
    shots, so each (target, noise model) pair is simulated once per process
-   (:func:`_probabilities` and ``_channel`` keep 4 pairs of at most 4 qubits),
+   (:func:`_probabilities`, an ``lru_cache`` of 4 pairs of at most 4 qubits),
 4. invert the Born rule the same way: the pseudo-inverse of the noiseless
    frame acts along each qubit's axes of the frequencies (again
    :func:`linalg.along_qubits`; no dense 24^K x 16^K system is built),
@@ -47,9 +46,7 @@ from .metrics import FidelityReport, fidelity_report
 from .noise import NoiseModel
 from .simulator import (
     MEAS_GATES,
-    _MEMO_MAX_QUBITS,
     CountsTable,
-    _channel,
     _token_circuit,
     apply_measure_noise,
     draw_counts,
@@ -250,10 +247,10 @@ class TomographyDataset:
 
 
 def channel_choi(target: Circuit, noise: NoiseModel | None = None) -> ChoiMatrix:
-    """The simulated channel's Choi matrix ``C[(i, r), (j, s)] = E(|i><j|)[r, s]``, a
-    reshuffle of the memoised stack ``simulator._channel`` (uncached above ``_MEMO_MAX_QUBITS``)."""
+    """The simulated channel's Choi matrix ``C[(i, r), (j, s)] = E(|i><j|)[r, s]``, from
+    one :func:`choiqpt.simulator.evolve` call on the d^2 matrix units ``|i><j|``."""
     d = 2**target.num_qubits
-    out = (_channel if target.num_qubits <= _MEMO_MAX_QUBITS else _channel.__wrapped__)(target, noise)
+    out = evolve(np.eye(d * d, dtype=complex).reshape(-1, d, d), target, noise)
     return ChoiMatrix(d, d, out.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d))
 
 
@@ -268,6 +265,9 @@ def _frame(prep: np.ndarray, readout: np.ndarray) -> np.ndarray:
 
 
 _FRAME = _frame(*_spam_table(None))  # the noiseless frame, shared by every qubit
+
+
+_MEMO_MAX_QUBITS = 4  # wider probabilities are simulated per call, not kept
 
 
 @lru_cache(maxsize=4)

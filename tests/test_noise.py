@@ -416,7 +416,6 @@ def test_writing_into_a_built_model_raises_and_leaves_its_probabilities(tab1):
     with pytest.raises(ValueError):
         model.readout_confusion[0][0, 0] = 0.5
     tomography._probabilities.cache_clear()
-    simulator._channel.cache_clear()
     after = execute_plan(build_plan(2, None), target, model).frequencies
     assert np.array_equal(after, before)
     # a KrausSet keeps its own copy of a caller's writable array
@@ -432,14 +431,12 @@ def test_a_cached_superoperator_is_read_only(tab1):
     model = noise_model_from_calibration(tab1, num_qubits=2)
     target = Circuit(2, (ga("SQSCZ", (0, 1)),))
     tomography._probabilities.cache_clear()
-    simulator._channel.cache_clear()
     before = execute_plan(build_plan(2, None), target, model).frequencies
     s = model.superop_for("SX", (0,))
     with pytest.raises(ValueError):  # the set, every model holding it and its views share s
         s[0, 0] = 1
     assert not model.on_qubit(0).superop_for("SX", (0,)).flags.writeable
     tomography._probabilities.cache_clear()
-    simulator._channel.cache_clear()
     after = execute_plan(build_plan(2, None), target, model).frequencies
     assert np.array_equal(after, before)
 
@@ -484,10 +481,8 @@ def test_on_qubit_views_share_the_models_superoperators(tab1, monkeypatch):
     target = Circuit(2, (ga("SQSCZ", (0, 1)),))
     # both runs simulate, so the second must reuse the superoperators
     tomography._probabilities.cache_clear()
-    simulator._channel.cache_clear()
     execute_plan(build_plan(2, shots=10), target, model, seed=0)
     tomography._probabilities.cache_clear()
-    simulator._channel.cache_clear()
     calls = []
 
     def counting(operators):

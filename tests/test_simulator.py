@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choiqpt import simulator, tomography
+from choiqpt import simulator
 from choiqpt.channels import KrausSet
 from choiqpt.gates import GATE_DEFS, Circuit, circuit_unitary, ga, to_native
 from choiqpt.linalg import kron_all
@@ -25,7 +25,6 @@ from choiqpt.simulator import (
     simulate,
     validate_density_matrix,
 )
-from choiqpt.tomography import qpt
 from conftest import oracle_measure_noise, oracle_simulate, random_density, random_kraus_ops
 
 
@@ -134,9 +133,8 @@ def test_noisy_simulate_lowers_to_native_gates(perth_noise):
 def test_noisy_runs_lower_each_circuit_once(perth_noise):
     c = Circuit(2, (ga("SQSCZ", (1, 0)), ga("RX", 0, 0.123)))
     misses = to_native.cache_info().misses
-    first = simulate(c, perth_noise)  # E(|0><0|), the first state of the memoised channel
-    units = np.eye(16, dtype=complex).reshape(-1, 4, 4)
-    second = evolve(units, Circuit(2, c.gates), perth_noise)[0]  # an equal circuit
+    first = simulate(c, perth_noise)
+    second = evolve(ground_state(2), Circuit(2, c.gates), perth_noise)  # an equal circuit
     assert to_native.cache_info().misses == misses + 1
     assert np.array_equal(first, second)
     assert to_native.cache_info().maxsize <= 64
@@ -348,12 +346,12 @@ def test_memoised_simulate_matches_kraus_oracle(k, noisy, tab1_path):
     c = MEMO_TARGETS[k]
     noise = noise_model_from_calibration(parse_calibration(tab1_path), num_qubits=k) if noisy else None
     rho0 = random_density(np.random.default_rng(k), 2**k)
-    simulator._channel.cache_clear()
+    simulator._from_ground.cache_clear()
     for initial in (None, rho0, None, rho0):  # cold, then warm
         # noisy runs lower the circuit first, so the oracle runs the native gates
         want = oracle_simulate(to_native(c) if noisy else c, noise, initial=initial)
         assert np.abs(simulate(c, noise, initial=initial) - want).max() <= 1e-12
-    assert simulator._channel.cache_info()[:2] == (3, 1)  # one channel serves every call
+    assert simulator._from_ground.cache_info()[:2] == (1, 1)  # only ground-state runs are kept
 
 
 def test_writing_into_a_memoised_result_leaves_the_next_one(perth_noise):
@@ -362,21 +360,30 @@ def test_writing_into_a_memoised_result_leaves_the_next_one(perth_noise):
     want = first.copy()
     first[...] = 0.25
     assert np.array_equal(simulate(c, perth_noise), want)
-    with pytest.raises(ValueError):  # the memoised channel itself is read-only
-        simulator._channel(c, perth_noise)[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):  # the memoised result itself is read-only
+        simulator._from_ground(c, perth_noise)[0, 0] = 1.0
 
 
-def test_wide_simulate_runs_gate_by_gate_outside_the_memo():
-    c = Circuit(5, (ga("H", 0), ga("CNOT", (0, 4)), ga("SQSCZ", (2, 3)), ga("RX", 1, 0.5)))
-    rho0 = random_density(np.random.default_rng(5), 32)
-    before = simulator._channel.cache_info()
-    for initial in (None, rho0):
-        assert np.abs(simulate(c, initial=initial) - oracle_simulate(c, initial=initial)).max() <= 1e-12
-    assert simulator._channel.cache_info() == before
+def test_a_first_simulate_evolves_one_state(tab1_path, monkeypatch):
+    c = MEMO_TARGETS[4]
+    noise = noise_model_from_calibration(parse_calibration(tab1_path), num_qubits=4)
+    shapes = []
+
+    def counting_evolve(states, c, noise=None):
+        shapes.append(states.shape)
+        return evolve(states, c, noise)
+
+    monkeypatch.setattr(simulator, "evolve", counting_evolve)
+    simulator._from_ground.cache_clear()
+    first = simulate(c, noise)
+    assert shapes == [(16, 16)]  # a cold run costs what one state's run costs
+    assert np.array_equal(simulate(c, noise), first) and len(shapes) == 1
+    simulate(c, noise, initial=first)
+    assert shapes[1:] == [(1, 16, 16)]
 
 
-def test_channel_memo_keeps_the_four_most_recently_used():
-    memo = simulator._channel
+def test_ground_state_memo_keeps_the_four_most_recently_used():
+    memo = simulator._from_ground
     memo.cache_clear()
     n = memo.cache_info().maxsize
     assert n == 4
@@ -396,22 +403,3 @@ def test_channel_memo_keeps_the_four_most_recently_used():
     assert run(circuits[-n]) == (hits + 1, misses)  # a hit makes it the most recently used
     assert run(circuits[0]) == (hits + 1, misses + 1)  # the least recently used was evicted
     assert run(circuits[-n]) == (hits + 2, misses + 1)  # so the one just hit stays
-
-
-def test_qpt_then_simulate_evolves_the_target_once(tab1_path, monkeypatch):
-    target = Circuit(2, (ga("SQSCZ", (0, 1)), ga("RX", 1, 0.9)))
-    noise = noise_model_from_calibration(parse_calibration(tab1_path), num_qubits=2)
-    calls = []
-
-    def counting_evolve(states, c, noise=None):
-        calls.append(c)
-        return evolve(states, c, noise)
-
-    monkeypatch.setattr(simulator, "evolve", counting_evolve)
-    monkeypatch.setattr(tomography, "evolve", counting_evolve)
-    tomography._probabilities.cache_clear()
-    simulator._channel.cache_clear()
-    qpt(target, noise, shots=1000, seed=0)
-    rho = simulate(target, noise)
-    assert calls.count(target) == 1
-    assert np.abs(rho - oracle_simulate(to_native(target), noise)).max() <= 1e-12

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choiqpt import simulator, tomography
+from choiqpt import tomography
 from choiqpt.channels import (
     ChoiMatrix,
     KrausSet,
@@ -373,8 +373,6 @@ def test_execute_plan_counts_match_per_job_sampling_oracle(num_qubits, tab1_path
 
 
 def _counting_evolve(monkeypatch) -> list:
-    """Record the circuit of every ``evolve`` call: the SPAM tables' in ``tomography``
-    and the target's in ``simulator._channel``, which ``channel_choi`` reads."""
     calls = []
 
     def counting_evolve(states, c, noise=None):
@@ -382,7 +380,6 @@ def _counting_evolve(monkeypatch) -> list:
         return evolve(states, c, noise)
 
     monkeypatch.setattr(tomography, "evolve", counting_evolve)
-    monkeypatch.setattr(simulator, "evolve", counting_evolve)
     return calls
 
 
@@ -392,7 +389,6 @@ def test_execute_plan_simulates_preparation_and_readout_per_qubit(
 ):
     calls = _counting_evolve(monkeypatch)
     tomography._probabilities.cache_clear()
-    simulator._channel.cache_clear()
     noise = _oracle_noise(tab1_path, num_qubits)
     execute_plan(build_plan(num_qubits, shots=10), ORACLE_TARGETS[num_qubits], noise, seed=1)
     # 3K preparation tokens with gates, the target once, and K basis changes X and Y
@@ -421,7 +417,6 @@ def test_superop_caches_stay_small(tab1_path):
     noise = noise_model_from_calibration(parse_calibration(tab1_path), num_qubits=2)
     _unitary_superop.cache_clear()
     tomography._probabilities.cache_clear()
-    simulator._channel.cache_clear()
     qpt(SQSCZ_CIRCUIT, noise=noise, shots=1000, seed=0)
     plan = build_plan(2)
     applications = {
@@ -453,7 +448,6 @@ def test_memoised_probabilities_equal_a_cold_run(num_qubits, noisy, tab1_path, m
     target, noise = ORACLE_TARGETS[num_qubits], _oracle_noise(tab1_path, num_qubits, noisy)
     plan = build_plan(num_qubits, shots=300)
     tomography._probabilities.cache_clear()
-    simulator._channel.cache_clear()
     cold = [execute_plan(p, target, noise, seed=5) for p in (plan, build_plan(num_qubits, None))]
     calls = _counting_evolve(monkeypatch)
     warm = [execute_plan(p, target, noise, seed=5) for p in (plan, build_plan(num_qubits, None))]
@@ -465,7 +459,6 @@ def test_memo_hits_an_equal_model_and_misses_a_changed_one(tab1_path, monkeypatc
     plan, target = build_plan(2, shots=400), ORACLE_TARGETS[2]
     noise = _oracle_noise(tab1_path, 2)
     tomography._probabilities.cache_clear()
-    simulator._channel.cache_clear()
     base = execute_plan(plan, target, noise, seed=4)
     calls = _counting_evolve(monkeypatch)
     assert _same_dataset(execute_plan(plan, target, _oracle_noise(tab1_path, 2), seed=4), base)
@@ -484,7 +477,6 @@ def test_memo_hits_an_equal_model_and_misses_a_changed_one(tab1_path, monkeypatc
         assert calls, "a model with one changed entry must be simulated"
         assert not _same_dataset(warm, base)
         tomography._probabilities.cache_clear()
-        simulator._channel.cache_clear()
         assert _same_dataset(execute_plan(plan, target, model, seed=4), warm)
 
     # a model cannot change under its memo entry: a write into it raises
@@ -525,7 +517,6 @@ def test_memo_is_safe_under_threads():
     memo = tomography._probabilities
     targets = [Circuit(1, (ga("RX", 0, 0.2 * i),)) for i in range(2 * memo.cache_info().maxsize)]
     memo.cache_clear()
-    simulator._channel.cache_clear()  # each miss also reads this memo, which churns the same way
     expected = [memo(t, None).copy() for t in targets]
     errors = []
 
@@ -551,7 +542,6 @@ def test_memo_is_safe_under_threads():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert memo.cache_info().currsize <= memo.cache_info().maxsize
-    assert simulator._channel.cache_info().currsize <= simulator._channel.cache_info().maxsize
 
 
 def test_exact_dataset_writes_do_not_reach_the_memo(perth_noise):
