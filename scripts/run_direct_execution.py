@@ -22,8 +22,8 @@ DATA = Path(choiqpt.__file__).parent / "data"
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--shots", type=int, default=7_168)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--shots", type=cli._positive_int, default=7_168)
+    parser.add_argument("--seed", type=cli._seed, default=0)
     parser.add_argument("--out", default="direct_execution", type=Path)
     parser.add_argument("--calib", default=str(DATA / "ibm_perth_tab1.json"))
     args = parser.parse_args()

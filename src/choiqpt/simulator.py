@@ -11,10 +11,8 @@ when it has one, contracted by :func:`linalg.apply_local` with the gate's
 row and column axes of the ``(2,) * 2K`` state tensor; readout decay acts
 the same way.  Readout confusion acts on outcome probabilities
 (:func:`apply_confusion`), so one multinomial draw samples the recorded
-outcomes.  :func:`simulate` keeps the ground-state runs of its last 4
-(circuit, noise model) pairs (:func:`_from_ground`), so a direct execution
-repeated in one process is simulated once; a first run costs what one
-state's run costs.
+outcomes.  :func:`simulate` memoises its ground-state runs (:func:`_from_ground`)
+under the package's one memo policy, :func:`_memo_upto`.
 
 Sampling uses numpy's PCG64 generator seeded by an int, a ``SeedSequence``
 or a ``Generator``; a fixed seed reproduces counts exactly, which
@@ -28,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 
 import numpy as np
 
@@ -91,10 +89,24 @@ def _wires(qubits: tuple[int, ...], num_qubits: int) -> list[int]:
     return [1 + q for q in qubits] + [1 + num_qubits + q for q in qubits]
 
 
-@lru_cache(maxsize=4)
+def _memo_upto(max_qubits: int):
+    """The one memo policy: an ``lru_cache`` keeps the read-only results of ``f(circuit, noise)``
+    for its last 4 pairs of at most ``max_qubits`` qubits (the wrapper's ``max_qubits``); a wider
+    call runs uncached and keeps nothing.  Worst cases: 4 x 1 MB for ``_from_ground`` (cap 8),
+    4 x 2.65 MB for ``tomography._probabilities`` (cap 4).  Equal noise models hit."""
+    def decorate(f):
+        kept = lru_cache(maxsize=4)(lambda c, noise: read_only(f(c, noise)))
+        def memo(c, noise):
+            return kept(c, noise) if c.num_qubits <= memo.max_qubits else f(c, noise)
+        memo.max_qubits, memo.cache_info, memo.cache_clear = max_qubits, kept.cache_info, kept.cache_clear
+        return update_wrapper(memo, f)
+    return decorate
+
+
+@_memo_upto(8)
 def _from_ground(c: Circuit, noise: NoiseModel | None) -> np.ndarray:
-    """The read-only ground-state result of :func:`evolve`, kept for 4 (circuit, noise) pairs."""
-    return read_only(evolve(ground_state(c.num_qubits), c, noise))
+    """The ground-state result of :func:`evolve`."""
+    return evolve(ground_state(c.num_qubits), c, noise)
 
 
 def simulate(

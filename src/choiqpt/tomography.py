@@ -15,8 +15,8 @@ The pipeline mirrors how one characterizes a gate on hardware:
    tables).  Applying each frame along its qubit's axes of the Choi matrix
    (:func:`linalg.along_qubits`) gives the (4^K, 3^K, 2^K) probabilities,
    axes (preparation, setting, outcome).  They depend on neither seed nor
-   shots, so each (target, noise model) pair is simulated once per process
-   (:func:`_probabilities`, an ``lru_cache`` of 4 pairs of at most 4 qubits),
+   shots, so :func:`_probabilities` memoises them under the package's one
+   memo policy (``simulator._memo_upto``),
 4. invert the Born rule the same way: the pseudo-inverse of the noiseless
    frame acts along each qubit's axes of the frequencies (again
    :func:`linalg.along_qubits`; no dense 24^K x 16^K system is built),
@@ -31,10 +31,10 @@ job's counts, in job order, from one generator seeded by ``SeedSequence(seed)``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -47,6 +47,7 @@ from .noise import NoiseModel
 from .simulator import (
     MEAS_GATES,
     CountsTable,
+    _memo_upto,
     _token_circuit,
     apply_measure_noise,
     draw_counts,
@@ -89,13 +90,20 @@ class TomographyPlan:
 
     @property
     def num_jobs(self) -> int:
-        return len(self.preparations) * len(self.settings)
+        return (len(PREP_TOKENS) * len(SETTING_TOKENS)) ** self.num_qubits
 
     def jobs(self):
         """Canonical job order: preparation-major, setting-minor."""
         for prep in self.preparations:
             for setting in self.settings:
                 yield prep, setting
+
+    def has_job(self, key: tuple[str, str]) -> bool:
+        """Whether ``key`` is a job of the plan, read from its tokens without listing the plan."""
+        return all(
+            isinstance(label, str) and len(label) == self.num_qubits and set(label) <= set(tokens)
+            for label, tokens in zip(key, (PREP_TOKENS, SETTING_TOKENS))
+        )
 
 
 def build_plan(num_qubits: int, shots: int | None = 4000) -> TomographyPlan:
@@ -204,22 +212,26 @@ class TomographyDataset:
             k = whole_number(d["num_qubits"], "num_qubits")
             sampled = any("counts" in j for j in d["jobs"])  # else exact: no shots
             plan = build_plan(k, whole_number(d["shots"], "shots") if sampled else None)
-            keys = list(plan.jobs())
-            jobs, in_plan = {}, set(keys)
+            jobs = {}
             for j in d["jobs"]:
                 key = (j["prep"], j["setting"])
-                if key not in in_plan:
+                if not plan.has_job(key):
                     raise ValueError(f"job {key} is not in the {k}-qubit plan")
                 if key in jobs:
                     raise ValueError(f"job {key} has more than one record")
                 jobs[key] = j
-            missing = [key for key in keys if key not in jobs]
-            if missing:
-                raise ValueError(f"dataset is missing {len(missing)} plan job(s), e.g. {missing[0]}")
+            if missing := plan.num_jobs - len(jobs):  # a wide plan is too long to list: walk it lazily
+                walk = (
+                    (p, s)
+                    for p in map("".join, itertools.product(PREP_TOKENS, repeat=k))
+                    for s in map("".join, itertools.product(SETTING_TOKENS, repeat=k))
+                )
+                first = next(key for key in walk if key not in jobs)
+                raise ValueError(f"dataset is missing {missing} plan job(s), e.g. {first}")
             outcomes = set(product_labels("01", k))
             counts = {} if sampled else None
             rows = []
-            for key in keys:
+            for key in plan.jobs():
                 if counts is not None:
                     if "counts" not in jobs[key]:
                         raise ValueError(f"job {key} has no counts, but other jobs of the dataset do")
@@ -267,27 +279,21 @@ def _frame(prep: np.ndarray, readout: np.ndarray) -> np.ndarray:
 _FRAME = _frame(*_spam_table(None))  # the noiseless frame, shared by every qubit
 
 
-_MEMO_MAX_QUBITS = 4  # wider probabilities are simulated per call, not kept
-
-
-@lru_cache(maxsize=4)
+@_memo_upto(4)
 def _probabilities(target: Circuit, noise: NoiseModel | None) -> np.ndarray:
-    """The read-only ``(4^K, 3^K, 2^K)`` recorded probabilities of every plan job.
+    """The ``(4^K, 3^K, 2^K)`` recorded probabilities of every plan job.
 
     The target runs once (:func:`channel_choi`), and each qubit's frame acts
     along its axes of the Choi matrix (:func:`linalg.along_qubits`): ``_FRAME``
     without noise, else :func:`_frame` of its :func:`_spam_table` under
     :meth:`NoiseModel.on_qubit`; clipping, renormalising and readout
-    confusion follow.  An ``lru_cache`` keeps the last 4 (target, model)
-    pairs; models are immutable and compare by value, so an equal model hits.
+    confusion follow.
     """
     k = target.num_qubits
     frames = [_FRAME if noise is None else _frame(*_spam_table(noise.on_qubit(q))) for q in range(k)]
     x = along_qubits(channel_choi(target, noise).matrix, frames, (2, 2, 2, 2), (4, 3, 2))
     shape = (len(PREP_TOKENS) ** k, len(SETTING_TOKENS) ** k, 2**k)
-    probs = recorded_probabilities(x.real.reshape(shape), noise)
-    probs.flags.writeable = False
-    return probs
+    return recorded_probabilities(x.real.reshape(shape), noise)
 
 
 def execute_plan(
@@ -299,9 +305,7 @@ def execute_plan(
     """Simulate every (preparation, setting) job of the plan.
 
     Nothing is simulated per job: the ``(4^K, 3^K, 2^K)`` probabilities come
-    from :func:`_probabilities`, once per (target, noise model) pair.  Plans
-    wider than ``_MEMO_MAX_QUBITS`` call its uncached ``__wrapped__``, so no
-    wider array is kept.
+    from :func:`_probabilities`, once per (target, noise model) pair.
 
     A plan without shots records a copy of these probabilities as the
     frequencies; otherwise the plan is one stream: ``draw_counts`` draws
@@ -311,8 +315,7 @@ def execute_plan(
     if target.num_qubits != plan.num_qubits:
         raise ValueError("target width does not match the plan")
     k, d = plan.num_qubits, 2**plan.num_qubits
-    simulate = _probabilities if k <= _MEMO_MAX_QUBITS else _probabilities.__wrapped__
-    probs = simulate(target, noise)
+    probs = _probabilities(target, noise)
     counts = None
     if plan.shots is None:
         freqs = probs.copy()  # the dataset's own array; the memoised one stays read-only

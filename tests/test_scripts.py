@@ -88,19 +88,23 @@ def test_script_exits_with_cli_error_code(tmp_path, monkeypatch):
     assert exc.value.code == 2
 
 
+BAD_COUNTS = [
+    ("run_qpt_experiments.py", "--clean-shots", "0", "shots > 0 required"),
+    ("run_qpt_experiments.py", "--noisy-shots", "0", "shots > 0 required"),
+    ("run_qpt_experiments.py", "--clean-shots", "-5", "shots > 0 required"),
+    ("run_qpt_experiments.py", "--seeds", "-1", "seed must be a non-negative integer"),
+    ("run_direct_execution.py", "--shots", "0", "shots > 0 required"),
+    ("run_direct_execution.py", "--seed", "-1", "seed must be a non-negative integer"),
+]
+
+
 @pytest.mark.parametrize(
-    "flag, value, message",
-    [
-        ("--clean-shots", "0", "shots > 0 required"),
-        ("--noisy-shots", "0", "shots > 0 required"),
-        ("--clean-shots", "-5", "shots > 0 required"),
-        ("--seeds", "-1", "seed must be a non-negative integer"),
-    ],
+    "script, flag, value, message", [pytest.param(*case, id="-".join(case[1:])) for case in BAD_COUNTS]
 )
-def test_qpt_experiments_rejects_bad_counts(flag, value, message, tmp_path, monkeypatch, capsys):
+def test_qpt_experiments_rejects_bad_counts(script, flag, value, message, tmp_path, monkeypatch, capsys):
     out = tmp_path / "exp"
     with pytest.raises(SystemExit) as exc:
-        run_script(monkeypatch, "run_qpt_experiments.py", "--out", str(out), flag, value)
+        run_script(monkeypatch, script, "--out", str(out), flag, value)
     assert exc.value.code == 2
-    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert f"{script}: error: argument {flag}: {message}" in capsys.readouterr().err
     assert not out.exists()

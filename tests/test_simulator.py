@@ -382,24 +382,11 @@ def test_a_first_simulate_evolves_one_state(tab1_path, monkeypatch):
     assert shapes[1:] == [(1, 16, 16)]
 
 
-def test_ground_state_memo_keeps_the_four_most_recently_used():
+def test_simulate_wider_than_the_memo_cap_keeps_nothing():
     memo = simulator._from_ground
-    memo.cache_clear()
-    n = memo.cache_info().maxsize
-    assert n == 4
-    circuits = [Circuit(1, (ga("RZ", 0, 0.1 * i), ga("H", 0))) for i in range(2 * n)]
-
-    def run(c):  # the cache's (hits, misses) after one simulate of the circuit
-        simulate(c)
-        assert memo.cache_info().currsize <= n
-        return memo.cache_info()[:2]
-
-    for c in circuits:
-        hits, misses = run(c)
-    assert (hits, misses) == (0, 2 * n)
-    for i, c in enumerate(circuits[-n:], 1):  # the n most recently used are kept
-        assert run(c) == (hits + i, misses)
-    hits += n
-    assert run(circuits[-n]) == (hits + 1, misses)  # a hit makes it the most recently used
-    assert run(circuits[0]) == (hits + 1, misses + 1)  # the least recently used was evicted
-    assert run(circuits[-n]) == (hits + 2, misses + 1)  # so the one just hit stays
+    assert memo.max_qubits == 8
+    c = Circuit(9, tuple(ga("H", q) for q in range(9)) + (ga("CNOT", (0, 8)), ga("RX", 4, 0.3)))
+    before = memo.cache_info()
+    rho = simulate(c)
+    assert memo.cache_info() == before
+    assert np.array_equal(rho, evolve(ground_state(9), c))

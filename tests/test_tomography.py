@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choiqpt import tomography
+from choiqpt import simulator, tomography
 from choiqpt.channels import (
     ChoiMatrix,
     KrausSet,
@@ -487,34 +487,44 @@ def test_memo_hits_an_equal_model_and_misses_a_changed_one(tab1_path, monkeypatc
     assert _same_dataset(execute_plan(plan, target, noise, seed=4), base)
 
 
-def test_memo_stays_within_its_bound(monkeypatch):
-    memo = tomography._probabilities
+# each memo, with the public call that fills it: an exact plan, or a ground-state run
+MEMOS = {
+    "_probabilities": (tomography._probabilities, lambda c: execute_plan(build_plan(c.num_qubits, None), c)),
+    "_from_ground": (simulator._from_ground, simulate),
+}
+
+
+@pytest.mark.parametrize("name", list(MEMOS))
+def test_memo_stays_within_its_bound(name, monkeypatch):
+    memo, call = MEMOS[name]
     memo.cache_clear()
     n = memo.cache_info().maxsize
     assert n == 4
     targets = [Circuit(1, (ga("RZ", 0, 0.1 * i), ga("H", 0))) for i in range(2 * n)]
 
-    def run(target):  # the cache's (hits, misses) after one exact run of the target
-        execute_plan(build_plan(target.num_qubits, shots=None), target)
+    def run(target):  # the cache's (hits, misses) after one public call on the target
+        call(target)
         assert memo.cache_info().currsize <= n
         return memo.cache_info()[:2]
 
     for t in targets:
         hits, misses = run(t)
+    assert (hits, misses) == (0, 2 * n)
     for i, t in enumerate(targets[-n:], 1):  # the n most recently used are kept
         assert run(t) == (hits + i, misses)
     hits += n
     assert run(targets[-n]) == (hits + 1, misses)  # a hit makes it the most recently used
     assert run(targets[0]) == (hits + 1, misses + 1)  # the least recently used was evicted
     assert run(targets[-n]) == (hits + 2, misses + 1)  # so the one just hit stays
-    monkeypatch.setattr(tomography, "_MEMO_MAX_QUBITS", 1)  # wider arrays are not kept
+    monkeypatch.setattr(memo, "max_qubits", 1)  # wider results are not kept
     before = memo.cache_info()
-    execute_plan(build_plan(2, shots=None), SQSCZ_CIRCUIT)
+    call(SQSCZ_CIRCUIT)
     assert memo.cache_info() == before
 
 
-def test_memo_is_safe_under_threads():
-    memo = tomography._probabilities
+@pytest.mark.parametrize("name", list(MEMOS))
+def test_memo_is_safe_under_threads(name):
+    memo = MEMOS[name][0]
     targets = [Circuit(1, (ga("RX", 0, 0.2 * i),)) for i in range(2 * memo.cache_info().maxsize)]
     memo.cache_clear()
     expected = [memo(t, None).copy() for t in targets]
@@ -650,6 +660,19 @@ def test_dataset_from_dict_missing_job_is_value_error():
     del d["jobs"][0]
     with pytest.raises(ValueError, match=r"missing 1 plan job\(s\), e.g. \('0', 'X'\)"):
         TomographyDataset.from_dict(d)
+
+
+def test_dataset_from_dict_checks_a_wide_record_without_listing_its_plan():
+    job = {"prep": "0" * 30, "setting": "X" * 30, "frequencies": [1.0] + [0.0] * 15}
+    record = {"num_qubits": 30, "shots": None, "jobs": [job]}
+    sw = Stopwatch(1.0)  # the 30-qubit plan has 12^30 jobs, far too many to list
+    missing = rf"missing {12**30 - 1} plan job\(s\), e.g. \('0{{30}}', 'X{{29}}Y'\)"
+    with pytest.raises(ValueError, match=missing):
+        TomographyDataset.from_dict(record)
+    record["jobs"] = [dict(job, prep="0", setting="X")]
+    with pytest.raises(ValueError, match=r"job \('0', 'X'\) is not in the 30-qubit plan"):
+        TomographyDataset.from_dict(record)
+    sw.check()
 
 
 def test_dataset_mixed_counts_and_frequencies_is_value_error():
