@@ -89,10 +89,9 @@ NATIVE_GATES = frozenset({"RZ", "SX", "X", "CNOT"})
 
 
 def canonical_gate_name(name: str) -> str:
-    try:
-        return _CANONICAL[name.upper()]
-    except KeyError:
-        raise ValueError(f"unknown gate name {name!r}") from None
+    if not isinstance(name, str) or name.upper() not in _CANONICAL:
+        raise ValueError(f"unknown gate name {name!r}")
+    return _CANONICAL[name.upper()]
 
 
 def gate_unitary(name: str, params: tuple[float, ...] = ()) -> np.ndarray:
@@ -365,15 +364,24 @@ def circuit_to_dict(c: Circuit) -> dict:
     }
 
 
+def _field(value, kind: type, rule: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"malformed circuit record: {rule}, got {type(value).__name__}")
+    return value
+
+
 def circuit_from_dict(d: dict) -> Circuit:
+    d = _field(d, dict, "the record must be an object")
     try:
-        gates = tuple(
-            GateApplication(g["name"], tuple(g["qubits"]), tuple(g.get("params", ())))
-            for g in d["gates"]
-        )
-        return Circuit(whole_number(d["num_qubits"], "num_qubits"), gates)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed circuit record: {exc}") from exc
+        gates = []
+        for g in _field(d["gates"], list, "gates must be a list of objects"):
+            g = _field(g, dict, "gates must be a list of objects")
+            qubits = _field(g["qubits"], list, "a gate's qubits must be a list")
+            params = _field(g.get("params", []), list, "a gate's params must be a list")
+            gates.append(GateApplication(g["name"], tuple(qubits), tuple(params)))
+        return Circuit(whole_number(d["num_qubits"], "num_qubits"), tuple(gates))
+    except KeyError as exc:
+        raise ValueError(f"malformed circuit record: missing field {exc}") from exc
 
 
 def save_circuit(c: Circuit, path) -> None:

@@ -1,18 +1,18 @@
 """Density-matrix circuit simulation with optional noise and shot sampling.
 
-States are plain ``numpy`` density matrices (Hermitian, unit trace, PSD
-within tolerance), alone or stacked on a leading batch axis.  Every noisy
-run first lowers its circuit to the native gate set, so calibrated per-gate
-noise applies (``to_native`` keeps its last 32 lowerings, so a circuit run
-again is not lowered again).  Each gate acts as one local superoperator:
-the unitary's ``U (x) conj(U)`` (cached per gate and parameters), times
-its noise entry's ``sum_k K_k (x) conj(K_k)`` (:attr:`KrausSet.superop`)
-when it has one, contracted by :func:`linalg.apply_local` with the gate's
-row and column axes of the ``(2,) * 2K`` state tensor; readout decay acts
-the same way.  Readout confusion acts on outcome probabilities
-(:func:`apply_confusion`), so one multinomial draw samples the recorded
-outcomes.  :func:`simulate` memoises its ground-state runs (:func:`_from_ground`)
-under the package's one memo policy, :func:`_memo_upto`.
+States are plain ``numpy`` density matrices, alone or stacked on a leading
+batch axis, and are not validated.  Every noisy run first lowers its
+circuit to the native gate set, so calibrated per-gate noise applies
+(``to_native`` keeps its last 32 lowerings, so a circuit run again is not
+lowered again).  Each gate acts as one local superoperator: the unitary's
+``U (x) conj(U)`` (cached per gate and parameters), times its noise entry's
+``sum_k K_k (x) conj(K_k)`` (:attr:`KrausSet.superop`) when it has one,
+contracted by :func:`linalg.apply_local` with the gate's row and column
+axes of the ``(2,) * 2K`` state tensor; readout decay acts the same way.
+Readout confusion acts on outcome probabilities (:func:`apply_confusion`),
+so one multinomial draw samples the recorded outcomes.  :func:`evolve` runs
+any states; :func:`simulate` runs from the ground state, memoised
+(:func:`_from_ground`) under the package's one memo policy, :func:`_memo_upto`.
 
 Sampling uses numpy's PCG64 generator seeded by an int, a ``SeedSequence``
 or a ``Generator``; a fixed seed reproduces counts exactly, which
@@ -32,7 +32,7 @@ import numpy as np
 
 from .channels import kraus_superop, read_only
 from .gates import Circuit, ga, gate_unitary, to_native
-from .linalg import apply_local, as_complex_matrix, dagger, product_labels, whole_number
+from .linalg import apply_local, as_complex_matrix, product_labels, whole_number
 from .noise import NoiseModel
 
 _C = np.complex128
@@ -62,20 +62,6 @@ def measurement_circuit(setting: str, num_qubits: int | None = None) -> Circuit:
 def ground_state(num_qubits: int) -> np.ndarray:
     rho = np.zeros((2**num_qubits, 2**num_qubits), dtype=_C)
     rho[0, 0] = 1.0
-    return rho
-
-
-def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    rho = as_complex_matrix(rho)
-    if rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    if np.abs(rho - dagger(rho)).max() > 1e-9:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > 1e-9:
-        raise ValueError(f"density matrix trace {np.trace(rho):.6g} != 1")
-    w = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
-    if w.min() < -1e-8:
-        raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
     return rho
 
 
@@ -109,27 +95,10 @@ def _from_ground(c: Circuit, noise: NoiseModel | None) -> np.ndarray:
     return evolve(ground_state(c.num_qubits), c, noise)
 
 
-def simulate(
-    c: Circuit,
-    noise: NoiseModel | None = None,
-    initial: np.ndarray | None = None,
-) -> np.ndarray:
-    """Run a circuit on a density matrix (the ground state by default) into a new array.
-
-    As :func:`evolve` on one validated state: with a noise model the circuit
-    is lowered to the native gate set and each gate is followed by its
-    calibrated Kraus set on the same wires.  A ground-state run is a copy of
-    the memoised :func:`_from_ground`.
-    """
-    if initial is None:
-        return _from_ground(c, noise).copy()
-    dim = 2**c.num_qubits
-    rho = validate_density_matrix(initial)
-    if rho.shape != (dim, dim):
-        raise ValueError(
-            f"initial state dim {rho.shape[0]} does not match circuit width {c.num_qubits}"
-        )
-    return evolve(rho[None], c, noise)[0]
+def simulate(c: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
+    """Run a circuit from the ground state into a new array: a copy of :func:`_from_ground`,
+    the memoised :func:`evolve` run.  Given states run through :func:`evolve`, unvalidated."""
+    return _from_ground(c, noise).copy()
 
 
 def evolve(states: np.ndarray, c: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
@@ -205,7 +174,7 @@ def recorded_probabilities(probs: np.ndarray, noise: NoiseModel | None) -> np.nd
         bad = total.flat[np.abs(total - 1.0).argmax()]
         raise ValueError(f"probabilities sum to {bad:.6g}, state is not normalized")
     probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum(axis=-1, keepdims=True)
+    probs /= probs.sum(axis=-1, keepdims=True)
     num_qubits = probs.shape[-1].bit_length() - 1
     return probs if noise is None else apply_confusion(probs, noise.confusion_for(num_qubits))
 

@@ -124,15 +124,11 @@ def _spam_table(noise: NoiseModel | None) -> tuple[np.ndarray, np.ndarray]:
     shape ``(3, 2, 2, 2)``: the four matrix units ``|i><j|`` run through the
     basis change of each of ``SETTING_TOKENS``, then readout decay.  ``noise``
     is a one-qubit model (:meth:`NoiseModel.on_qubit`) or ``None``; its
-    confusion is not applied here.  Circuits without gates are not run.
+    confusion is not applied here.
     """
-
-    def run(states: np.ndarray, c: Circuit) -> np.ndarray:
-        return evolve(states, c, noise) if c.gates else states
-
-    prep = np.concatenate([run(ground_state(1)[None], prep_circuit(t, 1)) for t in PREP_TOKENS])
+    prep = np.concatenate([evolve(ground_state(1)[None], prep_circuit(t, 1), noise) for t in PREP_TOKENS])
     units = np.eye(4, dtype=complex).reshape(4, 2, 2)
-    rotated = np.concatenate([run(units, measurement_circuit(b, 1)) for b in SETTING_TOKENS])
+    rotated = np.concatenate([evolve(units, measurement_circuit(b, 1), noise) for b in SETTING_TOKENS])
     diag = np.diagonal(apply_measure_noise(rotated, noise, 1), axis1=-2, axis2=-1)
     return prep, diag.reshape(len(SETTING_TOKENS), 2, 2, 2).transpose(0, 3, 1, 2)
 
@@ -293,7 +289,8 @@ def _probabilities(target: Circuit, noise: NoiseModel | None) -> np.ndarray:
     frames = [_FRAME if noise is None else _frame(*_spam_table(noise.on_qubit(q))) for q in range(k)]
     x = along_qubits(channel_choi(target, noise).matrix, frames, (2, 2, 2, 2), (4, 3, 2))
     shape = (len(PREP_TOKENS) ** k, len(SETTING_TOKENS) ** k, 2**k)
-    return recorded_probabilities(x.real.reshape(shape), noise)
+    x = x.real.reshape(shape)  # a float copy: the complex product is freed here
+    return recorded_probabilities(x, noise)
 
 
 def execute_plan(

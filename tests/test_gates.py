@@ -242,6 +242,20 @@ def test_circuit_from_dict_malformed():
         rz = json.loads(f'{{"name": "RZ", "qubits": [0], "params": [{text}]}}')
         with pytest.raises(ValueError, match="gate RZ parameter must be finite"):
             circuit_from_dict({"num_qubits": 1, "gates": [rz]})
+    # each structural fault names its field, not the Python error it would raise
+    for record, message in (
+        ({"num_qubits": 2, "gates": {"a": 1}}, "gates must be a list of objects, got dict"),
+        ({"num_qubits": 2, "gates": [[0, 1]]}, "gates must be a list of objects, got list"),
+        ({"num_qubits": 2, "gates": [{"name": "H", "qubits": 0}]}, "qubits must be a list, got int"),
+        ({"num_qubits": 1, "gates": [{"name": "RZ", "qubits": [0], "params": 0.5}]},
+         "params must be a list, got float"),
+        ([{"num_qubits": 2, "gates": []}], "the record must be an object, got list"),
+        ({"gates": [{"qubits": [0]}]}, "missing field 'name'"),
+    ):
+        with pytest.raises(ValueError, match=f"^malformed circuit record: .*{message}"):
+            circuit_from_dict(record)
+    with pytest.raises(ValueError, match="unknown gate name 5"):
+        circuit_from_dict({"num_qubits": 1, "gates": [{"name": 5, "qubits": [0]}]})
 
 
 def test_circuit_dict_roundtrip_identity():

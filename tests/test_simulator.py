@@ -23,7 +23,6 @@ from choiqpt.simulator import (
     measure_probabilities,
     sample_counts,
     simulate,
-    validate_density_matrix,
 )
 from conftest import oracle_measure_noise, oracle_simulate, random_density, random_kraus_ops
 
@@ -41,7 +40,7 @@ def test_sqscz_fixes_ground_state():
 
 
 def test_cnot_flips_target():
-    rho = simulate(Circuit(2, (ga("CNOT", (0, 1)),)), initial=state("10"))
+    rho = evolve(state("10"), Circuit(2, (ga("CNOT", (0, 1)),)))
     assert np.abs(rho - state("11")).max() < 1e-12
 
 
@@ -70,8 +69,8 @@ def test_noiseless_simulation_matches_unitary_conjugation(seed):
     )
     rho0 = random_density(rng, 4)
     u = circuit_unitary(c)
-    assert np.abs(simulate(c, initial=rho0) - u @ rho0 @ u.conj().T).max() < 1e-10
-    assert abs(np.trace(simulate(c, initial=rho0)) - 1) < 1e-8
+    assert np.abs(evolve(rho0, c) - u @ rho0 @ u.conj().T).max() < 1e-10
+    assert abs(np.trace(evolve(rho0, c)) - 1) < 1e-8
 
 
 def random_noisy_circuit(rng: np.random.Generator, num_qubits: int) -> tuple[Circuit, NoiseModel]:
@@ -111,8 +110,8 @@ def test_simulate_matches_kraus_oracle_on_random_circuits(seed):
     # noisy runs lower the circuit first, so the oracle runs the native gates
     for circuit, model in ((c, None), (to_native(c), noise)):
         want = oracle_simulate(circuit, model, initial=rho0)
-        assert np.abs(simulate(c, model, initial=rho0) - want).max() <= 1e-12
-    decayed = apply_measure_noise(simulate(c, noise, initial=rho0), noise, k)
+        assert np.abs(evolve(rho0, c, model) - want).max() <= 1e-12
+    decayed = apply_measure_noise(evolve(rho0, c, noise), noise, k)
     assert np.abs(decayed - oracle_measure_noise(want, noise, k)).max() <= 1e-12
     # a stack of states, with a leading batch axis, evolves state by state
     stack = np.stack([random_density(rng, 2**k) for _ in range(3)])
@@ -125,9 +124,9 @@ def test_simulate_matches_kraus_oracle_on_random_circuits(seed):
 def test_noisy_simulate_lowers_to_native_gates(perth_noise):
     rho0 = random_density(np.random.default_rng(3), 4)
     c = Circuit(2, (ga("SQSCZ", (0, 1)),))
-    noisy = simulate(c, perth_noise, initial=rho0)
-    assert np.abs(noisy - simulate(to_native(c), perth_noise, initial=rho0)).max() <= 1e-12
-    assert np.abs(noisy - simulate(c, initial=rho0)).max() > 1e-3
+    noisy = evolve(rho0, c, perth_noise)
+    assert np.abs(noisy - evolve(rho0, to_native(c), perth_noise)).max() <= 1e-12
+    assert np.abs(noisy - evolve(rho0, c)).max() > 1e-3
 
 
 def test_noisy_runs_lower_each_circuit_once(perth_noise):
@@ -138,20 +137,6 @@ def test_noisy_runs_lower_each_circuit_once(perth_noise):
     assert to_native.cache_info().misses == misses + 1
     assert np.array_equal(first, second)
     assert to_native.cache_info().maxsize <= 64
-
-
-def test_simulate_width_mismatch():
-    with pytest.raises(ValueError):
-        simulate(Circuit(2, (ga("X", 0),)), initial=np.eye(2) / 2)
-
-
-def test_validate_density_matrix_rejects_bad_states():
-    with pytest.raises(ValueError):
-        validate_density_matrix(np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        validate_density_matrix(np.array([[1.0, 0.5], [0.1, 0.0]]))
-    with pytest.raises(ValueError):
-        validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
 
 
 def test_measure_probabilities_zz():
@@ -345,13 +330,12 @@ MEMO_TARGETS = {
 def test_memoised_simulate_matches_kraus_oracle(k, noisy, tab1_path):
     c = MEMO_TARGETS[k]
     noise = noise_model_from_calibration(parse_calibration(tab1_path), num_qubits=k) if noisy else None
-    rho0 = random_density(np.random.default_rng(k), 2**k)
+    # noisy runs lower the circuit first, so the oracle runs the native gates
+    want = oracle_simulate(to_native(c) if noisy else c, noise)
     simulator._from_ground.cache_clear()
-    for initial in (None, rho0, None, rho0):  # cold, then warm
-        # noisy runs lower the circuit first, so the oracle runs the native gates
-        want = oracle_simulate(to_native(c) if noisy else c, noise, initial=initial)
-        assert np.abs(simulate(c, noise, initial=initial) - want).max() <= 1e-12
-    assert simulator._from_ground.cache_info()[:2] == (1, 1)  # only ground-state runs are kept
+    for _ in range(2):  # cold, then warm
+        assert np.abs(simulate(c, noise) - want).max() <= 1e-12
+    assert simulator._from_ground.cache_info()[:2] == (1, 1)
 
 
 def test_writing_into_a_memoised_result_leaves_the_next_one(perth_noise):
@@ -378,8 +362,6 @@ def test_a_first_simulate_evolves_one_state(tab1_path, monkeypatch):
     first = simulate(c, noise)
     assert shapes == [(16, 16)]  # a cold run costs what one state's run costs
     assert np.array_equal(simulate(c, noise), first) and len(shapes) == 1
-    simulate(c, noise, initial=first)
-    assert shapes[1:] == [(1, 16, 16)]
 
 
 def test_simulate_wider_than_the_memo_cap_keeps_nothing():

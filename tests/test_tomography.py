@@ -272,7 +272,7 @@ def test_measurement_circuit_diagonalizes_setting():
     rho = random_density(np.random.default_rng(3), 4)
     for setting in ("XZ", "YY"):
         circ = measurement_circuit(setting, 2)
-        rotated = simulate(circ, initial=rho)
+        rotated = evolve(rho, circ)
         probs = np.real(np.diag(rotated))
         expected = [np.trace(closed_effect(setting, b) @ rho).real for b in range(4)]
         assert np.allclose(probs, expected, atol=1e-10)
@@ -391,8 +391,10 @@ def test_execute_plan_simulates_preparation_and_readout_per_qubit(
     tomography._probabilities.cache_clear()
     noise = _oracle_noise(tab1_path, num_qubits)
     execute_plan(build_plan(num_qubits, shots=10), ORACLE_TARGETS[num_qubits], noise, seed=1)
-    # 3K preparation tokens with gates, the target once, and K basis changes X and Y
-    assert len(calls) <= 5 * num_qubits + 1
+    # 3K preparation tokens with gates, the target once, and K basis changes X and Y;
+    # the K tokens "0" and K basis changes Z have no gates, so evolve returns their states
+    ran = [c for c in calls if c.gates]
+    assert len(ran) <= 5 * num_qubits + 1 and len(calls) - len(ran) <= 2 * num_qubits
     calls.clear()  # without noise the frame is built once, so only the target runs
     execute_plan(build_plan(num_qubits, shots=10), ORACLE_TARGETS[num_qubits], None, seed=1)
     assert len(calls) == 1
@@ -411,6 +413,20 @@ def test_execute_plan_memory_stays_bounded_at_four_qubits(tab1_path):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_uncached_probabilities_peak_below_four_results():
+    # the complex Choi-frame product is freed before the float copies are made
+    c = Circuit(3, (ga("SQSCZ", (0, 1)), ga("H", 2)))
+    run = tomography._probabilities.__wrapped__
+    run(c, None)  # warm: lowering, superoperators and frames are cached
+    tracemalloc.start()
+    try:
+        probs = run(c, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * probs.nbytes, f"peak {peak / probs.nbytes:.2f}x the result"
 
 
 def test_superop_caches_stay_small(tab1_path):
