@@ -341,7 +341,9 @@ def choi_from_json(text: str) -> ChoiMatrix:
 
 
 def matrix_csv(m: np.ndarray, part: str = "re") -> str:
-    """CSV of the real or imaginary part, one matrix row per line."""
+    """CSV of the real or imaginary part, one matrix row per line, from one ``%.12g`` template."""
     m = np.asarray(m)
     data = m.real if part == "re" else m.imag
-    return "\n".join(",".join(f"{x:.12g}" for x in row) for row in data) + "\n"
+    rows, cols = data.shape
+    template = "\n".join([",".join(["%.12g"] * cols)] * rows) + "\n"
+    return template % tuple(data.ravel().tolist())

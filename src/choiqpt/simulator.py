@@ -106,9 +106,12 @@ def evolve(states: np.ndarray, c: Circuit, noise: NoiseModel | None = None) -> n
 
     With a noise model the circuit is first lowered to the native gate set
     and each gate is followed by its noise entry.  States are not validated.
+    The result is a new array, also for a circuit without gates.
     """
     if noise is not None:
         c = to_native(c)
+    if not c.gates:
+        return states.copy()
     t = states.reshape((-1,) + (2,) * (2 * c.num_qubits))
     for g in c.gates:
         s = _unitary_superop(g.name, g.params)

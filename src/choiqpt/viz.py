@@ -1,6 +1,8 @@
 """Hand-rolled SVG renderings: Hinton diagrams, isometric bar (city) plots,
 and count histograms.  No plotting dependency, no timestamps or other
-run-varying metadata, so identical inputs give byte-identical files.
+run-varying metadata, so identical inputs give byte-identical files.  A city
+plot formats each distinct number of its bars once (corners share their x and
+base-plane coordinates); a Hinton plot formats through one ``%`` template.
 """
 
 from __future__ import annotations
@@ -19,20 +21,32 @@ _HINTON_RECT = {
     False: '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
     'fill="white" stroke="#c53030" stroke-width="1.5"/>\n',
 }
-# One city bar per template, keyed by ``entry >= 0``: the two viewer-facing
-# side faces (left, right), then the lid.
+# The fixed text around one city bar's 24 numbers, one row per colour (row ``entry >= 0``):
+# the template of the bar's two viewer-facing side faces (left, right) and its lid, split
+# at each ``%.2f``.  A (2, 25) object array.
 _CITY_FACE = (
     '<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f %.2f,%.2f" fill="{}" '
     'stroke="#333" stroke-width="0.4"/>\n'
 )
-_CITY_BAR = {
-    True: "".join(_CITY_FACE.format(c) for c in ("#3d85c6", "#2a5d8f", "#6fa8dc")),
-    False: "".join(_CITY_FACE.format(c) for c in ("#cc4125", "#94301a", "#ea9999")),
-}
+_CITY_PIECES = np.array([
+    "".join(_CITY_FACE.format(c) for c in colors).split("%.2f")
+    for colors in (("#cc4125", "#94301a", "#ea9999"), ("#3d85c6", "#2a5d8f", "#6fa8dc"))
+], dtype=object)
 
 
 def _text(value) -> str:  # as xml.sax.saxutils.escape, which would import urllib (+7 MB RSS)
     return str(value).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _two_decimals(values: np.ndarray) -> np.ndarray:
+    """``"%.2f" % x`` for each float64 ``x``, as an object array of ``values``' shape.
+
+    Each distinct bit pattern is formatted once, so -0.0 and 0.0 keep their own text.
+    """
+    bits = np.asarray(values, dtype=np.float64).ravel().view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)  # inverse's shape varies by numpy
+    text = ("%.2f " * distinct.size % tuple(distinct.view(np.float64).tolist())).split()
+    return np.array(text, dtype=object)[inverse.reshape(np.shape(values))]
 
 
 def _svg_header(width: float, height: float, title: str) -> list[str]:
@@ -140,13 +154,15 @@ def svg_city(matrix: np.ndarray, labels, title: str = "") -> str:
     base = iso(a, b)[1]
     up = v >= 0
     hi, lo = np.where(up[:, None], top, base), np.where(up[:, None], base, top)
-    points = np.stack([  # (x, y) of each bar's faces in drawing order: left, right, lid
+    bars = np.empty((len(v), 49), dtype=object)  # text pieces and numbers, alternately
+    bars[:, 0::2] = _CITY_PIECES[up.astype(np.intp)]
+    # (x, y) of each bar's faces in drawing order: left, right, lid
+    bars[:, 1::2] = _two_decimals(np.stack([
         x[:, 1], hi[:, 1], x[:, 2], hi[:, 2], x[:, 2], lo[:, 2], x[:, 1], lo[:, 1],
         x[:, 2], hi[:, 2], x[:, 3], hi[:, 3], x[:, 3], lo[:, 3], x[:, 2], lo[:, 2],
         x[:, 0], top[:, 0], x[:, 1], top[:, 1], x[:, 2], top[:, 2], x[:, 3], top[:, 3],
-    ], axis=1)
-    bars = "".join(map(_CITY_BAR.get, up.tolist()))
-    parts.append(bars % tuple(points.ravel().tolist()) + "</svg>")
+    ], axis=1))
+    parts.append("".join(bars.ravel().tolist()) + "</svg>")
     return "\n".join(parts) + "\n"
 
 

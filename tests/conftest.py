@@ -238,6 +238,13 @@ def oracle_choi_json(c) -> str:
     return json.dumps(matrix_to_json_dict(c.matrix, c.dim_in), indent=2, sort_keys=True)
 
 
+def oracle_matrix_csv(m: np.ndarray, part: str = "re") -> str:
+    """``choi_{re,im}.csv`` written one f-string per element (oracle for ``channels.matrix_csv``)."""
+    m = np.asarray(m)
+    data = m.real if part == "re" else m.imag
+    return "\n".join(",".join(f"{x:.12g}" for x in row) for row in data) + "\n"
+
+
 _FONT = 'font-family="Helvetica,Arial,sans-serif"'
 
 

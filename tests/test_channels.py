@@ -33,6 +33,7 @@ from conftest import (
     oracle_choi_to_chi,
     oracle_choi_to_ptm,
     oracle_kraus_to_choi,
+    oracle_matrix_csv,
     random_density,
     random_effect,
     random_kraus_ops,
@@ -383,6 +384,18 @@ def test_choi_json_and_csv_roundtrip():
     assert np.abs(back.matrix - c.matrix).max() < 1e-15
     csv = matrix_csv(c.matrix, "re")
     assert len(csv.strip().splitlines()) == 16
+
+
+def test_matrix_csv_matches_oracle():
+    special = np.array([[np.nan, np.inf, -np.inf], [-0.0, 0.0, 1e-300], [1e200, -1.5, 2 / 3]])
+    m = np.empty(special.shape, dtype=complex)
+    m.real, m.imag = special, special[::-1]  # not re + 1j * im, which turns inf into nan
+    rng = np.random.default_rng(8)
+    big = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    for mat in (m, big, special, np.zeros((0, 0)), np.ones((2, 3))):
+        for part in ("re", "im"):
+            assert matrix_csv(mat, part) == oracle_matrix_csv(mat, part)
+    assert matrix_csv(m, "re").splitlines() == ["nan,inf,-inf", "-0,0,1e-300", "1e+200,-1.5,0.666666666667"]
 
 
 _ENTRIES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

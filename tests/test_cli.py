@@ -12,6 +12,7 @@ from conftest import (
     data_path,
     oracle_choi_json,
     oracle_dataset_json,
+    oracle_matrix_csv,
     oracle_svg_city,
     oracle_svg_hinton,
 )
@@ -101,6 +102,8 @@ def test_run_files_match_oracle_writers(tmp_path, num_qubits, mode):
     assert text("dataset.json") == oracle_dataset_json(dataset) + "\n"
     choi = choi_from_json(text("choi.json"))  # bit-exact, so it stands in for the estimate
     assert text("choi.json") == oracle_choi_json(choi) + "\n"
+    assert text("choi_re.csv") == oracle_matrix_csv(choi.matrix, "re")
+    assert text("choi_im.csv") == oracle_matrix_csv(choi.matrix, "im")
     d = 2**num_qubits  # row index encodes (input basis state, output basis state)
     labels = [f"{k:0{num_qubits}b}{r:0{num_qubits}b}" for k in range(d) for r in range(d)]
     assert text("choi_re_city.svg") == oracle_svg_city(choi.matrix.real, labels, "Re C")

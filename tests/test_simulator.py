@@ -44,6 +44,15 @@ def test_cnot_flips_target():
     assert np.abs(rho - state("11")).max() < 1e-12
 
 
+@pytest.mark.parametrize("noisy", [False, True])
+def test_evolve_returns_a_new_array_without_gates(noisy, perth_noise):
+    x = np.stack([state("01"), state("10")])
+    got = evolve(x, Circuit(2), perth_noise if noisy else None)
+    assert np.array_equal(got, x) and not np.shares_memory(got, x)
+    got[...] = 7
+    assert np.array_equal(x, np.stack([state("01"), state("10")]))
+
+
 def test_fully_depolarizing_gate_noise():
     model = NoiseModel(
         gate_noise={("CNOT", (0, 1)): depolarizing_kraus(1.0, 2)},

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from choiqpt.channels import choi_from_unitary, choi_to_chi
-from choiqpt.viz import _text, svg_city, svg_counts_bar, svg_hinton
+from choiqpt.viz import _text, _two_decimals, svg_city, svg_counts_bar, svg_hinton
 from conftest import oracle_svg_city, oracle_svg_hinton
 
 KINDS = ("random", "zero", "negative", "sub_threshold")
@@ -71,6 +71,22 @@ def test_rounding_noise_draws_an_empty_plot(writer):
         noisy = im + rng.choice([-1e-14, 1e-14], size=im.shape)
         labels = [str(k) for k in range(len(im))]
         assert writer(noisy, labels, "Im") == writer(np.zeros(im.shape), labels, "Im")
+
+
+def test_two_decimals_formats_each_element_as_percent_template():
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.125, -0.125, 1.005, 2.675, 0.005,
+               -0.004, 5e-324, 1e300, -1e-300, 2.675]
+    rng = np.random.default_rng(5)
+    for values in (
+        np.array(special),
+        np.array(special).reshape(4, 4).T,  # not contiguous
+        np.round(rng.normal(scale=50, size=(300, 24)), 3),  # repeats, as bar corners do
+        np.zeros((0, 24)),  # the empty plot
+    ):
+        got = _two_decimals(values)
+        assert got.shape == values.shape and got.dtype == object
+        assert got.ravel().tolist() == ["%.2f" % x for x in values.ravel().tolist()]
+    assert _two_decimals(np.array([-0.0, 0.0, 0.125, 2.675])).tolist() == ["-0.00", "0.00", "0.12", "2.67"]
 
 
 def test_counts_bar_has_all_outcomes():
