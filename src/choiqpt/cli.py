@@ -6,12 +6,15 @@ Subcommands::
     qpt run --circuit c.json [options]     full process tomography + reports
     qpt execute --circuit c.json [options] run a circuit and histogram counts
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error.  A run replaces
+each artifact in ``--out`` with a new file, so a symlink there is replaced, not
+followed.  ``main`` builds its parser once per process, for in-process drivers.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -52,6 +55,17 @@ def cmd_gate_check(args) -> int:
     return 1 if failed else 0
 
 
+def _write_files(out: str, files: dict[str, str]) -> Path:
+    # Each file is written new, not over the old one: ext4 starts writeback when a file
+    # truncated to zero is closed, and a temp file renamed over the old one flushes too.
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)  # once every file is computed, so a failed run makes none
+    for name, text in files.items():
+        (out / name).unlink(missing_ok=True)
+        (out / name).write_text(text)
+    return out
+
+
 def cmd_run(args) -> int:
     circuit = load_circuit(args.circuit)
     noise = _load_noise(args, circuit.num_qubits)
@@ -76,10 +90,7 @@ def cmd_run(args) -> int:
         "chi_re_hinton.svg": viz.svg_hinton(chi.matrix.real, chi.labels, "Re chi"),
         "chi_im_hinton.svg": viz.svg_hinton(chi.matrix.imag, chi.labels, "Im chi"),
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)  # once every file is computed, so a failed run makes none
-    for name, text in files.items():
-        (out / name).write_text(text)
+    out = _write_files(args.out, files)
 
     rep = result.report
     print(
@@ -96,10 +107,7 @@ def cmd_execute(args) -> int:
     noise = _load_noise(args, circuit.num_qubits)
     table = sample_counts(circuit_probabilities(circuit, noise), args.shots, args.seed)
     svg = viz.svg_counts_bar(table.counts, table.shots, "Measured outcomes")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "counts.json").write_text(table.to_json() + "\n")
-    (out / "counts.svg").write_text(svg)
+    out = _write_files(args.out, {"counts.json": table.to_json() + "\n", "counts.svg": svg})
     top = max(table.counts, key=table.counts.get)
     print(f"{table.shots} shots; most frequent outcome {top!r} ({table.frequency(top):.4f})")
     print(f"outputs written to {out}/")
@@ -120,6 +128,7 @@ def _seed(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpt", description="Two-qubit gate simulation and Choi-matrix process tomography"

@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 from choiqpt import gates, viz
 from choiqpt.channels import choi_from_json, choi_to_chi, is_cptp
-from choiqpt.cli import main
+from choiqpt.cli import build_parser, main
 from choiqpt.tomography import TomographyDataset
 from conftest import (
     data_path,
@@ -111,6 +112,60 @@ def test_run_files_match_oracle_writers(tmp_path, num_qubits, mode):
     chi = choi_to_chi(choi)
     assert text("chi_re_hinton.svg") == oracle_svg_hinton(chi.matrix.real, chi.labels, "Re chi")
     assert text("chi_im_hinton.svg") == oracle_svg_hinton(chi.matrix.imag, chi.labels, "Im chi")
+
+
+def _files(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+# each command's first run, then a rerun with other flags into the same directory
+RERUNS = {
+    "run": (["--shots", "300", "--seed", "1"], ["--shots", "300", "--seed", "3"], "choi.json"),
+    "execute": (["--shots", "300"], ["--shots", "500"], "counts.json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RERUNS))
+def test_rerun_into_same_out_writes_new_files(command, tmp_path):
+    first, second, linked = RERUNS[command]
+    circuit = ["--circuit", data_path("sqscz_circuit.json")]
+    fresh, out, kept = tmp_path / "fresh", tmp_path / "out", tmp_path / "kept"
+    assert run_cli(command, *circuit, *second, "--out", str(fresh)) == 0
+    assert run_cli(command, *circuit, *first, "--out", str(out)) == 0
+    old = _files(out)
+    kept.mkdir()
+    for name in old:  # a second link keeps each old inode alive, so none is reused
+        os.link(out / name, kept / name)
+    (out / linked).unlink()
+    target = tmp_path / "target.txt"
+    target.write_text("not an artifact\n")
+    (out / linked).symlink_to(target)
+
+    assert run_cli(command, *circuit, *second, "--out", str(out)) == 0
+    assert _files(out) == _files(fresh)
+    assert target.read_text() == "not an artifact\n"
+    assert not (out / linked).is_symlink()
+    for name in old:
+        assert not (out / name).samefile(kept / name), name
+    del old[linked]
+    assert {name: (kept / name).read_bytes() for name in old} == old  # old contents untouched
+
+
+def test_many_calls_in_one_process_match_each_call_alone(tmp_path):
+    assert build_parser() is build_parser()
+    circuit = ["--circuit", data_path("sqscz_circuit.json")]
+    calls = [
+        ["run", *circuit, "--exact", "--no-cptp"],
+        ["run", *circuit, "--shots", "300", "--seed", "2"],
+        ["run", *circuit, "--calib", data_path("ibm_perth_tab1.json"), "--shots", "300"],
+        ["execute", *circuit, "--shots", "300"],
+    ]
+    for i, argv in enumerate(calls):
+        assert main([*argv, "--out", str(tmp_path / "seq" / str(i))]) == 0
+    for i, argv in enumerate(calls):
+        build_parser.cache_clear()
+        assert main([*argv, "--out", str(tmp_path / "alone" / str(i))]) == 0
+        assert _files(tmp_path / "seq" / str(i)) == _files(tmp_path / "alone" / str(i)), argv
 
 
 def test_report_has_shots_only_when_sampled(tmp_path):
