@@ -13,7 +13,6 @@ The Pauli ordering is lexicographic: II, IX, IY, IZ, XI, ..., ZZ.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -321,23 +320,12 @@ def matrix_to_json_dict(m: np.ndarray, dim: int) -> dict:
     }
 
 
-def matrix_from_json_dict(d: dict) -> tuple[np.ndarray, int]:
-    m = np.asarray(d["re"], dtype=complex)
-    m.imag = d["im"]  # not re + 1j * im, which turns -0.0 parts into 0.0
-    return m, int(d["dim"])
-
-
 def choi_to_json(c: ChoiMatrix) -> str:
     """``json.dumps(matrix_to_json_dict(...), indent=2, sort_keys=True)``, from one template."""
     n = c.matrix.shape[0]
     rows = ",\n".join(["    [\n" + ",\n".join(["      %r"] * n) + "\n    ]"] * n)
     template = '{\n  "dim": %d,\n  "im": [\n' + rows + '\n  ],\n  "re": [\n' + rows + "\n  ]\n}"
     return template % (c.dim_in, *c.matrix.imag.ravel().tolist(), *c.matrix.real.ravel().tolist())
-
-
-def choi_from_json(text: str) -> ChoiMatrix:
-    m, dim = matrix_from_json_dict(json.loads(text))
-    return ChoiMatrix(dim, dim, m)
 
 
 def matrix_csv(m: np.ndarray, part: str = "re") -> str:

@@ -107,7 +107,7 @@ def cmd_execute(args) -> int:
     noise = _load_noise(args, circuit.num_qubits)
     table = sample_counts(circuit_probabilities(circuit, noise), args.shots, args.seed)
     svg = viz.svg_counts_bar(table.counts, table.shots, "Measured outcomes")
-    out = _write_files(args.out, {"counts.json": table.to_json() + "\n", "counts.svg": svg})
+    out = _write_files(args.out, {"counts.json": _json_dumps(table.to_dict()), "counts.svg": svg})
     top = max(table.counts, key=table.counts.get)
     print(f"{table.shots} shots; most frequent outcome {top!r} ({table.frequency(top):.4f})")
     print(f"outputs written to {out}/")

@@ -23,7 +23,6 @@ depend on their last bits.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache, update_wrapper
@@ -215,9 +214,6 @@ class CountsTable:
     def to_dict(self) -> dict:
         return {"shots": self.shots, "counts": dict(sorted(self.counts.items()))}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_dict(cls, d: dict) -> "CountsTable":
         raw = d["counts"]
@@ -264,12 +260,15 @@ def sample_counts(
     tables.  When ``confusion`` (a sequence of 2x2 column-stochastic
     matrices, one per qubit) is given, :func:`apply_confusion` maps ``probs``
     before the draw, as if each sampled bit flipped per its matrix.  Raises
-    unless ``shots > 0``, no probability is below -1e-8, and ``probs`` has
-    length 2^K and sums to 1 within 1e-8.
+    unless ``shots`` is a whole number > 0, no probability is below -1e-8,
+    and ``probs`` is one vector of length 2^K that sums to 1 within 1e-8.
     """
     probs = np.asarray(probs, dtype=float)
+    shots = whole_number(shots, "shots")
     if shots <= 0:
         raise ValueError("shots > 0 required")
+    if probs.ndim != 1:
+        raise ValueError(f"probabilities must be one vector, not an array of shape {probs.shape}")
     if probs.min() < -1e-8:
         raise ValueError(f"negative probability {probs.min():.3e}")
     num_qubits = int(round(np.log2(probs.shape[-1])))

@@ -74,11 +74,15 @@ class TomographyPlan:
     num_qubits: int
     shots: int | None
 
-    def __post_init__(self):
-        if self.num_qubits < 1 or self.shots is not None and self.shots < 1:
-            raise ValueError(f"plan needs num_qubits, shots >= 1, not {self.num_qubits}, {self.shots}")
-        if self.shots is not None and self.shots >= 2**63:  # as in draw_counts, before simulating
-            raise ValueError(f"shots {self.shots} exceeds the largest drawable count, 2**63 - 1")
+    def __post_init__(self):  # stores both as ints
+        k = whole_number(self.num_qubits, "num_qubits")
+        shots = None if self.shots is None else whole_number(self.shots, "shots")
+        if k < 1 or shots is not None and shots < 1:
+            raise ValueError(f"plan needs num_qubits, shots >= 1, not {k}, {shots}")
+        if shots is not None and shots >= 2**63:  # as in draw_counts, before simulating
+            raise ValueError(f"shots {shots} exceeds the largest drawable count, 2**63 - 1")
+        object.__setattr__(self, "num_qubits", k)
+        object.__setattr__(self, "shots", shots)
 
     @property
     def preparations(self) -> tuple[str, ...]:

@@ -3,6 +3,7 @@ and count histograms.  No plotting dependency, no timestamps or other
 run-varying metadata, so identical inputs give byte-identical files.  A city
 plot formats each distinct number of its bars once (corners share their x and
 base-plane coordinates); a Hinton plot formats through one ``%`` template.
+Every axis and bar label is written by one label writer, :func:`_label`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ _CITY_PIECES = np.array([
 
 def _text(value) -> str:  # as xml.sax.saxutils.escape, which would import urllib (+7 MB RSS)
     return str(value).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _label(x: float, y: float, anchor: str, size: int, text) -> str:
+    """One axis or bar label: a ``<text>`` element at ``(x, y)``, its text escaped."""
+    return (f'<text x="{x:.1f}" y="{y:.1f}" text-anchor="{anchor}" font-size="{size}" '
+            f'{_FONT}>{_text(text)}</text>')
 
 
 def _two_decimals(values: np.ndarray) -> np.ndarray:
@@ -82,17 +89,9 @@ def svg_hinton(matrix: np.ndarray, labels, title: str = "") -> str:
     )
     vmax = max(np.abs(m).max(), _MIN_SCALE)
     for j, lab in enumerate(labels):
-        x = margin_left + (j + 0.5) * cell
-        parts.append(
-            f'<text x="{x:.1f}" y="{margin_top - 6:.1f}" text-anchor="middle" '
-            f'font-size="9" {_FONT}>{_text(lab)}</text>'
-        )
+        parts.append(_label(margin_left + (j + 0.5) * cell, margin_top - 6, "middle", 9, lab))
     for i, lab in enumerate(labels):
-        y = margin_top + (i + 0.5) * cell + 3
-        parts.append(
-            f'<text x="{margin_left - 6:.1f}" y="{y:.1f}" text-anchor="end" '
-            f'font-size="9" {_FONT}>{_text(lab)}</text>'
-        )
+        parts.append(_label(margin_left - 6, margin_top + (i + 0.5) * cell + 3, "end", 9, lab))
     scale = np.abs(m) / vmax
     i, j = np.nonzero(~(scale < 1e-6))  # row-major; NaN entries are drawn
     side = cell * 0.92 * np.sqrt(scale[i, j])
@@ -132,17 +131,8 @@ def svg_city(matrix: np.ndarray, labels, title: str = "") -> str:
                 f'stroke="#ccc" stroke-width="0.6"/>'
             )
     for k, lab in enumerate(labels):
-        lab = _text(lab)
-        x, y = iso(k + 0.5, -0.4)
-        parts.append(
-            f'<text x="{x:.1f}" y="{y:.1f}" text-anchor="end" font-size="8" '
-            f'{_FONT}>{lab}</text>'
-        )
-        x, y = iso(-0.4, k + 0.5)
-        parts.append(
-            f'<text x="{x:.1f}" y="{y:.1f}" text-anchor="start" font-size="8" '
-            f'{_FONT}>{lab}</text>'
-        )
+        parts.append(_label(*iso(k + 0.5, -0.4), "end", 8, lab))
+        parts.append(_label(*iso(-0.4, k + 0.5), "start", 8, lab))
 
     i, j = np.nonzero(~(np.abs(m) / vmax < 1e-4))
     i, j = np.stack([i, j])[:, np.lexsort((i, i + j))]  # back to front: by i + j, then i
@@ -169,12 +159,10 @@ def svg_city(matrix: np.ndarray, labels, title: str = "") -> str:
 def svg_counts_bar(counts: dict[str, int], shots: int, title: str = "") -> str:
     """Frequency bar chart of measured outcomes."""
     keys = sorted(counts)
-    n = len(keys)
     bar_w, gap = 56.0, 22.0
     margin_left, base_y, plot_h = 60.0, 250.0, 190.0
-    width = margin_left + n * (bar_w + gap) + 30
-    height = base_y + 50
-    parts = _svg_header(width, height, title)
+    width = margin_left + len(keys) * (bar_w + gap) + 30
+    parts = _svg_header(width, base_y + 50, title)
     parts.append(
         f'<line x1="{margin_left - 10}" y1="{base_y}" x2="{width - 15}" '
         f'y2="{base_y}" stroke="#333"/>'
@@ -188,13 +176,7 @@ def svg_counts_bar(counts: dict[str, int], shots: int, title: str = "") -> str:
             f'<rect x="{x:.1f}" y="{base_y - h:.1f}" width="{bar_w}" '
             f'height="{h:.1f}" fill="#2b6cb0"/>'
         )
-        parts.append(
-            f'<text x="{x + bar_w / 2:.1f}" y="{base_y + 16:.1f}" text-anchor="middle" '
-            f'font-size="12" {_FONT}>{_text(key)}</text>'
-        )
-        parts.append(
-            f'<text x="{x + bar_w / 2:.1f}" y="{base_y - h - 6:.1f}" text-anchor="middle" '
-            f'font-size="10" {_FONT}>{counts[key]} ({f:.4f})</text>'
-        )
+        parts.append(_label(x + bar_w / 2, base_y + 16, "middle", 12, key))
+        parts.append(_label(x + bar_w / 2, base_y - h - 6, "middle", 10, f"{counts[key]} ({f:.4f})"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

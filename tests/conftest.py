@@ -1,12 +1,13 @@
 import importlib.resources
 import json
 import time
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 
 from choiqpt import ground_state, noise_model_from_calibration, parse_calibration, to_native
-from choiqpt.channels import matrix_to_json_dict, pauli_basis
+from choiqpt.channels import ChoiMatrix, matrix_to_json_dict, pauli_basis
 from choiqpt.linalg import dagger, frobenius, kron_all, partial_trace
 from choiqpt.tomography import measurement_circuit, prep_circuit
 
@@ -238,6 +239,14 @@ def oracle_choi_json(c) -> str:
     return json.dumps(matrix_to_json_dict(c.matrix, c.dim_in), indent=2, sort_keys=True)
 
 
+def read_choi_json(text: str) -> ChoiMatrix:
+    """The Choi matrix of a ``choi.json`` text, bit for bit (the package writes it, never reads it)."""
+    d = json.loads(text)
+    m = np.asarray(d["re"], dtype=complex)
+    m.imag = d["im"]  # not re + 1j * im, which turns -0.0 parts into 0.0
+    return ChoiMatrix(d["dim"], d["dim"], m)
+
+
 def oracle_matrix_csv(m: np.ndarray, part: str = "re") -> str:
     """``choi_{re,im}.csv`` written one f-string per element (oracle for ``channels.matrix_csv``)."""
     m = np.asarray(m)
@@ -257,7 +266,7 @@ def _oracle_svg_header(width: float, height: float, title: str) -> list[str]:
     if title:
         parts.append(
             f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-            f'font-size="14" {_FONT}>{title}</text>'
+            f'font-size="14" {_FONT}>{escape(title)}</text>'
         )
     return parts
 
@@ -280,13 +289,13 @@ def oracle_svg_hinton(matrix: np.ndarray, labels, title: str = "") -> str:
         x = margin_left + (j + 0.5) * cell
         parts.append(
             f'<text x="{x:.1f}" y="{margin_top - 6:.1f}" text-anchor="middle" '
-            f'font-size="9" {_FONT}>{lab}</text>'
+            f'font-size="9" {_FONT}>{escape(lab)}</text>'
         )
     for i, lab in enumerate(labels):
         y = margin_top + (i + 0.5) * cell + 3
         parts.append(
             f'<text x="{margin_left - 6:.1f}" y="{y:.1f}" text-anchor="end" '
-            f'font-size="9" {_FONT}>{lab}</text>'
+            f'font-size="9" {_FONT}>{escape(lab)}</text>'
         )
     for i in range(n):
         for j in range(n):
@@ -344,12 +353,12 @@ def oracle_svg_city(matrix: np.ndarray, labels, title: str = "") -> str:
         x, y = _oracle_iso(k + 0.5, -0.4, 0, geom)
         parts.append(
             f'<text x="{x:.1f}" y="{y:.1f}" text-anchor="end" font-size="8" '
-            f'{_FONT}>{lab}</text>'
+            f'{_FONT}>{escape(lab)}</text>'
         )
         x, y = _oracle_iso(-0.4, k + 0.5, 0, geom)
         parts.append(
             f'<text x="{x:.1f}" y="{y:.1f}" text-anchor="start" font-size="8" '
-            f'{_FONT}>{lab}</text>'
+            f'{_FONT}>{escape(lab)}</text>'
         )
 
     def face(points, color) -> str:
@@ -381,6 +390,38 @@ def oracle_svg_city(matrix: np.ndarray, labels, title: str = "") -> str:
             parts.append(face([hi[1], hi[2], lo[2], lo[1]], colors["left"]))
             parts.append(face([hi[2], hi[3], lo[3], lo[2]], colors["right"]))
             parts.append(face(hi if v >= 0 else lo, colors["top"]))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def oracle_svg_counts_bar(counts: dict, shots: int, title: str = "") -> str:
+    """Count histogram drawn one bar and one element at a time (oracle for ``viz.svg_counts_bar``)."""
+    keys = sorted(counts)
+    bar_w, gap = 56.0, 22.0
+    margin_left, base_y, plot_h = 60.0, 250.0, 190.0
+    width = margin_left + len(keys) * (bar_w + gap) + 30
+    parts = _oracle_svg_header(width, base_y + 50, title)
+    parts.append(
+        f'<line x1="{margin_left - 10}" y1="{base_y}" x2="{width - 15}" '
+        f'y2="{base_y}" stroke="#333"/>'
+    )
+    fmax = max(max(counts.values()) / shots, 1e-9)
+    for k, key in enumerate(keys):
+        f = counts[key] / shots
+        h = plot_h * f / fmax
+        x = margin_left + k * (bar_w + gap)
+        parts.append(
+            f'<rect x="{x:.1f}" y="{base_y - h:.1f}" width="{bar_w}" '
+            f'height="{h:.1f}" fill="#2b6cb0"/>'
+        )
+        parts.append(
+            f'<text x="{x + bar_w / 2:.1f}" y="{base_y + 16:.1f}" text-anchor="middle" '
+            f'font-size="12" {_FONT}>{escape(key)}</text>'
+        )
+        parts.append(
+            f'<text x="{x + bar_w / 2:.1f}" y="{base_y - h - 6:.1f}" text-anchor="middle" '
+            f'font-size="10" {_FONT}>{counts[key]} ({f:.4f})</text>'
+        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

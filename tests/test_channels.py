@@ -11,7 +11,6 @@ from choiqpt.channels import (
     KrausSet,
     apply_choi,
     chi_to_choi,
-    choi_from_json,
     choi_from_unitary,
     choi_to_chi,
     choi_to_json,
@@ -38,6 +37,7 @@ from conftest import (
     random_effect,
     random_kraus_ops,
     random_unitary,
+    read_choi_json,
 )
 
 SQSCZ = gate_unitary("SQSCZ")
@@ -379,7 +379,7 @@ def test_kraus_sets_compare_and_hash_by_identity():
 
 def test_choi_json_and_csv_roundtrip():
     c = choi_from_unitary(SQSCZ)
-    back = choi_from_json(choi_to_json(c))
+    back = read_choi_json(choi_to_json(c))
     assert back.dim_in == 4
     assert np.abs(back.matrix - c.matrix).max() < 1e-15
     csv = matrix_csv(c.matrix, "re")
@@ -413,7 +413,7 @@ def test_choi_json_matches_oracle_and_roundtrips_bitwise(dim, data):
     c = ChoiMatrix(dim, dim, m)
     text = choi_to_json(c)
     assert text == oracle_choi_json(c)
-    back = choi_from_json(text)
+    back = read_choi_json(text)
     assert back.dim_in == dim
     # bit for bit, so -0.0 keeps its sign in both parts
     assert np.array_equal(back.matrix.view(np.uint64), c.matrix.view(np.uint64))

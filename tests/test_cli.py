@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from choiqpt import gates, viz
-from choiqpt.channels import choi_from_json, choi_to_chi, is_cptp
+from choiqpt.channels import choi_to_chi, is_cptp
 from choiqpt.cli import build_parser, main
 from choiqpt.tomography import TomographyDataset
 from conftest import (
@@ -16,6 +16,7 @@ from conftest import (
     oracle_matrix_csv,
     oracle_svg_city,
     oracle_svg_hinton,
+    read_choi_json,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -63,7 +64,7 @@ def test_run_exact_identity(tmp_path, capsys):
         "chi_im_hinton.svg",
     ):
         assert (out / fname).exists(), fname
-    choi = choi_from_json((out / "choi.json").read_text())
+    choi = read_choi_json((out / "choi.json").read_text())
     assert is_cptp(choi).passes
 
 
@@ -101,7 +102,7 @@ def test_run_files_match_oracle_writers(tmp_path, num_qubits, mode):
 
     dataset = TomographyDataset.from_dict(json.loads(text("dataset.json")))
     assert text("dataset.json") == oracle_dataset_json(dataset) + "\n"
-    choi = choi_from_json(text("choi.json"))  # bit-exact, so it stands in for the estimate
+    choi = read_choi_json(text("choi.json"))  # bit-exact, so it stands in for the estimate
     assert text("choi.json") == oracle_choi_json(choi) + "\n"
     assert text("choi_re.csv") == oracle_matrix_csv(choi.matrix, "re")
     assert text("choi_im.csv") == oracle_matrix_csv(choi.matrix, "im")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,6 +239,18 @@ def test_sample_counts_insensitive_to_one_ulp(p):
             moved = p.copy()
             moved[i] = np.nextafter(p[i], toward)
             assert sample_counts(moved, 11000, np.random.SeedSequence((3, 7))) == want, (i, toward)
+
+
+def test_sample_counts_takes_whole_shots_and_one_vector():
+    p = np.array([0.5, 0.5])
+    for shots in (2.5, True, "10"):
+        with pytest.raises(ValueError, match="shots must be a whole number"):
+            sample_counts(p, shots, seed=1)
+    table = sample_counts(p, 10.0, seed=1)
+    assert type(table.shots) is int and table == sample_counts(p, 10, seed=1)
+    for probs in (np.full((1, 4), 0.25), np.full((2, 2), 0.5), np.array(1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"one vector, not an array of shape {probs.shape}")):
+            sample_counts(probs, 10, seed=1)
 
 
 def test_sample_counts_validation():

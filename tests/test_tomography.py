@@ -156,6 +156,27 @@ def test_plan_sizes():
             build_plan(2, shots=shots)
 
 
+def test_plan_takes_whole_numbers_only_and_stores_ints():
+    for num_qubits, shots, bad in ((1.5, 10, "num_qubits"), (2, 2.5, "shots"), (True, 10, "num_qubits"),
+                                   (2, True, "shots"), (2, "10", "shots")):
+        with pytest.raises(ValueError, match=f"{bad} must be a whole number"):
+            build_plan(num_qubits, shots)
+    plan = build_plan(np.int64(2), 2.0)
+    assert type(plan.num_qubits) is int and type(plan.shots) is int
+    assert plan == build_plan(2, 2) and hash(plan) == hash(build_plan(2, 2))
+
+
+def test_qpt_rejects_fractional_or_boolean_shots_and_writes_whole_ones_as_ints():
+    before = tomography._probabilities.cache_info()
+    for shots in (2.5, True):
+        with pytest.raises(ValueError, match="shots must be a whole number"):
+            qpt(SQSCZ_CIRCUIT, shots=shots)
+    assert tomography._probabilities.cache_info() == before  # rejected before any simulation
+    d = json.loads(qpt(SQSCZ_CIRCUIT, shots=2.0, seed=1).dataset.to_json())
+    assert d["shots"] == 2 and type(d["shots"]) is int
+    assert {type(j["counts"]["shots"]) for j in d["jobs"]} == {int}
+
+
 def test_qpt_rejects_shots_beyond_the_generator():
     before = tomography._probabilities.cache_info()
     with pytest.raises(ValueError, match="shots 9223372036854775808 exceeds the largest drawable"):

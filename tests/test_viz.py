@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from choiqpt.channels import choi_from_unitary, choi_to_chi
 from choiqpt.viz import _text, _two_decimals, svg_city, svg_counts_bar, svg_hinton
-from conftest import oracle_svg_city, oracle_svg_hinton
+from choiqpt.simulator import sample_counts
+from conftest import oracle_svg_city, oracle_svg_counts_bar, oracle_svg_hinton
 
 KINDS = ("random", "zero", "negative", "sub_threshold")
 
@@ -112,8 +113,22 @@ def test_svg_deterministic():
 )
 def test_writers_match_oracle(writer, oracle, kind, num_qubits, seed, scale):
     m = _matrix(kind, num_qubits, seed, scale)
-    labels = [format(k, f"0{2 * num_qubits}b") for k in range(len(m))]
+    labels = ["a<b", "R&D"] + [format(k, f"0{2 * num_qubits}b") for k in range(2, len(m))]
     assert writer(m, labels, "Re C") == oracle(m, labels, "Re C")
+
+
+def test_counts_bar_matches_oracle():
+    rng = np.random.default_rng(8)
+    tables = [
+        ({"00": 90, "01": 5, "10": 4, "11": 1}, 100),
+        ({"0": 7}, 7),
+        ({"00": 7168, "01": 0, "10": 0, "11": 0}, 7168),
+        ({"a<b": 3, "R&D": 1, "<t>": 0}, 4),
+        (sample_counts(rng.dirichlet(np.ones(8)), 4000, 3).counts, 4000),
+    ]
+    for counts, shots in tables:
+        for title in ("Measured outcomes", "R&D <x>", ""):
+            assert svg_counts_bar(counts, shots, title) == oracle_svg_counts_bar(counts, shots, title)
 
 
 def test_text_escape_matches_saxutils():
