@@ -208,22 +208,8 @@ class CountsTable:
     def frequency(self, outcome: str) -> float:
         return self.counts.get(outcome, 0) / self.shots
 
-    def as_vector(self, num_qubits: int) -> np.ndarray:
-        return np.array([self.counts.get(o, 0) for o in product_labels("01", num_qubits)], dtype=float)
-
     def to_dict(self) -> dict:
         return {"shots": self.shots, "counts": dict(sorted(self.counts.items()))}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CountsTable":
-        raw = d["counts"]
-        if not isinstance(raw, dict):
-            raise ValueError(f"counts {raw!r} are not a mapping of outcomes to counts")
-        try:
-            counts = {k: whole_number(v, "count") for k, v in raw.items()}
-        except ValueError:
-            raise ValueError(f"counts {raw} are not all whole numbers") from None
-        return cls(whole_number(d["shots"], "shots"), counts)
 
 
 def draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:

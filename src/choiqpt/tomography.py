@@ -31,15 +31,17 @@ job's counts, in job order, from one generator seeded by ``SeedSequence(seed)``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import ClassVar
 
 import numpy as np
 
-from .channels import ChoiMatrix, choi_from_unitary
+from .channels import ChoiMatrix, choi_from_unitary, read_only
 from .gates import Circuit, circuit_unitary
 from .linalg import along_qubits, dagger, frobenius, product_labels, whole_number
 from .metrics import FidelityReport, fidelity_report
@@ -144,37 +146,56 @@ _JOB = '    {\n      %s,\n      "prep": "%%s",\n      "setting": "%%s"\n    }'
 @dataclass(frozen=True)
 class TomographyDataset:
     """Frequencies of every plan job as one ``(4^K, 3^K, 2^K)`` array with axes
-    (preparation, setting, outcome) in plan order; ``counts`` maps each job to
-    its sampled :class:`CountsTable` if the plan has shots, and is else ``None``."""
+    (preparation, setting, outcome) in plan order.  If the plan has shots, ``tallies``
+    holds the sampled counts as a read-only int64 array of the same shape, each row
+    summing to the shots; it is ``None`` exactly when the plan has no shots."""
 
     plan: TomographyPlan
     frequencies: np.ndarray
-    counts: dict[tuple[str, str], CountsTable] | None
+    tallies: np.ndarray | None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        k = self.plan.num_qubits
+        k, shots = self.plan.num_qubits, self.plan.shots
         shape = (len(PREP_TOKENS) ** k, len(SETTING_TOKENS) ** k, 2**k)
         if np.shape(self.frequencies) != shape:
             raise ValueError(f"frequencies have shape {np.shape(self.frequencies)}, not {shape}")
         if not np.isfinite(self.frequencies).all():
             raise ValueError("frequencies must be finite")
-        if (self.counts is None) != (self.plan.shots is None):
-            need = "must have counts" if self.counts is None else "must not have counts"
-            raise ValueError(f"a dataset whose plan has shots={self.plan.shots} {need}")
-        if self.counts is not None and self.counts.keys() != set(self.plan.jobs()):
-            raise ValueError("counts do not cover exactly the plan's jobs")
+        if (self.tallies is None) != (shots is None):
+            need = "must have counts" if self.tallies is None else "must not have counts"
+            raise ValueError(f"a dataset whose plan has shots={shots} {need}")
+        if self.tallies is not None:
+            t = read_only(np.asarray(self.tallies))
+            if t.dtype != np.int64 or t.shape != shape:
+                raise ValueError(f"tallies must be int64 of shape {shape}, not {t.dtype} {t.shape}")
+            if t.min() < 0:
+                raise ValueError("counts must be non-negative")
+            sums = t.sum(axis=-1), t.sum(axis=-1, dtype=float)  # the float sum shows an int64 wrap
+            if (sums[0] != shots).any() or (abs(sums[1] - shots) > shots / 2).any():
+                raise ValueError(f"counts do not sum to the shot total {shots}")
+            object.__setattr__(self, "tallies", t)
+
+    @functools.cached_property
+    def counts(self) -> MappingProxyType[tuple[str, str], CountsTable] | None:
+        """Each job's :class:`CountsTable`, built from ``tallies`` on first use (``None`` if exact)."""
+        if self.tallies is None:
+            return None
+        labels = product_labels("01", self.plan.num_qubits)
+        tables = (CountsTable(self.plan.shots, dict(zip(labels, row))) for row in self._rows())
+        return MappingProxyType(dict(zip(self.plan.jobs(), tables)))
+
+    def _rows(self) -> list:  # each job's tallies, or frequencies if exact, in job order
+        data = self.frequencies if self.tallies is None else self.tallies
+        return np.reshape(data, (self.plan.num_jobs, -1)).tolist()
 
     def to_dict(self) -> dict:
-        jobs = []
-        rows = np.reshape(self.frequencies, (self.plan.num_jobs, -1))
-        for (prep, setting), row in zip(self.plan.jobs(), rows):
-            entry: dict = {"prep": prep, "setting": setting}
-            if self.counts is not None:
-                entry["counts"] = self.counts[(prep, setting)].to_dict()
-            else:
-                entry["frequencies"] = [float(f) for f in row]
-            jobs.append(entry)
+        labels, shots = product_labels("01", self.plan.num_qubits), self.plan.shots
+        jobs = [
+            {"prep": p, "setting": s, "frequencies": row} if shots is None
+            else {"prep": p, "setting": s, "counts": {"shots": shots, "counts": dict(zip(labels, row))}}
+            for (p, s), row in zip(self.plan.jobs(), self._rows())
+        ]
         return {
             "num_qubits": self.plan.num_qubits,
             "shots": self.plan.shots,
@@ -184,23 +205,16 @@ class TomographyDataset:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, written from one
-        template per job layout (``%r`` writes the finite frequencies as json does)."""
-        if self.counts is None:
-            floats = ",\n".join(["        %r"] * 2**self.plan.num_qubits)
+        template over the job rows (``%r`` writes the finite frequencies as json does)."""
+        labels = product_labels("01", self.plan.num_qubits)
+        if self.tallies is None:
+            floats = ",\n".join(["        %r"] * len(labels))
             template = _JOB % ('"frequencies": [\n%s\n      ]' % floats)
-            rows = np.reshape(self.frequencies, (self.plan.num_jobs, -1)).tolist()
-            jobs = [template % (*row, *key) for key, row in zip(self.plan.jobs(), rows)]
         else:
-            jobs, templates = [], {}  # one template per sorted outcome-key tuple
-            for key in self.plan.jobs():
-                tab = self.counts[key]
-                outcomes = tuple(sorted(tab.counts))
-                if outcomes not in templates:
-                    lines = [f"          {json.dumps(o).replace('%', '%%')}: %d" for o in outcomes]
-                    inner = "{\n" + ",\n".join(lines) + "\n        }" if lines else "{}"
-                    block = '"counts": {\n        "counts": ' + inner + ',\n        "shots": %d\n      }'
-                    templates[outcomes] = _JOB % block
-                jobs.append(templates[outcomes] % (*map(tab.counts.get, outcomes), tab.shots, *key))
+            ints = ",\n".join(f'          "{o}": %d' for o in labels)  # the %d stay for the rows
+            block = '"counts": {\n        "counts": {\n%s\n        },\n        "shots": %d\n      }'
+            template = _JOB % (block % (ints, self.plan.shots))
+        jobs = [template % (*row, *key) for key, row in zip(self.plan.jobs(), self._rows())]
         metadata = json.dumps(self.metadata, indent=2, sort_keys=True).replace("\n", "\n  ")
         return '{\n  "jobs": [\n%s\n  ],\n  "metadata": %s,\n  "num_qubits": %d,\n  "shots": %s\n}' % (
             ",\n".join(jobs), metadata, self.plan.num_qubits, json.dumps(self.plan.shots)
@@ -208,6 +222,7 @@ class TomographyDataset:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TomographyDataset":
+        """Load a :meth:`to_dict` record; a sampled job's outcomes left out count as zero."""
         try:
             k = whole_number(d["num_qubits"], "num_qubits")
             sampled = any("counts" in j for j in d["jobs"])  # else exact: no shots
@@ -228,22 +243,23 @@ class TomographyDataset:
                 )
                 first = next(key for key in walk if key not in jobs)
                 raise ValueError(f"dataset is missing {missing} plan job(s), e.g. {first}")
-            outcomes = set(product_labels("01", k))
-            counts = {} if sampled else None
-            rows = []
+            labels, rows = product_labels("01", k), []
             for key in plan.jobs():
-                if counts is not None:
+                if sampled:
                     if "counts" not in jobs[key]:
                         raise ValueError(f"job {key} has no counts, but other jobs of the dataset do")
-                    counts[key] = tab = CountsTable.from_dict(jobs[key]["counts"])
-                    if tab.shots != plan.shots:
-                        msg = f"job {key} has {tab.shots} shots, not the dataset's {plan.shots}"
-                        raise ValueError(msg)
-                    unknown = sorted(set(tab.counts) - outcomes)
-                    if unknown:
-                        msg = f"job {key} has counts for {unknown}, which are not {k}-bit outcomes"
-                        raise ValueError(msg)
-                    rows.append(tab.as_vector(k) / tab.shots)
+                    record = jobs[key]["counts"]
+                    if (shots := whole_number(record["shots"], "shots")) != plan.shots:
+                        raise ValueError(f"job {key} has {shots} shots, not the dataset's {plan.shots}")
+                    if not isinstance(raw := record["counts"], dict):
+                        raise ValueError(f"counts {raw!r} are not a mapping of outcomes to counts")
+                    if unknown := sorted(raw.keys() - labels):
+                        raise ValueError(f"job {key} has counts for {unknown}, not {k}-bit outcomes")
+                    row = [raw.get(o, 0) for o in labels]
+                    try:  # json writes ints; any other number goes through whole_number
+                        rows.append([n if type(n) is int else whole_number(n, "count") for n in row])
+                    except ValueError:
+                        raise ValueError(f"job {key} counts {raw} are not all whole numbers") from None
                     continue
                 f = np.asarray(jobs[key]["frequencies"], dtype=float)
                 if f.shape != (2**k,):
@@ -252,10 +268,12 @@ class TomographyDataset:
                     raise ValueError(f"job {key} frequencies {f.tolist()} are not probabilities")
                 rows.append(f)
             metadata = dict(d.get("metadata", {}))
-        except (KeyError, TypeError) as exc:
+            shape = (len(plan.preparations), len(plan.settings), 2**k)
+            tallies = np.array(rows, dtype=np.int64).reshape(shape) if sampled else None
+        except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: a count past int64
             raise ValueError(f"malformed dataset record: {exc}") from exc
-        shape = (len(plan.preparations), len(plan.settings), 2**k)
-        return cls(plan, np.reshape(rows, shape), counts, metadata)
+        freqs = np.reshape(rows, shape) if tallies is None else tallies / plan.shots
+        return cls(plan, freqs, tallies, metadata)
 
 
 def channel_choi(target: Circuit, noise: NoiseModel | None = None) -> ChoiMatrix:
@@ -310,27 +328,19 @@ def execute_plan(
 
     A plan without shots records a copy of these probabilities as the
     frequencies; otherwise the plan is one stream: ``draw_counts`` draws
-    every job's counts, in job order, from ``SeedSequence(seed)``, and the
-    frequencies are counts per shot.
+    every job's counts, in job order, from ``SeedSequence(seed)``, into one
+    int array that the dataset keeps as its ``tallies``, and the frequencies
+    are counts per shot.  No per-job :class:`CountsTable` is built.
     """
     if target.num_qubits != plan.num_qubits:
         raise ValueError("target width does not match the plan")
-    k, d = plan.num_qubits, 2**plan.num_qubits
     probs = _probabilities(target, noise)
-    counts = None
-    if plan.shots is None:
-        freqs = probs.copy()  # the dataset's own array; the memoised one stays read-only
-    else:  # the flattened (prep, setting) axes are in preparation-major job order
-        rows = probs.reshape(plan.num_jobs, d)
-        drawn = draw_counts(rows, plan.shots, np.random.SeedSequence(seed))
-        labels = product_labels("01", k)
-        counts = {
-            key: CountsTable(plan.shots, dict(zip(labels, row)))
-            for key, row in zip(plan.jobs(), drawn.tolist())
-        }
-        freqs = drawn.reshape(probs.shape) / plan.shots
-    metadata = {"seed": seed, "exact": counts is None, "noise": getattr(noise, "label", None)}
-    return TomographyDataset(plan, freqs, counts, metadata)
+    metadata = {"seed": seed, "exact": plan.shots is None, "noise": getattr(noise, "label", None)}
+    if plan.shots is None:  # the dataset's own array; the memoised one stays read-only
+        return TomographyDataset(plan, probs.copy(), None, metadata)
+    rows = probs.reshape(plan.num_jobs, -1)  # (prep, setting) flattened in job order
+    tallies = draw_counts(rows, plan.shots, np.random.SeedSequence(seed)).reshape(probs.shape)
+    return TomographyDataset(plan, tallies / plan.shots, tallies, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +525,10 @@ class QptResult:
     projection: ProjectionResult | None = None  # diagnostics; not written to report.json
 
     def report_dict(self, shots: int | None = None, seed: int | None = None) -> dict:
-        if shots not in (None, self.dataset.plan.shots):
+        if shots is not None and (shots := whole_number(shots, "shots")) != self.dataset.plan.shots:
             raise ValueError(f"shots {shots} are not the plan's {self.dataset.plan.shots}")
+        if seed is not None and (seed := whole_number(seed, "seed")) < 0:
+            raise ValueError(f"seed must be a whole number >= 0, got {seed}")
         out = self.report.to_dict()
         out["converged"] = self.converged
         if shots is not None:

@@ -8,7 +8,8 @@ import pytest
 
 from choiqpt import ground_state, noise_model_from_calibration, parse_calibration, to_native
 from choiqpt.channels import ChoiMatrix, matrix_to_json_dict, pauli_basis
-from choiqpt.linalg import dagger, frobenius, kron_all, partial_trace
+from choiqpt.linalg import dagger, frobenius, kron_all, partial_trace, product_labels
+from choiqpt.simulator import CountsTable
 from choiqpt.tomography import measurement_circuit, prep_circuit
 
 
@@ -138,6 +139,15 @@ def oracle_job_frequencies(plan, target, noise, job_indices) -> dict:
             p = kron_all(noise.confusion_for(k)).real @ p
         out[(prep, setting)] = p
     return out
+
+
+def oracle_dataset_counts(plan, drawn: np.ndarray) -> dict:
+    """Each job's :class:`CountsTable` from the ``(num_jobs, 2^K)`` draw, job by job (oracle)."""
+    labels = product_labels("01", plan.num_qubits)
+    return {
+        key: CountsTable(plan.shots, dict(zip(labels, row)))
+        for key, row in zip(plan.jobs(), drawn.tolist())
+    }
 
 
 def tp_step(m: np.ndarray, d: int) -> np.ndarray:

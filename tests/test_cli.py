@@ -8,6 +8,7 @@ import pytest
 from choiqpt import gates, viz
 from choiqpt.channels import choi_to_chi, is_cptp
 from choiqpt.cli import build_parser, main
+from choiqpt.simulator import CountsTable
 from choiqpt.tomography import TomographyDataset
 from conftest import (
     data_path,
@@ -83,6 +84,18 @@ def test_run_sampled_deterministic(tmp_path):
     assert len(files) == 9
     for fname in files:
         assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
+
+
+def test_run_builds_no_counts_table(tmp_path, monkeypatch):
+    # the sampled counts stay one integer array from the draw to dataset.json
+    def refuse(self):
+        raise AssertionError("qpt run built a CountsTable")
+
+    monkeypatch.setattr(CountsTable, "__post_init__", refuse)
+    out = tmp_path / "out"
+    args = ("--shots", "300", "--calib", data_path("ibm_perth_tab1.json"), "--out", str(out))
+    assert run_cli("run", "--circuit", data_path("sqscz_circuit.json"), *args) == 0
+    assert '"counts": {' in (out / "dataset.json").read_text()
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3])

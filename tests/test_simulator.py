@@ -222,7 +222,7 @@ def test_draw_counts_equals_row_loop_on_one_generator(num_qubits, rows, shots, s
     for s in (seed, np.random.SeedSequence(seed), np.random.default_rng(seed)):
         got = draw_counts(p, shots, s)
         g = np.random.default_rng(np.random.SeedSequence(seed))
-        want = [sample_counts(row, shots, g).as_vector(num_qubits) for row in p]
+        want = [list(sample_counts(row, shots, g).counts.values()) for row in p]
         assert got.shape == (rows, 2**num_qubits)
         assert np.array_equal(got, want)
 
@@ -278,7 +278,7 @@ def test_sample_counts_confusion_statistics(perth_noise):
     recorded = apply_confusion(p, confusion)
     table = sample_counts(p, shots, seed=12, confusion=confusion)
     sigma = np.sqrt(recorded * (1 - recorded) / shots)
-    assert np.all(np.abs(table.as_vector(2) / shots - recorded) < 5 * sigma)
+    assert np.all(np.abs(np.array(list(table.counts.values())) / shots - recorded) < 5 * sigma)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -321,18 +321,12 @@ def test_circuit_probabilities_is_the_composed_pipeline(perth_noise):
 
 
 def test_counts_table_roundtrip_and_invariant():
-    t = CountsTable(10, {"00": 4, "01": 6})
-    assert CountsTable.from_dict(t.to_dict()) == t
-    assert t.frequency("00") == 0.4
-    assert np.allclose(t.as_vector(2), [4, 6, 0, 0])
+    t = CountsTable(10, {"01": 6, "00": 4})
+    assert t.to_dict() == {"shots": 10, "counts": {"00": 4, "01": 6}}
+    assert list(t.to_dict()["counts"]) == ["00", "01"]  # written in outcome order
+    assert t.frequency("00") == 0.4 and t.frequency("11") == 0.0
     with pytest.raises(ValueError):
         CountsTable(11, {"00": 4, "01": 6})
-
-
-@pytest.mark.parametrize("counts", [[4, 6], "0110", 10])
-def test_counts_table_from_dict_rejects_counts_that_are_not_a_mapping(counts):
-    with pytest.raises(ValueError, match="are not a mapping of outcomes to counts"):
-        CountsTable.from_dict({"shots": 10, "counts": counts})
 
 
 def test_ground_state():

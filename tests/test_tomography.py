@@ -31,6 +31,7 @@ from choiqpt.noise import (
 )
 from choiqpt.simulator import (
     _unitary_superop,
+    draw_counts,
     evolve,
     measure_probabilities,
     sample_counts,
@@ -49,11 +50,11 @@ from choiqpt.tomography import (
     project_cptp,
     qpt,
 )
-from choiqpt.simulator import CountsTable
 from conftest import (
     Stopwatch,
     data_path,
     dykstra_cptp,
+    oracle_dataset_counts,
     oracle_dataset_json,
     oracle_job_frequencies,
     oracle_newton_step,
@@ -126,7 +127,8 @@ def dense_inversion(dataset: TomographyDataset) -> np.ndarray:
 def channel_dataset(choi: ChoiMatrix, plan: TomographyPlan, seed: int | None) -> TomographyDataset:
     """Exact (``seed=None``) or sampled frequencies of a channel given by its Choi matrix."""
     d = 2**plan.num_qubits
-    rows, counts = [], None if seed is None else {}
+    shape = (len(plan.preparations), len(plan.settings), d)
+    rows = []
     for idx, (prep, setting) in enumerate(plan.jobs()):
         probs = np.array([
             outcome_probability(choi, closed_prep(prep), closed_effect(setting, b))
@@ -136,11 +138,11 @@ def channel_dataset(choi: ChoiMatrix, plan: TomographyPlan, seed: int | None) ->
             rows.append(probs)
         else:
             tab = sample_counts(probs, plan.shots, np.random.SeedSequence((seed, idx)))
-            counts[(prep, setting)] = tab
-            rows.append(tab.as_vector(plan.num_qubits) / plan.shots)
-    freqs = np.reshape(rows, (len(plan.preparations), len(plan.settings), d))
-    plan = plan if seed is not None else build_plan(plan.num_qubits, None)  # exact: no shots
-    return TomographyDataset(plan, freqs, counts, {})
+            rows.append(list(tab.counts.values()))  # every outcome, in label order
+    if seed is None:  # exact: no shots
+        return TomographyDataset(build_plan(plan.num_qubits, None), np.reshape(rows, shape), None, {})
+    tallies = np.reshape(rows, shape).astype(np.int64)
+    return TomographyDataset(plan, tallies / plan.shots, tallies, {})
 
 
 def test_plan_sizes():
@@ -393,6 +395,25 @@ def test_execute_plan_counts_match_per_job_sampling_oracle(num_qubits, tab1_path
             assert data.counts[key] == sample_counts(row, plan.shots, g), (seed, key)
 
 
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+@pytest.mark.parametrize("noisy", [False, True], ids=["clean", "tab1"])
+def test_execute_plan_tallies_are_one_draw_and_counts_match_oracle(num_qubits, noisy, tab1_path):
+    # the tallies are draw_counts' array itself; the counts view rebuilds the per-job tables
+    target, noise = ORACLE_TARGETS[num_qubits], _oracle_noise(tab1_path, num_qubits, noisy)
+    plan = build_plan(num_qubits, shots=500)
+    probs = tomography._probabilities(target, noise)
+    for seed in (0, 3, 11):
+        data = execute_plan(plan, target, noise=noise, seed=seed)
+        drawn = draw_counts(probs.reshape(plan.num_jobs, -1), plan.shots, np.random.SeedSequence(seed))
+        assert data.tallies.dtype == np.int64 and not data.tallies.flags.writeable
+        assert np.array_equal(data.tallies, drawn.reshape(probs.shape))
+        assert np.array_equal(data.frequencies, drawn.reshape(probs.shape) / plan.shots)
+        assert list(data.counts.items()) == list(oracle_dataset_counts(plan, drawn).items())
+        assert data.counts is data.counts  # built on first use, then kept
+        with pytest.raises(TypeError):
+            data.counts[next(plan.jobs())] = None
+
+
 def _counting_evolve(monkeypatch) -> list:
     calls = []
 
@@ -622,6 +643,11 @@ def test_dataset_roundtrip_sampled_and_exact(perth_noise):
     back = TomographyDataset.from_dict(json.loads(exact.to_json()))
     assert back.to_json() == exact.to_json()
     assert back.counts is None
+    sparse = json.loads(ds.to_json())  # a hand-made record without its zero counts
+    for job in sparse["jobs"]:
+        job["counts"]["counts"] = {o: n for o, n in job["counts"]["counts"].items() if n}
+    assert sparse != json.loads(ds.to_json())
+    assert TomographyDataset.from_dict(sparse).to_json() == ds.to_json()  # zeros written out
     plan = build_plan(2, shots=256)
     for ds in (
         execute_plan(plan, SQSCZ_CIRCUIT, noise=perth_noise, seed=3),
@@ -652,22 +678,46 @@ def test_dataset_frequencies_must_be_finite():
 
 
 def test_dataset_counts_must_cover_exactly_the_plan_jobs():
+    # the tallies are one int64 array with a row of counts per job, checked in one pass
     ds = execute_plan(build_plan(1, shots=16), Circuit(1), seed=2)
-    fewer = dict(list(ds.counts.items())[1:])
-    more = {**ds.counts, ("0", "W"): ds.counts[("0", "Z")]}
-    for counts in (fewer, more):
-        with pytest.raises(ValueError, match="counts do not cover exactly the plan's jobs"):
-            TomographyDataset(ds.plan, ds.frequencies, counts, {})
+    fewer, more = ds.tallies[1:], np.concatenate([ds.tallies, ds.tallies[:1]])
+    other_types = ds.tallies.astype(float), ds.tallies.astype(np.uint64)
+    for tallies in (fewer, more, ds.tallies[..., :1], *other_types):
+        with pytest.raises(ValueError, match=r"tallies must be int64 of shape \(4, 3, 2\)"):
+            TomographyDataset(ds.plan, ds.frequencies, tallies, {})
+
+    def with_first_row(tallies, row):
+        t = tallies.copy()
+        t[0, 0] = row
+        return t
+
+    top = 2**63 - 1  # the last row below wraps an int64 sum past 2**64 back onto the 2**62 shots
+    wide = execute_plan(build_plan(2, shots=2**62), Circuit(2), seed=2)
+    for data, tallies, message in (
+        (ds, with_first_row(ds.tallies, [20, -4]), "counts must be non-negative"),
+        (ds, with_first_row(ds.tallies, [16, 1]), "counts do not sum to the shot total 16"),
+        (wide, with_first_row(wide.tallies, [top, top, 2**62 + 2, 0]), f"shot total {2**62}"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            TomographyDataset(data.plan, data.frequencies, tallies, {})
+    tallies = ds.tallies.copy()
+    kept = TomographyDataset(ds.plan, ds.frequencies, tallies, {}).tallies
+    assert kept.dtype == np.int64 and not kept.flags.writeable and np.array_equal(kept, tallies)
+    tallies[0, 0] = [0, 16]  # the dataset keeps its own read-only copy
+    assert not np.array_equal(kept, tallies)
+    with pytest.raises(ValueError):
+        ds.tallies[0, 0, 0] = 1
 
 
 def test_dataset_has_counts_exactly_when_its_plan_has_shots():
     sampled = execute_plan(build_plan(1, shots=16), Circuit(1), seed=2)
     exact = execute_plan(build_plan(1, shots=None), Circuit(1))
     with pytest.raises(ValueError, match="plan has shots=None must not have counts"):
-        TomographyDataset(exact.plan, sampled.frequencies, sampled.counts, {})
+        TomographyDataset(exact.plan, sampled.frequencies, sampled.tallies, {})
     with pytest.raises(ValueError, match="plan has shots=16 must have counts"):
         TomographyDataset(sampled.plan, exact.frequencies, None, {})
-    assert exact.counts is None and exact.metadata["exact"] and not sampled.metadata["exact"]
+    assert exact.counts is None and exact.tallies is None
+    assert exact.metadata["exact"] and not sampled.metadata["exact"]
     assert exact.to_dict()["shots"] is None
     assert exact.to_json().endswith('\n  "shots": null\n}')
 
@@ -784,13 +834,15 @@ def _as_frequency_record(values):
             lambda d: d["jobs"][2]["counts"].update(counts=[16, 0]),
             r"counts \[16, 0\] are not a mapping",
         ),
+        (lambda d: d["jobs"][2]["counts"].update(counts="0110"), r"counts '0110' are not a mapping"),
+        (lambda d: d["jobs"][2]["counts"].update(counts=16), "counts 16 are not a mapping"),
     ],
     ids=[
         "negative_count", "unknown_outcome", "no_num_qubits", "no_jobs", "no_prep", "no_setting",
         "frequency_below_zero", "frequencies_sum_below_one", "fractional_count", "infinite_count",
         "nan_count", "fractional_shots", "boolean_num_qubits", "string_shots", "boolean_count",
         "string_count", "fractional_job_shots", "job_shots_mismatch",
-        "duplicate_job", "job_not_in_plan", "counts_not_a_mapping",
+        "duplicate_job", "job_not_in_plan", "counts_not_a_mapping", "counts_a_string", "counts_a_number",
     ],
 )
 def test_dataset_from_dict_rejects_impossible_records(edit, message):
@@ -1017,6 +1069,22 @@ def test_report_dict_rejects_shots_that_are_not_the_plans():
             result.report_dict(shots=shots, seed=2)
 
 
+def test_report_dict_takes_shots_and_seed_only_as_whole_numbers():
+    result = qpt(Circuit(1, (ga("H", 0),)), shots=1, seed=0)
+    for kwargs, message in (
+        ({"shots": True}, "shots must be a whole number, got True"),
+        ({"shots": 1.5}, "shots must be a whole number, got 1.5"),
+        ({"seed": False}, "seed must be a whole number, got False"),
+        ({"seed": "3"}, "seed must be a whole number, got '3'"),
+        ({"seed": -3}, "seed must be a whole number >= 0, got -3"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            result.report_dict(**kwargs)
+    report = result.report_dict(shots=1.0, seed=3.0)  # written as the ints they are
+    assert (report["shots"], report["seed"]) == (1, 3)
+    assert type(report["shots"]) is int and type(report["seed"]) is int
+
+
 def test_qpt_no_cptp_option():
     opts = ReconstructionOptions(method="linear_inversion")
     result = qpt(SQSCZ_CIRCUIT, shots=500, seed=2, options=opts)
@@ -1047,13 +1115,12 @@ def test_reconstruction_error_shrinks_with_more_shots():
 
     def reconstruct(shots, seed):
         plan_s = build_plan(2, shots=shots)
-        freqs = []
-        counts = {}
-        for idx, key in enumerate(plan_s.jobs()):
-            tab = sample_counts(plan_probs[idx], shots, np.random.SeedSequence((seed, idx)))
-            counts[key] = tab
-            freqs.append(tab.as_vector(2) / shots)
-        ds = TomographyDataset(plan_s, np.reshape(freqs, exact.frequencies.shape), counts, {})
+        rows = [
+            list(sample_counts(row, shots, np.random.SeedSequence((seed, idx))).counts.values())
+            for idx, row in enumerate(plan_probs)
+        ]
+        tallies = np.reshape(rows, exact.frequencies.shape).astype(np.int64)
+        ds = TomographyDataset(plan_s, tallies / shots, tallies, {})
         return linear_inversion(ds).matrix
 
     wins = 0
@@ -1096,11 +1163,12 @@ def test_dataset_to_json_matches_oracle(num_qubits, mode, seed, metadata):
     plan = build_plan(num_qubits, shots)
     ds = execute_plan(plan, _TARGETS[num_qubits], noise, seed)
     assert ds.to_json() == oracle_dataset_json(ds)
-    if mode == "sparse":  # loaded records may leave out zero counts
-        counts = {
-            key: CountsTable(tab.shots, {o: n for o, n in tab.counts.items() if n})
-            for key, tab in ds.counts.items()
-        }
-        ds = dataclasses.replace(ds, counts=counts)
+    if mode == "sparse":  # a loaded record may leave out zero counts: it is written back with them
+        d = ds.to_dict()
+        for job in d["jobs"]:
+            job["counts"]["counts"] = {o: n for o, n in job["counts"]["counts"].items() if n}
+        back = TomographyDataset.from_dict(d)
+        assert np.array_equal(back.tallies, ds.tallies) and back.to_json() == ds.to_json()
+        ds = back
     ds = dataclasses.replace(ds, metadata=metadata)
     assert ds.to_json() == oracle_dataset_json(ds)
