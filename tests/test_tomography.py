@@ -836,6 +836,10 @@ def _as_frequency_record(values):
         ),
         (lambda d: d["jobs"][2]["counts"].update(counts="0110"), r"counts '0110' are not a mapping"),
         (lambda d: d["jobs"][2]["counts"].update(counts=16), "counts 16 are not a mapping"),
+        (
+            lambda d: d["jobs"][2]["counts"].update(counts=[["0", 16], ["1", 0]]),
+            r"counts \[\['0', 16\], \['1', 0\]\] are not a mapping",
+        ),
     ],
     ids=[
         "negative_count", "unknown_outcome", "no_num_qubits", "no_jobs", "no_prep", "no_setting",
@@ -843,6 +847,7 @@ def _as_frequency_record(values):
         "nan_count", "fractional_shots", "boolean_num_qubits", "string_shots", "boolean_count",
         "string_count", "fractional_job_shots", "job_shots_mismatch",
         "duplicate_job", "job_not_in_plan", "counts_not_a_mapping", "counts_a_string", "counts_a_number",
+        "counts_a_list_of_pairs",
     ],
 )
 def test_dataset_from_dict_rejects_impossible_records(edit, message):
