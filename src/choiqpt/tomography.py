@@ -43,7 +43,7 @@ import numpy as np
 
 from .channels import ChoiMatrix, choi_from_unitary, read_only
 from .gates import Circuit, circuit_unitary
-from .linalg import along_qubits, dagger, frobenius, product_labels, whole_number
+from .linalg import along_qubits, dagger, finite_number, frobenius, product_labels, whole_number
 from .metrics import FidelityReport, fidelity_report
 from .noise import NoiseModel
 from .simulator import (
@@ -145,69 +145,68 @@ _JOB = '    {\n      %s,\n      "prep": "%%s",\n      "setting": "%%s"\n    }'
 
 @dataclass(frozen=True)
 class TomographyDataset:
-    """Frequencies of every plan job as one ``(4^K, 3^K, 2^K)`` array with axes
-    (preparation, setting, outcome) in plan order.  If the plan has shots, ``tallies``
-    holds the sampled counts as a read-only int64 array of the same shape, each row
-    summing to the shots; it is ``None`` exactly when the plan has no shots."""
+    """Every plan job's record as one read-only ``(4^K, 3^K, 2^K)`` array, ``outcomes``,
+    with axes (preparation, setting, outcome) in plan order: int64 counts, each row
+    summing to the plan's shots, if the plan has shots, else float64 probabilities.
+    ``frequencies`` is derived from it."""
 
     plan: TomographyPlan
-    frequencies: np.ndarray
-    tallies: np.ndarray | None
+    outcomes: np.ndarray
     metadata: dict = field(default_factory=dict)
 
-    def __post_init__(self):
+    def __post_init__(self):  # the one check, for the constructor and for from_dict
         k, shots = self.plan.num_qubits, self.plan.shots
         shape = (len(PREP_TOKENS) ** k, len(SETTING_TOKENS) ** k, 2**k)
-        if np.shape(self.frequencies) != shape:
-            raise ValueError(f"frequencies have shape {np.shape(self.frequencies)}, not {shape}")
-        if not np.isfinite(self.frequencies).all():
-            raise ValueError("frequencies must be finite")
-        if (self.tallies is None) != (shots is None):
-            need = "must have counts" if self.tallies is None else "must not have counts"
-            raise ValueError(f"a dataset whose plan has shots={shots} {need}")
-        if self.tallies is not None:
-            t = read_only(np.asarray(self.tallies))
-            if t.dtype != np.int64 or t.shape != shape:
-                raise ValueError(f"tallies must be int64 of shape {shape}, not {t.dtype} {t.shape}")
-            if t.min() < 0:
+        x = read_only(np.asarray(self.outcomes))
+        dtype = np.dtype(np.float64 if shots is None else np.int64)
+        if x.dtype != dtype or x.shape != shape:
+            raise ValueError(f"outcomes must be {dtype} of shape {shape}, not {x.dtype} {x.shape}")
+        if not isinstance(self.metadata, dict):
+            raise ValueError(f"metadata must be a JSON object, got {self.metadata!r}")
+        if shots is None:  # written as a negation, so that a nan row fails too
+            bad = ~((x.min(axis=-1) >= -1e-9) & (abs(x.sum(axis=-1) - 1.0) <= 1e-9))
+            if bad.any():
+                p, s = np.argwhere(bad)[0]
+                key = (self.plan.preparations[p], self.plan.settings[s])
+                raise ValueError(f"job {key} frequencies {x[p, s].tolist()} are not probabilities")
+        else:
+            if x.min() < 0:
                 raise ValueError("counts must be non-negative")
-            sums = t.sum(axis=-1), t.sum(axis=-1, dtype=float)  # the float sum shows an int64 wrap
+            sums = x.sum(axis=-1), x.sum(axis=-1, dtype=float)  # the float sum shows an int64 wrap
             if (sums[0] != shots).any() or (abs(sums[1] - shots) > shots / 2).any():
                 raise ValueError(f"counts do not sum to the shot total {shots}")
-            object.__setattr__(self, "tallies", t)
+        object.__setattr__(self, "outcomes", x)
+
+    @functools.cached_property
+    def frequencies(self) -> np.ndarray:
+        """Read-only ``outcomes / shots``, or ``outcomes`` itself if the plan has no shots."""
+        if self.plan.shots is None:
+            return self.outcomes
+        f = self.outcomes / self.plan.shots
+        f.flags.writeable = False
+        return f
 
     @functools.cached_property
     def counts(self) -> MappingProxyType[tuple[str, str], CountsTable] | None:
-        """Each job's :class:`CountsTable`, built from ``tallies`` on first use (``None`` if exact)."""
-        if self.tallies is None:
+        """Each job's :class:`CountsTable`, built from ``outcomes`` on first use (``None`` if exact)."""
+        if self.plan.shots is None:
             return None
         labels = product_labels("01", self.plan.num_qubits)
         tables = (CountsTable(self.plan.shots, dict(zip(labels, row))) for row in self._rows())
         return MappingProxyType(dict(zip(self.plan.jobs(), tables)))
 
-    def _rows(self) -> list:  # each job's tallies, or frequencies if exact, in job order
-        data = self.frequencies if self.tallies is None else self.tallies
-        return np.reshape(data, (self.plan.num_jobs, -1)).tolist()
-
-    def to_dict(self) -> dict:
-        labels, shots = product_labels("01", self.plan.num_qubits), self.plan.shots
-        jobs = [
-            {"prep": p, "setting": s, "frequencies": row} if shots is None
-            else {"prep": p, "setting": s, "counts": {"shots": shots, "counts": dict(zip(labels, row))}}
-            for (p, s), row in zip(self.plan.jobs(), self._rows())
-        ]
-        return {
-            "num_qubits": self.plan.num_qubits,
-            "shots": self.plan.shots,
-            "metadata": self.metadata,
-            "jobs": jobs,
-        }
+    def _rows(self) -> list:  # each job's outcomes, in job order
+        return self.outcomes.reshape(self.plan.num_jobs, -1).tolist()
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, written from one
-        template over the job rows (``%r`` writes the finite frequencies as json does)."""
+        """The ``dataset.json`` record, as ``json.dumps(record, indent=2, sort_keys=True)``
+        writes it: ``{"num_qubits": K, "shots": S, "metadata": {...}, "jobs": [...]}`` with
+        one entry per plan job in job order, ``{"prep": p, "setting": s, "counts": {"shots":
+        S, "counts": {outcome: n, ...}}}`` if sampled, else ``{"prep": p, "setting": s,
+        "frequencies": [...]}`` with ``"shots": null``.  It is written from one template over
+        the job rows (``%r`` writes the finite frequencies as json does)."""
         labels = product_labels("01", self.plan.num_qubits)
-        if self.tallies is None:
+        if self.plan.shots is None:
             floats = ",\n".join(["        %r"] * len(labels))
             template = _JOB % ('"frequencies": [\n%s\n      ]' % floats)
         else:
@@ -222,7 +221,7 @@ class TomographyDataset:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TomographyDataset":
-        """Load a :meth:`to_dict` record; a sampled job's outcomes left out count as zero."""
+        """Load a :meth:`to_json` record; a sampled job's outcomes left out count as zero."""
         try:
             k = whole_number(d["num_qubits"], "num_qubits")
             sampled = any("counts" in j for j in d["jobs"])  # else exact: no shots
@@ -261,19 +260,19 @@ class TomographyDataset:
                     except ValueError:
                         raise ValueError(f"job {key} counts {raw} are not all whole numbers") from None
                     continue
-                f = np.asarray(jobs[key]["frequencies"], dtype=float)
-                if f.shape != (2**k,):
-                    raise ValueError(f"job {key} has {f.size} frequencies, expected {2**k}")
-                if not (f.min() >= -1e-9 and abs(f.sum() - 1.0) <= 1e-9):
-                    raise ValueError(f"job {key} frequencies {f.tolist()} are not probabilities")
-                rows.append(f)
-            metadata = dict(d.get("metadata", {}))
-            shape = (len(plan.preparations), len(plan.settings), 2**k)
-            tallies = np.array(rows, dtype=np.int64).reshape(shape) if sampled else None
+                row = jobs[key]["frequencies"]
+                if (dims := np.array(row, dtype=object).shape) != (2**k,):
+                    got = f"{dims[0]} frequencies" if len(dims) == 1 else f"frequencies of shape {dims}"
+                    raise ValueError(f"job {key} has {got}, expected {2**k}")
+                try:  # json writes floats; any other number goes through finite_number
+                    rows.append([f if type(f) is float else finite_number(f, "frequency") for f in row])
+                except ValueError:
+                    raise ValueError(f"job {key} frequencies {row} are not all numbers") from None
+            shape = (len(PREP_TOKENS) ** k, len(SETTING_TOKENS) ** k, 2**k)
+            outcomes = np.array(rows, dtype=np.int64 if sampled else np.float64).reshape(shape)
         except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: a count past int64
             raise ValueError(f"malformed dataset record: {exc}") from exc
-        freqs = np.reshape(rows, shape) if tallies is None else tallies / plan.shots
-        return cls(plan, freqs, tallies, metadata)
+        return cls(plan, outcomes, d.get("metadata", {}))
 
 
 def channel_choi(target: Circuit, noise: NoiseModel | None = None) -> ChoiMatrix:
@@ -326,21 +325,20 @@ def execute_plan(
     Nothing is simulated per job: the ``(4^K, 3^K, 2^K)`` probabilities come
     from :func:`_probabilities`, once per (target, noise model) pair.
 
-    A plan without shots records a copy of these probabilities as the
-    frequencies; otherwise the plan is one stream: ``draw_counts`` draws
-    every job's counts, in job order, from ``SeedSequence(seed)``, into one
-    int array that the dataset keeps as its ``tallies``, and the frequencies
-    are counts per shot.  No per-job :class:`CountsTable` is built.
+    A plan without shots records these probabilities as its outcomes: the
+    dataset shares the memoised read-only array.  Otherwise the plan is one
+    stream: ``draw_counts`` draws every job's counts, in job order, from
+    ``SeedSequence(seed)``, into one int64 array that the dataset keeps as its
+    outcomes.  No per-job :class:`CountsTable` is built.
     """
     if target.num_qubits != plan.num_qubits:
         raise ValueError("target width does not match the plan")
-    probs = _probabilities(target, noise)
+    outcomes = _probabilities(target, noise)
     metadata = {"seed": seed, "exact": plan.shots is None, "noise": getattr(noise, "label", None)}
-    if plan.shots is None:  # the dataset's own array; the memoised one stays read-only
-        return TomographyDataset(plan, probs.copy(), None, metadata)
-    rows = probs.reshape(plan.num_jobs, -1)  # (prep, setting) flattened in job order
-    tallies = draw_counts(rows, plan.shots, np.random.SeedSequence(seed)).reshape(probs.shape)
-    return TomographyDataset(plan, tallies / plan.shots, tallies, metadata)
+    if plan.shots is not None:
+        rows = outcomes.reshape(plan.num_jobs, -1)  # (prep, setting) flattened in job order
+        outcomes = draw_counts(rows, plan.shots, np.random.SeedSequence(seed)).reshape(outcomes.shape)
+    return TomographyDataset(plan, outcomes, metadata)
 
 
 # ---------------------------------------------------------------------------

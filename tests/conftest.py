@@ -239,9 +239,21 @@ def oracle_project_cptp(m: np.ndarray, d: int, tol: float = 1e-10, max_iter: int
     return c, steps, delta, frobenius(c - r), float(np.linalg.eigvalsh(r)[0])
 
 
+def oracle_dataset_dict(ds) -> dict:
+    """A dataset's ``dataset.json`` record, built job by job from its outcomes (oracle)."""
+    labels, shots = product_labels("01", ds.plan.num_qubits), ds.plan.shots
+    rows = ds.outcomes.reshape(ds.plan.num_jobs, -1).tolist()
+    jobs = [
+        {"prep": p, "setting": s, "frequencies": row} if shots is None
+        else {"prep": p, "setting": s, "counts": {"shots": shots, "counts": dict(zip(labels, row))}}
+        for (p, s), row in zip(ds.plan.jobs(), rows)
+    ]
+    return {"num_qubits": ds.plan.num_qubits, "shots": shots, "metadata": ds.metadata, "jobs": jobs}
+
+
 def oracle_dataset_json(ds) -> str:
     """``dataset.json`` as the pure-Python json encoder writes it (oracle)."""
-    return json.dumps(ds.to_dict(), indent=2, sort_keys=True)
+    return json.dumps(oracle_dataset_dict(ds), indent=2, sort_keys=True)
 
 
 def oracle_choi_json(c) -> str:

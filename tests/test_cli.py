@@ -6,10 +6,10 @@ from pathlib import Path
 import pytest
 
 from choiqpt import gates, viz
-from choiqpt.channels import choi_to_chi, is_cptp
+from choiqpt.channels import choi_to_chi, choi_to_json, is_cptp
 from choiqpt.cli import build_parser, main
 from choiqpt.simulator import CountsTable
-from choiqpt.tomography import TomographyDataset
+from choiqpt.tomography import TomographyDataset, linear_inversion, project_cptp
 from conftest import (
     data_path,
     oracle_choi_json,
@@ -126,6 +126,24 @@ def test_run_files_match_oracle_writers(tmp_path, num_qubits, mode):
     chi = choi_to_chi(choi)
     assert text("chi_re_hinton.svg") == oracle_svg_hinton(chi.matrix.real, chi.labels, "Re chi")
     assert text("chi_im_hinton.svg") == oracle_svg_hinton(chi.matrix.imag, chi.labels, "Im chi")
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2])
+@pytest.mark.parametrize("mode", ["exact", "clean", "tab1"])
+def test_run_dataset_json_reconstructs_its_choi_json(tmp_path, num_qubits, mode):
+    # the frequencies a loaded dataset derives from its outcomes invert to the run's own estimate
+    name, qubits = ("SQSCZ", [0, 1]) if num_qubits > 1 else ("H", [0])
+    gates = [{"name": name, "params": [], "qubits": qubits}]
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps({"num_qubits": num_qubits, "gates": gates}))
+    out = tmp_path / "out"
+    flags = {"exact": ["--exact"], "clean": [], "tab1": ["--calib", data_path("ibm_perth_tab1.json")]}
+    args = ["run", "--circuit", str(circuit), "--shots", "500", "--seed", "3", "--out", str(out)]
+    assert run_cli(*args, *flags[mode]) == 0
+    dataset = TomographyDataset.from_dict(json.loads((out / "dataset.json").read_text()))
+    assert (dataset.plan.shots is None) == (mode == "exact")
+    rebuilt = choi_to_json(project_cptp(linear_inversion(dataset)).choi) + "\n"
+    assert rebuilt == (out / "choi.json").read_text()
 
 
 def _files(out: Path) -> dict[str, bytes]:

@@ -140,9 +140,8 @@ def channel_dataset(choi: ChoiMatrix, plan: TomographyPlan, seed: int | None) ->
             tab = sample_counts(probs, plan.shots, np.random.SeedSequence((seed, idx)))
             rows.append(list(tab.counts.values()))  # every outcome, in label order
     if seed is None:  # exact: no shots
-        return TomographyDataset(build_plan(plan.num_qubits, None), np.reshape(rows, shape), None, {})
-    tallies = np.reshape(rows, shape).astype(np.int64)
-    return TomographyDataset(plan, tallies / plan.shots, tallies, {})
+        return TomographyDataset(build_plan(plan.num_qubits, None), np.reshape(rows, shape), {})
+    return TomographyDataset(plan, np.reshape(rows, shape).astype(np.int64), {})
 
 
 def test_plan_sizes():
@@ -398,15 +397,15 @@ def test_execute_plan_counts_match_per_job_sampling_oracle(num_qubits, tab1_path
 @pytest.mark.parametrize("num_qubits", [1, 2, 3])
 @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "tab1"])
 def test_execute_plan_tallies_are_one_draw_and_counts_match_oracle(num_qubits, noisy, tab1_path):
-    # the tallies are draw_counts' array itself; the counts view rebuilds the per-job tables
+    # the outcomes are draw_counts' array itself; the counts view rebuilds the per-job tables
     target, noise = ORACLE_TARGETS[num_qubits], _oracle_noise(tab1_path, num_qubits, noisy)
     plan = build_plan(num_qubits, shots=500)
     probs = tomography._probabilities(target, noise)
     for seed in (0, 3, 11):
         data = execute_plan(plan, target, noise=noise, seed=seed)
         drawn = draw_counts(probs.reshape(plan.num_jobs, -1), plan.shots, np.random.SeedSequence(seed))
-        assert data.tallies.dtype == np.int64 and not data.tallies.flags.writeable
-        assert np.array_equal(data.tallies, drawn.reshape(probs.shape))
+        assert data.outcomes.dtype == np.int64 and not data.outcomes.flags.writeable
+        assert np.array_equal(data.outcomes, drawn.reshape(probs.shape))
         assert np.array_equal(data.frequencies, drawn.reshape(probs.shape) / plan.shots)
         assert list(data.counts.items()) == list(oracle_dataset_counts(plan, drawn).items())
         assert data.counts is data.counts  # built on first use, then kept
@@ -613,15 +612,17 @@ def test_memo_is_safe_under_threads(name):
 
 
 def test_exact_dataset_writes_do_not_reach_the_memo(perth_noise):
+    # the exact dataset shares the memoised array, and neither it nor the memo can be written
     plan = build_plan(2, shots=None)
     first = execute_plan(plan, SQSCZ_CIRCUIT, perth_noise)
-    expected = first.frequencies.copy()
-    first.frequencies[...] = 0.25
+    memo = tomography._probabilities(SQSCZ_CIRCUIT, perth_noise)
+    assert first.frequencies is first.outcomes is memo
+    for array in (first.frequencies, first.outcomes, memo):
+        with pytest.raises(ValueError):
+            array[0, 0, 0] = 1.0
+    expected = memo.copy()
     again = execute_plan(plan, SQSCZ_CIRCUIT, perth_noise)
     assert np.array_equal(again.frequencies, expected)
-    memo = tomography._probabilities(SQSCZ_CIRCUIT, perth_noise)
-    with pytest.raises(ValueError):
-        memo[0, 0, 0] = 1.0
 
 
 def test_execute_plan_deterministic():
@@ -663,67 +664,82 @@ def test_dataset_roundtrip_sampled_and_exact(perth_noise):
 
 
 def test_dataset_requires_all_jobs():
-    plan = build_plan(1, shots=16)
-    with pytest.raises(ValueError):
-        TomographyDataset(plan, {}, None, {})
+    for shots, dtype in ((16, "int64"), (None, "float64")):
+        with pytest.raises(ValueError, match=rf"outcomes must be {dtype} of shape \(4, 3, 2\)"):
+            TomographyDataset(build_plan(1, shots), {}, {})
 
 
 def test_dataset_frequencies_must_be_finite():
+    # a hand-built exact dataset is checked as a loaded one is: each row is a probability vector
     ds = execute_plan(build_plan(1, shots=None), Circuit(1))
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, -np.inf, -0.25, 0.5):
         freqs = ds.frequencies.copy()
-        freqs[0, 0, 0] = bad
-        with pytest.raises(ValueError, match="frequencies must be finite"):
-            TomographyDataset(ds.plan, freqs, None, {})
+        freqs[0, 2, 0] = bad
+        with pytest.raises(ValueError, match=r"job \('0', 'Z'\) frequencies .* not probabilities"):
+            TomographyDataset(ds.plan, freqs, {})
 
 
 def test_dataset_counts_must_cover_exactly_the_plan_jobs():
-    # the tallies are one int64 array with a row of counts per job, checked in one pass
+    # the outcomes are one int64 array with a row of counts per job, checked in one pass
     ds = execute_plan(build_plan(1, shots=16), Circuit(1), seed=2)
-    fewer, more = ds.tallies[1:], np.concatenate([ds.tallies, ds.tallies[:1]])
-    other_types = ds.tallies.astype(float), ds.tallies.astype(np.uint64)
-    for tallies in (fewer, more, ds.tallies[..., :1], *other_types):
-        with pytest.raises(ValueError, match=r"tallies must be int64 of shape \(4, 3, 2\)"):
-            TomographyDataset(ds.plan, ds.frequencies, tallies, {})
+    fewer, more = ds.outcomes[1:], np.concatenate([ds.outcomes, ds.outcomes[:1]])
+    other_types = ds.outcomes.astype(float), ds.outcomes.astype(np.uint64)
+    for outcomes in (fewer, more, ds.outcomes[..., :1], *other_types):
+        with pytest.raises(ValueError, match=r"outcomes must be int64 of shape \(4, 3, 2\)"):
+            TomographyDataset(ds.plan, outcomes, {})
 
-    def with_first_row(tallies, row):
-        t = tallies.copy()
+    def with_first_row(outcomes, row):
+        t = outcomes.copy()
         t[0, 0] = row
         return t
 
     top = 2**63 - 1  # the last row below wraps an int64 sum past 2**64 back onto the 2**62 shots
     wide = execute_plan(build_plan(2, shots=2**62), Circuit(2), seed=2)
-    for data, tallies, message in (
-        (ds, with_first_row(ds.tallies, [20, -4]), "counts must be non-negative"),
-        (ds, with_first_row(ds.tallies, [16, 1]), "counts do not sum to the shot total 16"),
-        (wide, with_first_row(wide.tallies, [top, top, 2**62 + 2, 0]), f"shot total {2**62}"),
+    for data, outcomes, message in (
+        (ds, with_first_row(ds.outcomes, [20, -4]), "counts must be non-negative"),
+        (ds, with_first_row(ds.outcomes, [16, 1]), "counts do not sum to the shot total 16"),
+        (wide, with_first_row(wide.outcomes, [top, top, 2**62 + 2, 0]), f"shot total {2**62}"),
     ):
         with pytest.raises(ValueError, match=message):
-            TomographyDataset(data.plan, data.frequencies, tallies, {})
-    tallies = ds.tallies.copy()
-    kept = TomographyDataset(ds.plan, ds.frequencies, tallies, {}).tallies
-    assert kept.dtype == np.int64 and not kept.flags.writeable and np.array_equal(kept, tallies)
-    tallies[0, 0] = [0, 16]  # the dataset keeps its own read-only copy
-    assert not np.array_equal(kept, tallies)
+            TomographyDataset(data.plan, outcomes, {})
+    outcomes = ds.outcomes.copy()
+    kept = TomographyDataset(ds.plan, outcomes, {}).outcomes
+    assert kept.dtype == np.int64 and not kept.flags.writeable and np.array_equal(kept, outcomes)
+    outcomes[0, 0] = [0, 16]  # the dataset keeps its own read-only copy
+    assert not np.array_equal(kept, outcomes)
     with pytest.raises(ValueError):
-        ds.tallies[0, 0, 0] = 1
+        ds.outcomes[0, 0, 0] = 1
 
 
 def test_dataset_has_counts_exactly_when_its_plan_has_shots():
+    # the plan's shots choose the outcomes' dtype: counts with shots, probabilities without
     sampled = execute_plan(build_plan(1, shots=16), Circuit(1), seed=2)
     exact = execute_plan(build_plan(1, shots=None), Circuit(1))
-    with pytest.raises(ValueError, match="plan has shots=None must not have counts"):
-        TomographyDataset(exact.plan, sampled.frequencies, sampled.tallies, {})
-    with pytest.raises(ValueError, match="plan has shots=16 must have counts"):
-        TomographyDataset(sampled.plan, exact.frequencies, None, {})
-    assert exact.counts is None and exact.tallies is None
+    with pytest.raises(ValueError, match="outcomes must be float64 of shape .* not int64"):
+        TomographyDataset(exact.plan, sampled.outcomes, {})
+    with pytest.raises(ValueError, match="outcomes must be int64 of shape .* not float64"):
+        TomographyDataset(sampled.plan, exact.outcomes, {})
+    assert exact.counts is None and exact.frequencies is exact.outcomes
     assert exact.metadata["exact"] and not sampled.metadata["exact"]
-    assert exact.to_dict()["shots"] is None
+    assert json.loads(exact.to_json())["shots"] is None
     assert exact.to_json().endswith('\n  "shots": null\n}')
 
 
+def test_sampled_frequencies_are_derived_from_the_counts():
+    # one array per dataset: frequencies far from the counts cannot be passed in beside them
+    ds = execute_plan(build_plan(1, shots=16), Circuit(1, (ga("H", 0),)), seed=3)
+    assert [f.name for f in dataclasses.fields(TomographyDataset)] == ["plan", "outcomes", "metadata"]
+    assert np.array_equal(ds.frequencies, ds.outcomes / 16)
+    assert ds.frequencies is ds.frequencies  # derived on first use, then kept
+    for array in (ds.frequencies, ds.outcomes):
+        with pytest.raises(ValueError):
+            array[0, 0, 0] = 0.5
+    with pytest.raises(TypeError):
+        TomographyDataset(ds.plan, np.full(ds.outcomes.shape, 0.5), ds.outcomes, {})
+
+
 def test_dataset_from_dict_reads_frequency_records_as_a_plan_without_shots():
-    d = execute_plan(build_plan(1, shots=None), Circuit(1, (ga("H", 0),))).to_dict()
+    d = json.loads(execute_plan(build_plan(1, shots=None), Circuit(1, (ga("H", 0),))).to_json())
     want = TomographyDataset.from_dict(d)
     for shots in (4000, 16.9):  # exact records used to carry their plan's shot count
         d["shots"] = shots
@@ -743,7 +759,7 @@ def test_exact_mode_is_a_plan_without_shots():
 
 
 def test_dataset_from_dict_missing_job_is_value_error():
-    d = execute_plan(build_plan(1, shots=None), Circuit(1)).to_dict()
+    d = json.loads(execute_plan(build_plan(1, shots=None), Circuit(1)).to_json())
     del d["jobs"][0]
     with pytest.raises(ValueError, match=r"missing 1 plan job\(s\), e.g. \('0', 'X'\)"):
         TomographyDataset.from_dict(d)
@@ -763,7 +779,7 @@ def test_dataset_from_dict_checks_a_wide_record_without_listing_its_plan():
 
 
 def test_dataset_mixed_counts_and_frequencies_is_value_error():
-    d = execute_plan(build_plan(1, shots=64), Circuit(1, (ga("H", 0),)), seed=3).to_dict()
+    d = json.loads(execute_plan(build_plan(1, shots=64), Circuit(1, (ga("H", 0),)), seed=3).to_json())
     job = d["jobs"][4]
     job["frequencies"] = [c / 64 for _, c in sorted(job.pop("counts")["counts"].items())]
     key = (job["prep"], job["setting"])
@@ -840,6 +856,24 @@ def _as_frequency_record(values):
             lambda d: d["jobs"][2]["counts"].update(counts=[["0", 16], ["1", 0]]),
             r"counts \[\['0', 16\], \['1', 0\]\] are not a mapping",
         ),
+        (
+            _as_frequency_record([True, False]),
+            r"job \('0', 'Z'\) frequencies \[True, False\] are not all numbers",
+        ),
+        (
+            _as_frequency_record(["1", "0"]),
+            r"job \('0', 'Z'\) frequencies \['1', '0'\] are not all numbers",
+        ),
+        (
+            _as_frequency_record([[1], [0]]),
+            r"job \('0', 'Z'\) has frequencies of shape \(2, 1\), expected 2",
+        ),
+        (
+            lambda d: d.update(metadata=[["seed", 3]]),
+            r"metadata must be a JSON object, got \[\['seed', 3\]\]",
+        ),
+        (lambda d: d.update(metadata=[]), r"metadata must be a JSON object, got \[\]"),
+        (lambda d: d.update(metadata="ab"), "metadata must be a JSON object, got 'ab'"),
     ],
     ids=[
         "negative_count", "unknown_outcome", "no_num_qubits", "no_jobs", "no_prep", "no_setting",
@@ -847,11 +881,12 @@ def _as_frequency_record(values):
         "nan_count", "fractional_shots", "boolean_num_qubits", "string_shots", "boolean_count",
         "string_count", "fractional_job_shots", "job_shots_mismatch",
         "duplicate_job", "job_not_in_plan", "counts_not_a_mapping", "counts_a_string", "counts_a_number",
-        "counts_a_list_of_pairs",
+        "counts_a_list_of_pairs", "frequency_a_boolean", "frequency_a_string", "frequencies_nested",
+        "metadata_a_list_of_pairs", "metadata_an_empty_list", "metadata_a_string",
     ],
 )
 def test_dataset_from_dict_rejects_impossible_records(edit, message):
-    d = execute_plan(build_plan(1, shots=16), Circuit(1, (ga("H", 0),)), seed=3).to_dict()
+    d = json.loads(execute_plan(build_plan(1, shots=16), Circuit(1, (ga("H", 0),)), seed=3).to_json())
     edit(d)
     with pytest.raises(ValueError, match=message):
         TomographyDataset.from_dict(d)
@@ -865,7 +900,7 @@ def test_exact_mode_rejects_non_stochastic_confusion():
 
 
 def test_dataset_rejects_bad_frequency_length():
-    d = execute_plan(build_plan(2, shots=None), SQSCZ_CIRCUIT).to_dict()
+    d = json.loads(execute_plan(build_plan(2, shots=None), SQSCZ_CIRCUIT).to_json())
     d["jobs"][5]["frequencies"] = d["jobs"][5]["frequencies"][:3]
     job = (d["jobs"][5]["prep"], d["jobs"][5]["setting"])
     with pytest.raises(ValueError, match=rf"job \({job[0]!r}, {job[1]!r}\) has 3 frequencies"):
@@ -1124,8 +1159,7 @@ def test_reconstruction_error_shrinks_with_more_shots():
             list(sample_counts(row, shots, np.random.SeedSequence((seed, idx))).counts.values())
             for idx, row in enumerate(plan_probs)
         ]
-        tallies = np.reshape(rows, exact.frequencies.shape).astype(np.int64)
-        ds = TomographyDataset(plan_s, tallies / shots, tallies, {})
+        ds = TomographyDataset(plan_s, np.reshape(rows, exact.frequencies.shape).astype(np.int64), {})
         return linear_inversion(ds).matrix
 
     wins = 0
@@ -1169,11 +1203,11 @@ def test_dataset_to_json_matches_oracle(num_qubits, mode, seed, metadata):
     ds = execute_plan(plan, _TARGETS[num_qubits], noise, seed)
     assert ds.to_json() == oracle_dataset_json(ds)
     if mode == "sparse":  # a loaded record may leave out zero counts: it is written back with them
-        d = ds.to_dict()
+        d = json.loads(ds.to_json())
         for job in d["jobs"]:
             job["counts"]["counts"] = {o: n for o, n in job["counts"]["counts"].items() if n}
         back = TomographyDataset.from_dict(d)
-        assert np.array_equal(back.tallies, ds.tallies) and back.to_json() == ds.to_json()
+        assert np.array_equal(back.outcomes, ds.outcomes) and back.to_json() == ds.to_json()
         ds = back
     ds = dataclasses.replace(ds, metadata=metadata)
     assert ds.to_json() == oracle_dataset_json(ds)
