@@ -56,7 +56,7 @@ def pauli_basis(num_qubits: int) -> PauliBasis:
     return PauliBasis(labels, tuple(kron_all(_PAULI_1Q[c] for c in label) for label in labels))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as arrays have no ==
 class ChoiMatrix:
     """Bipartite operator of a d-to-d channel (input factor first); ``dim_in`` must equal ``dim_out``."""
 

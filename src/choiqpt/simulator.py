@@ -78,7 +78,8 @@ def _memo_upto(max_qubits: int):
     """The one memo policy: an ``lru_cache`` keeps the read-only results of ``f(circuit, noise)``
     for its last 4 pairs of at most ``max_qubits`` qubits (the wrapper's ``max_qubits``); a wider
     call runs uncached and keeps nothing.  Worst cases: 4 x 1 MB for ``_from_ground`` (cap 8),
-    4 x 2.65 MB for ``tomography._probabilities`` (cap 4).  Equal noise models hit."""
+    4 x 2.65 MB for ``tomography._probabilities`` (cap 4), 4 x 1 MB for ``tomography._ideal_choi``
+    (cap 4, called with ``noise=None``).  Equal noise models hit."""
     def decorate(f):
         kept = lru_cache(maxsize=4)(lambda c, noise: read_only(f(c, noise)))
         def memo(c, noise):
@@ -204,6 +205,13 @@ class CountsTable:
             raise ValueError("counts must be non-negative")
         if sum(self.counts.values()) != self.shots:
             raise ValueError("counts do not sum to the shot total")
+
+    @classmethod
+    def _unchecked(cls, shots: int, counts: dict[str, int]) -> "CountsTable":
+        """A table of counts its caller has already checked: ``__post_init__`` does not run."""
+        table = object.__new__(cls)
+        table.__dict__.update(shots=shots, counts=counts)
+        return table
 
     def frequency(self, outcome: str) -> float:
         return self.counts.get(outcome, 0) / self.shots

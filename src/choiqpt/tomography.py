@@ -35,6 +35,7 @@ import functools
 import itertools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import ClassVar
@@ -143,16 +144,17 @@ def _spam_table(noise: NoiseModel | None) -> tuple[np.ndarray, np.ndarray]:
 _JOB = '    {\n      %s,\n      "prep": "%%s",\n      "setting": "%%s"\n    }'
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as arrays have no ==
 class TomographyDataset:
     """Every plan job's record as one read-only ``(4^K, 3^K, 2^K)`` array, ``outcomes``,
     with axes (preparation, setting, outcome) in plan order: int64 counts, each row
     summing to the plan's shots, if the plan has shots, else float64 probabilities.
-    ``frequencies`` is derived from it."""
+    ``frequencies`` and ``counts`` are derived from it; ``metadata`` is kept as a
+    read-only copy of the mapping given."""
 
     plan: TomographyPlan
     outcomes: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    metadata: Mapping = field(default_factory=dict)
 
     def __post_init__(self):  # the one check, for the constructor and for from_dict
         k, shots = self.plan.num_qubits, self.plan.shots
@@ -161,7 +163,7 @@ class TomographyDataset:
         dtype = np.dtype(np.float64 if shots is None else np.int64)
         if x.dtype != dtype or x.shape != shape:
             raise ValueError(f"outcomes must be {dtype} of shape {shape}, not {x.dtype} {x.shape}")
-        if not isinstance(self.metadata, dict):
+        if not isinstance(self.metadata, Mapping):
             raise ValueError(f"metadata must be a JSON object, got {self.metadata!r}")
         if shots is None:  # written as a negation, so that a nan row fails too
             bad = ~((x.min(axis=-1) >= -1e-9) & (abs(x.sum(axis=-1) - 1.0) <= 1e-9))
@@ -176,6 +178,7 @@ class TomographyDataset:
             if (sums[0] != shots).any() or (abs(sums[1] - shots) > shots / 2).any():
                 raise ValueError(f"counts do not sum to the shot total {shots}")
         object.__setattr__(self, "outcomes", x)
+        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
 
     @functools.cached_property
     def frequencies(self) -> np.ndarray:
@@ -188,12 +191,15 @@ class TomographyDataset:
 
     @functools.cached_property
     def counts(self) -> MappingProxyType[tuple[str, str], CountsTable] | None:
-        """Each job's :class:`CountsTable`, built from ``outcomes`` on first use (``None`` if exact)."""
-        if self.plan.shots is None:
+        """Each job's :class:`CountsTable`, built from ``outcomes`` on first use (``None`` if exact).
+
+        ``__post_init__`` has checked every row, so no table checks its own again."""
+        if (shots := self.plan.shots) is None:
             return None
         labels = product_labels("01", self.plan.num_qubits)
-        tables = (CountsTable(self.plan.shots, dict(zip(labels, row))) for row in self._rows())
-        return MappingProxyType(dict(zip(self.plan.jobs(), tables)))
+        tables = (CountsTable._unchecked(shots, dict(zip(labels, row))) for row in self._rows())
+        keys = itertools.product(self.plan.preparations, self.plan.settings)  # plan.jobs() order
+        return MappingProxyType(dict(zip(keys, tables)))
 
     def _rows(self) -> list:  # each job's outcomes, in job order
         return self.outcomes.reshape(self.plan.num_jobs, -1).tolist()
@@ -214,7 +220,7 @@ class TomographyDataset:
             block = '"counts": {\n        "counts": {\n%s\n        },\n        "shots": %d\n      }'
             template = _JOB % (block % (ints, self.plan.shots))
         jobs = [template % (*row, *key) for key, row in zip(self.plan.jobs(), self._rows())]
-        metadata = json.dumps(self.metadata, indent=2, sort_keys=True).replace("\n", "\n  ")
+        metadata = json.dumps(dict(self.metadata), indent=2, sort_keys=True).replace("\n", "\n  ")
         return '{\n  "jobs": [\n%s\n  ],\n  "metadata": %s,\n  "num_qubits": %d,\n  "shots": %s\n}' % (
             ",\n".join(jobs), metadata, self.plan.num_qubits, json.dumps(self.plan.shots)
         )
@@ -536,6 +542,12 @@ class QptResult:
         return out
 
 
+@_memo_upto(4)
+def _ideal_choi(target: Circuit, noise: None) -> np.ndarray:
+    """The Choi matrix of the target's ideal unitary; ``noise`` is ``None``, the memo's key slot."""
+    return choi_from_unitary(circuit_unitary(target)).matrix
+
+
 def qpt(
     target: Circuit,
     noise: NoiseModel | None = None,
@@ -546,7 +558,8 @@ def qpt(
     """Full tomography of a circuit: plan, execute, invert, project, score.
 
     ``shots=None`` uses exact probabilities.  The fidelity in the report
-    compares the estimate against the Choi matrix of the target's ideal unitary.
+    compares the estimate against the Choi matrix of the target's ideal unitary,
+    memoised per target (:func:`_ideal_choi`).
     """
     options = options or ReconstructionOptions()
     plan = build_plan(target.num_qubits, shots)
@@ -558,6 +571,7 @@ def qpt(
         choi, converged = proj.choi, proj.converged
     else:
         choi, converged = raw, True
-    ideal = choi_from_unitary(circuit_unitary(target))
+    d = 2**target.num_qubits
+    ideal = ChoiMatrix(d, d, _ideal_choi(target, None))  # shares the memoised read-only matrix
     report = fidelity_report(choi, ideal)
     return QptResult(choi, raw, ideal, report, dataset, converged, proj)

@@ -248,7 +248,7 @@ def oracle_dataset_dict(ds) -> dict:
         else {"prep": p, "setting": s, "counts": {"shots": shots, "counts": dict(zip(labels, row))}}
         for (p, s), row in zip(ds.plan.jobs(), rows)
     ]
-    return {"num_qubits": ds.plan.num_qubits, "shots": shots, "metadata": ds.metadata, "jobs": jobs}
+    return {"num_qubits": ds.plan.num_qubits, "shots": shots, "metadata": dict(ds.metadata), "jobs": jobs}
 
 
 def oracle_dataset_json(ds) -> str:

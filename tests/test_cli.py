@@ -92,6 +92,7 @@ def test_run_builds_no_counts_table(tmp_path, monkeypatch):
         raise AssertionError("qpt run built a CountsTable")
 
     monkeypatch.setattr(CountsTable, "__post_init__", refuse)
+    monkeypatch.setattr(CountsTable, "_unchecked", classmethod(lambda cls, *args: refuse(None)))
     out = tmp_path / "out"
     args = ("--shots", "300", "--calib", data_path("ibm_perth_tab1.json"), "--out", str(out))
     assert run_cli("run", "--circuit", data_path("sqscz_circuit.json"), *args) == 0

@@ -325,8 +325,11 @@ def test_counts_table_roundtrip_and_invariant():
     assert t.to_dict() == {"shots": 10, "counts": {"00": 4, "01": 6}}
     assert list(t.to_dict()["counts"]) == ["00", "01"]  # written in outcome order
     assert t.frequency("00") == 0.4 and t.frequency("11") == 0.0
-    with pytest.raises(ValueError):
+    # a table built directly is checked; only the dataset's view, checked as a whole, skips it
+    with pytest.raises(ValueError, match="counts do not sum to the shot total"):
         CountsTable(11, {"00": 4, "01": 6})
+    with pytest.raises(ValueError, match="counts must be non-negative"):
+        CountsTable(10, {"00": 11, "01": -1})
 
 
 def test_ground_state():

@@ -30,6 +30,7 @@ from choiqpt.noise import (
     parse_calibration,
 )
 from choiqpt.simulator import (
+    CountsTable,
     _unitary_superop,
     draw_counts,
     evolve,
@@ -413,6 +414,18 @@ def test_execute_plan_tallies_are_one_draw_and_counts_match_oracle(num_qubits, n
             data.counts[next(plan.jobs())] = None
 
 
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+@pytest.mark.parametrize("noisy", [False, True], ids=["clean", "tab1"])
+def test_counts_view_equals_checked_tables_in_job_order(num_qubits, noisy, tab1_path):
+    # the view's tables skip CountsTable's own check: the dataset's one check covered every row
+    target, noise = ORACLE_TARGETS[num_qubits], _oracle_noise(tab1_path, num_qubits, noisy)
+    plan = build_plan(num_qubits, shots=500)
+    for seed in (0, 3):
+        view = execute_plan(plan, target, noise=noise, seed=seed).counts
+        assert list(view) == list(plan.jobs())
+        assert all(t == CountsTable(t.shots, dict(t.counts)) for t in view.values())
+
+
 def _counting_evolve(monkeypatch) -> list:
     calls = []
 
@@ -544,10 +557,11 @@ def test_memo_hits_an_equal_model_and_misses_a_changed_one(tab1_path, monkeypatc
     assert _same_dataset(execute_plan(plan, target, noise, seed=4), base)
 
 
-# each memo, with the public call that fills it: an exact plan, or a ground-state run
+# each memo, with the public call that fills it: an exact plan, a ground-state run, or qpt
 MEMOS = {
     "_probabilities": (tomography._probabilities, lambda c: execute_plan(build_plan(c.num_qubits, None), c)),
     "_from_ground": (simulator._from_ground, simulate),
+    "_ideal_choi": (tomography._ideal_choi, lambda c: qpt(c, shots=None)),
 }
 
 
@@ -609,6 +623,50 @@ def test_memo_is_safe_under_threads(name):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert memo.cache_info().currsize <= memo.cache_info().maxsize
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2])
+def test_qpt_ideal_choi_is_memoised_read_only_and_bit_identical(num_qubits):
+    target = ORACLE_TARGETS[num_qubits]
+    expected = choi_from_unitary(circuit_unitary(target)).matrix
+    tomography._ideal_choi.cache_clear()
+    cold = qpt(target, shots=300, seed=1)
+    warm = qpt(target, shots=300, seed=1)
+    assert tomography._ideal_choi.cache_info()[:2] == (1, 1)
+    assert warm.ideal_choi.matrix is cold.ideal_choi.matrix  # one shared memo entry
+    with pytest.raises(ValueError):
+        warm.ideal_choi.matrix[0, 0] = 0.0
+    tomography._ideal_choi.cache_clear()
+    again = qpt(target, shots=300, seed=1)
+    for res in (cold, warm, again):
+        assert np.array_equal(res.ideal_choi.matrix, expected)
+        assert res.report == cold.report and res.report_dict() == cold.report_dict()
+
+
+def test_dataset_and_choi_matrix_compare_and_hash_by_identity():
+    # generated == and hash would compare and hash their arrays, which raises
+    pairs = [
+        [execute_plan(build_plan(1, 16), Circuit(1), seed=2) for _ in range(2)],
+        [ChoiMatrix(2, 2, np.eye(4)) for _ in range(2)],
+    ]
+    for a, b in pairs:
+        assert a == a and a != b and hash(a) == hash(a)
+        assert len({a, b}) == 2
+
+
+def test_dataset_metadata_is_a_read_only_copy():
+    ds = execute_plan(build_plan(1, 16), Circuit(1), seed=2)
+    text = ds.to_json()
+    with pytest.raises(TypeError):
+        ds.metadata["seed"] = object()
+    assert ds.to_json() == text  # to_json writes the metadata the dataset was built with
+    assert TomographyDataset(ds.plan, ds.outcomes, ds.metadata).to_json() == text
+    given = dict(ds.metadata)
+    kept = TomographyDataset(ds.plan, ds.outcomes, given)
+    given["seed"] = object()  # the caller's dict is not the dataset's
+    assert kept.to_json() == text
+    with pytest.raises(ValueError, match="metadata must be a JSON object"):
+        TomographyDataset(ds.plan, ds.outcomes, [("seed", 2)])
 
 
 def test_exact_dataset_writes_do_not_reach_the_memo(perth_noise):
