@@ -5,8 +5,9 @@ Choi matrices are 4^K x 4^K (16x16 for two qubits, 64x64 and 256x256 for
 three and four).  Qubit 0 is the leftmost label character and the slowest
 axis: :func:`product_labels` builds every label, :func:`apply_local` makes
 every local contraction, and :func:`along_qubits` applies one small map per
-qubit, never the K-qubit matrix.  The rest is dense and exact; there is no
-sparse or GPU path.
+qubit, never the K-qubit matrix.  Both contract as ``np.tensordot`` does, without
+its Python wrapper: one transpose, then one 2-D ``np.dot``, the BLAS call it ends
+in.  The rest is dense and exact; there is no sparse or GPU path.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def as_complex_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # a complex entry is finite when both its parts are
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -136,10 +137,13 @@ def apply_local(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
 
     ``axes[0]`` is the most significant bit of ``m``'s rows and columns; a superoperator on
     row-major ``vec(rho)`` (Wood, Biamonte & Cory, arXiv:1111.6950) takes row axes, then columns.
+    The ``axes`` (non-negative) lead in one transpose; the result is a transposed view.
     """
-    n = len(axes)
-    out = np.tensordot(np.reshape(m, (2,) * (2 * n)), t, axes=(range(n, 2 * n), axes))
-    return np.moveaxis(out, range(n), axes)
+    perm = [*axes, *(a for a in range(t.ndim) if a not in axes)]
+    back = sorted(range(t.ndim), key=perm.__getitem__)  # the inverse permutation
+    d = 1 << len(axes)
+    out = np.dot(np.reshape(m, (d, d)), t.transpose(perm).reshape(d, t.size // d))
+    return out.reshape([t.shape[a] for a in perm]).transpose(back)
 
 
 def along_qubits(x, maps, sizes, out_sizes) -> np.ndarray:
@@ -151,8 +155,11 @@ def along_qubits(x, maps, sizes, out_sizes) -> np.ndarray:
     over ``out_sizes``.  No matrix on more than one qubit is built.
     """
     k, n, n_out = len(maps), len(sizes), len(out_sizes)
+    cols, rows = math.prod(sizes), math.prod(out_sizes)
     x = np.reshape(x, [size for size in sizes for _ in range(k)])
-    for q, m in enumerate(maps):  # qubit q's axes lead; its new axes go last
-        m = np.reshape(m, tuple(out_sizes) + tuple(sizes))
-        x = np.tensordot(x, m, axes=(range(0, n * (k - q), k - q), range(-n, 0)))
+    for q, m in enumerate(maps):  # qubit q's axes lead each role's group; its new axes go last
+        lead = list(range(0, n * (k - q), k - q))
+        rest = [a for a in range(x.ndim) if a not in lead]
+        out = np.dot(x.transpose(rest + lead).reshape(-1, cols), np.reshape(m, (rows, cols)).T)
+        x = out.reshape([x.shape[a] for a in rest] + list(out_sizes))
     return x.transpose([n_out * q + role for role in range(n_out) for q in range(k)])

@@ -156,7 +156,8 @@ def apply_confusion(probs: np.ndarray, confusion) -> np.ndarray:
     viewed as ``(..., 2, ..., 2)``; no 2^K x 2^K matrix is built.
     """
     probs = np.asarray(probs, dtype=float)
-    k = len(confusion)
+    if 2 ** (k := len(confusion)) != probs.shape[-1]:  # one matrix per qubit, before any reshape
+        raise ValueError(f"{k} confusion matrices for {probs.shape[-1]} outcomes; 2^K outcomes take K")
     t = probs.reshape(probs.shape[:-1] + (2,) * k)
     for q, m in enumerate(confusion):
         m = np.asarray(m, dtype=float)
@@ -210,7 +211,7 @@ class CountsTable:
     def _unchecked(cls, shots: int, counts: dict[str, int]) -> "CountsTable":
         """A table of counts its caller has already checked: ``__post_init__`` does not run."""
         table = object.__new__(cls)
-        table.__dict__.update(shots=shots, counts=counts)
+        table.__dict__["shots"], table.__dict__["counts"] = shots, counts
         return table
 
     def frequency(self, outcome: str) -> float:

@@ -196,10 +196,10 @@ class TomographyDataset:
         ``__post_init__`` has checked every row, so no table checks its own again."""
         if (shots := self.plan.shots) is None:
             return None
-        labels = product_labels("01", self.plan.num_qubits)
-        tables = (CountsTable._unchecked(shots, dict(zip(labels, row))) for row in self._rows())
+        labels, unchecked = product_labels("01", self.plan.num_qubits), CountsTable._unchecked
         keys = itertools.product(self.plan.preparations, self.plan.settings)  # plan.jobs() order
-        return MappingProxyType(dict(zip(keys, tables)))
+        tables = {key: unchecked(shots, dict(zip(labels, row))) for key, row in zip(keys, self._rows())}
+        return MappingProxyType(tables)
 
     def _rows(self) -> list:  # each job's outcomes, in job order
         return self.outcomes.reshape(self.plan.num_jobs, -1).tolist()
@@ -403,26 +403,28 @@ class ProjectionResult:
     raw_min_eig: float
 
 
-def _dual_point(r4: np.ndarray, eye: np.ndarray, lam: np.ndarray):
-    """Eigenpairs of ``R + L (x) I`` (a broadcast onto ``r4``, R as ``(d, d, d, d)``), their PSD
-    clip C, the dual gradient ``Tr_out C - I`` and the dual objective ``||C||_F^2 / 2 - Tr L``."""
+def _dual_point(r4: np.ndarray, eye: np.ndarray, eye_b: np.ndarray, lam: np.ndarray):
+    """Eigenpairs of ``R + L (x) I`` (``eye_b = eye[:, None, :]`` broadcast onto R's ``(d, d, d, d)``
+    view ``r4``), their PSD clip C, the dual gradient ``Tr_out C - I`` and the dual objective
+    ``||C||_F^2 / 2 - Tr L``."""
     d = eye.shape[0]
-    w, v = np.linalg.eigh((r4 + lam[:, None, :, None] * eye[:, None, :]).reshape(d * d, d * d))
+    w, v = np.linalg.eigh((r4 + lam[:, None, :, None] * eye_b).reshape(d * d, d * d))
     p = np.maximum(w, 0.0)
-    c = (v * p) @ dagger(v)
+    c = (v * p) @ v.conj().T
     tr_out = c.reshape(d, d, d, d).trace(axis1=1, axis2=3)
     return w, v, c, tr_out - eye, 0.5 * p @ p - lam.trace().real
 
 
 def _newton_step(grad: np.ndarray, w: np.ndarray, v: np.ndarray, mu: float, tol: float):
-    """Conjugate-gradient solve of ``(H + mu) s = -grad`` to residual ``tol``.
+    """Conjugate-gradient solve of ``(H + mu) s = -grad`` to residual ``tol``; ``grad`` is not written.
 
     H is the generalized Hessian of the dual at the eigenpairs (w, v) of
     ``R + L (x) I``: ``H(E) = Tr_out[V (Omega o V^dag (E (x) I) V) V^dag]``
     with ``Omega_ab = (max(w_a, 0) - max(w_b, 0)) / (w_a - w_b)``, which is 1
     where both eigenvalues are positive and 0 where neither is.  As ``w``
     ascends, Omega is those two blocks and ``w_a / (w_a - w_b)`` between them.
-    Omega, V^dag and V_in^dag are built once per step; each product is three matmuls.
+    Omega, V^dag and V_in^dag are built once per step; each product is four matmuls, two
+    into the eigenbasis and two back.  The iterates update in place.
     """
     d = grad.shape[0]
     n = np.searchsorted(w, 0.0, side="right")  # w[:n] <= 0 < w[n:]
@@ -431,18 +433,20 @@ def _newton_step(grad: np.ndarray, w: np.ndarray, v: np.ndarray, mu: float, tol:
     omega[n:, :n] = w[n:, None] / (w[n:, None] - w[:n])
     omega[:n, n:] = omega[n:, :n].T
     v_in = v.reshape(d, -1)  # rows: input index; columns: (output index, eigenvector)
-    v_dag, v_in_dag = dagger(v), dagger(v_in)
+    v_dag, v_in_dag = v.conj().T, v_in.conj().T
     step, res = np.zeros_like(grad), -grad
-    direction, rho = res, np.vdot(res, res).real
+    direction, rho = res.copy(), float(np.vdot(res, res).real)
     for _ in range(d * d):  # the real dimension of the d x d Hermitian matrices
         y = v_dag @ (direction @ v_in).reshape(v.shape)  # V^dag (E (x) I) V
         h = (v @ (omega * y)).reshape(d, -1) @ v_in_dag + mu * direction
-        a = rho / np.vdot(direction, h).real
-        step, res = step + a * direction, res - a * h
-        rho, prev = np.vdot(res, res).real, rho
+        a = rho / float(np.vdot(direction, h).real)
+        step += a * direction
+        res -= a * h
+        rho, prev = float(np.vdot(res, res).real), rho
         if rho < tol**2:
             break
-        direction = res + (rho / prev) * direction
+        direction *= rho / prev
+        direction += res
     return step
 
 
@@ -478,8 +482,9 @@ def project_cptp(
     d = raw.dim_in
     r = 0.5 * (raw.matrix + dagger(raw.matrix))
     r4, eye = r.reshape(d, d, d, d), np.eye(d)
+    eye_b = eye[:, None, :]  # I's broadcast in L (x) I, built once
     lam = (eye - r4.trace(axis1=1, axis2=3)) / d
-    w, v, c, grad, theta = _dual_point(r4, eye, lam)
+    w, v, c, grad, theta = _dual_point(r4, eye, eye_b, lam)
     delta, steps = frobenius(grad), 0
     while delta >= tol and steps < max_iter:
         steps += 1
@@ -490,7 +495,7 @@ def project_cptp(
         slope, alpha = np.vdot(grad, step).real, 1.0
         for _ in range(30):
             trial_lam = lam + alpha * step
-            trial = _dual_point(r4, eye, trial_lam)
+            trial = _dual_point(r4, eye, eye_b, trial_lam)
             trial_delta = frobenius(trial[3])
             if trial[4] <= theta + 1e-4 * alpha * slope or trial_delta < delta:
                 break

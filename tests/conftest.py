@@ -67,6 +67,23 @@ def apply_kraus(rho: np.ndarray, operators, qubits: tuple[int, ...], num_qubits:
     return out
 
 
+def oracle_apply_local(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
+    """``linalg.apply_local`` as ``np.tensordot`` then ``np.moveaxis`` (oracle)."""
+    n = len(axes)
+    out = np.tensordot(np.reshape(m, (2,) * (2 * n)), t, axes=(range(n, 2 * n), axes))
+    return np.moveaxis(out, range(n), axes)
+
+
+def oracle_along_qubits(x, maps, sizes, out_sizes) -> np.ndarray:
+    """``linalg.along_qubits`` as one ``np.tensordot`` per qubit (oracle)."""
+    k, n, n_out = len(maps), len(sizes), len(out_sizes)
+    x = np.reshape(x, [size for size in sizes for _ in range(k)])
+    for q, m in enumerate(maps):  # qubit q's axes lead; its new axes go last
+        m = np.reshape(m, tuple(out_sizes) + tuple(sizes))
+        x = np.tensordot(x, m, axes=(range(0, n * (k - q), k - q), range(-n, 0)))
+    return x.transpose([n_out * q + role for role in range(n_out) for q in range(k)])
+
+
 def oracle_simulate(c, noise=None, initial=None) -> np.ndarray:
     """Gate-by-gate density-matrix simulation with embedded unitaries and Kraus sums (oracle)."""
     rho = ground_state(c.num_qubits) if initial is None else initial

@@ -3,9 +3,10 @@ import os
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from choiqpt import gates, viz
+from choiqpt import gates, noise_model_from_calibration, parse_calibration, qpt, simulator, tomography, viz
 from choiqpt.channels import choi_to_chi, choi_to_json, is_cptp
 from choiqpt.cli import build_parser, main
 from choiqpt.simulator import CountsTable
@@ -97,6 +98,22 @@ def test_run_builds_no_counts_table(tmp_path, monkeypatch):
     args = ("--shots", "300", "--calib", data_path("ibm_perth_tab1.json"), "--out", str(out))
     assert run_cli("run", "--circuit", data_path("sqscz_circuit.json"), *args) == 0
     assert '"counts": {' in (out / "dataset.json").read_text()
+
+
+def test_noisy_qpt_and_execute_call_no_tensordot(tmp_path, monkeypatch):
+    # every contraction is one transpose and one np.dot; the memos are emptied first, so the
+    # simulation, inversion and projection all run
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.tensordot or np.moveaxis was called")
+
+    for memo in (simulator._from_ground, tomography._probabilities, tomography._ideal_choi):
+        memo.cache_clear()
+    monkeypatch.setattr(np, "tensordot", refuse)
+    monkeypatch.setattr(np, "moveaxis", refuse)
+    noise = noise_model_from_calibration(parse_calibration(data_path("ibm_perth_tab1.json")), num_qubits=2)
+    assert qpt(gates.load_circuit(data_path("sqscz_circuit.json")), noise, shots=300, seed=2).converged
+    args = ("--shots", "300", "--calib", data_path("ibm_perth_tab1.json"), "--out", str(tmp_path))
+    assert run_cli("execute", "--circuit", data_path("sqscz_circuit.json"), *args) == 0
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3])

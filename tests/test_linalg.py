@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from choiqpt.gates import SQRT_SWAP_MATRIX
 from choiqpt.linalg import (
+    along_qubits,
     apply_local,
     as_complex_matrix,
     dagger,
@@ -17,7 +18,13 @@ from choiqpt.linalg import (
     psd_sqrt,
     whole_number,
 )
-from conftest import embed_operator, random_density, random_hermitian
+from conftest import (
+    embed_operator,
+    oracle_along_qubits,
+    oracle_apply_local,
+    random_density,
+    random_hermitian,
+)
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -25,8 +32,9 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def test_as_complex_matrix_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        as_complex_matrix([[np.nan, 0], [0, 1]])
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf), complex(1, np.nan)):  # either part
+        with pytest.raises(ValueError, match="non-finite"):
+            as_complex_matrix([[1, 0], [bad, 1]])
     with pytest.raises(ValueError):
         as_complex_matrix([1, 2, 3])
 
@@ -177,6 +185,46 @@ def test_apply_local_matches_the_embedded_matrix(num_qubits, batch):
             dense = t.reshape(-1, d) @ embed_operator(m, qubits, num_qubits).T
             assert out.shape == t.shape
             assert np.abs(out.reshape(-1, d) - dense).max() < 1e-12
+
+
+def _random(rng, shape, dtype):
+    x = rng.normal(size=shape)
+    return x + 1j * rng.normal(size=shape) if dtype is complex else x
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_apply_local_bit_equals_tensordot_oracle(k, dtype):
+    # n = 1 and 2 maps on every axis choice of a (B,) + (2,) * 2K tensor, given contiguous and
+    # as the transposed view apply_local returns, which the next gate of a circuit receives
+    rng = np.random.default_rng([k, dtype is complex])
+    axes = range(1, 2 * k + 1)
+    choices = [[a] for a in axes] + [[a, b] for a in axes for b in axes if a != b]
+    for chosen in choices:
+        m = _random(rng, (2 ** len(chosen),) * 2, dtype)
+        t = _random(rng, (3,) + (2,) * (2 * k), dtype)
+        view = apply_local(t, _random(rng, (4, 4), dtype), [2 * k, 1])
+        assert not view.flags.c_contiguous
+        for x in (t, view):
+            out, want = apply_local(x, m, chosen), oracle_apply_local(x, m, chosen)
+            assert out.shape == want.shape == x.shape and out.dtype == want.dtype
+            assert out.tobytes() == want.tobytes(), chosen
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("sizes, out_sizes", [
+    ((4, 3, 2), (2, 2, 2, 2)),  # linear inversion: frequencies to Choi axes
+    ((2, 2, 2, 2), (4, 4)),  # choi_to_chi, choi_to_ptm
+    ((4, 4), (2, 2, 2, 2)),  # chi_to_choi
+])
+def test_along_qubits_bit_equals_tensordot_oracle(k, dtype, sizes, out_sizes):
+    rng = np.random.default_rng([k, dtype is complex, len(sizes)])
+    x = _random(rng, (np.prod(sizes) ** k,), dtype)
+    maps = [_random(rng, (np.prod(out_sizes), np.prod(sizes)), dtype) for _ in range(k)]
+    out, want = along_qubits(x, maps, sizes, out_sizes), oracle_along_qubits(x, maps, sizes, out_sizes)
+    assert out.shape == want.shape == tuple(size for size in out_sizes for _ in range(k))
+    assert out.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5])

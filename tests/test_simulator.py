@@ -294,6 +294,18 @@ def test_apply_confusion_matches_kron(k):
     assert np.abs(apply_confusion(probs[0, 0], confusion) - expected[0, 0]).max() < 1e-12
 
 
+@pytest.mark.parametrize("count, shape", [(0, (4,)), (1, (4,)), (3, (4,)), (1, (2, 4))])
+def test_confusion_list_of_the_wrong_length_is_rejected(count, shape):
+    # one matrix per qubit: anything else names both counts before any reshape
+    probs, m = np.full(shape, 0.25), np.array([[0.9, 0.2], [0.1, 0.8]])
+    message = f"{count} confusion matrices for 4 outcomes"
+    with pytest.raises(ValueError, match=message):
+        apply_confusion(probs, [m] * count)
+    if len(shape) == 1:
+        with pytest.raises(ValueError, match=message):
+            sample_counts(probs, 100, 0, confusion=[m] * count)
+
+
 def test_sample_counts_rejects_bad_confusion():
     bad = [np.array([[0.9, 0.2], [0.2, 0.8]])] * 1
     with pytest.raises(ValueError):

@@ -1066,7 +1066,9 @@ def test_newton_step_block_omega_bit_equals_masked_oracle(d):
         w.sort()
         g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
         v, grad = np.linalg.qr(g)[0], random_hermitian(rng, d)
+        given = grad.copy()
         step = tomography._newton_step(grad, w, v, 1e-4, 1e-12)
+        assert grad.tobytes() == given.tobytes()  # the in-place CG updates leave grad alone
         assert step.tobytes() == oracle_newton_step(grad, w, v, 1e-4, 1e-12).tobytes()
 
 
