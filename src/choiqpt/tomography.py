@@ -150,7 +150,9 @@ class TomographyDataset:
     with axes (preparation, setting, outcome) in plan order: int64 counts, each row
     summing to the plan's shots, if the plan has shots, else float64 probabilities.
     ``frequencies`` and ``counts`` are derived from it; ``metadata`` is kept as a
-    read-only copy of the mapping given."""
+    read-only copy of the mapping given.  Its ``seed`` (a whole number >= 0) and
+    ``noise`` (a string) may be null or absent; ``exact``, if present, is
+    ``shots is None``."""
 
     plan: TomographyPlan
     outcomes: np.ndarray
@@ -177,6 +179,12 @@ class TomographyDataset:
             sums = x.sum(axis=-1), x.sum(axis=-1, dtype=float)  # the float sum shows an int64 wrap
             if (sums[0] != shots).any() or (abs(sums[1] - shots) > shots / 2).any():
                 raise ValueError(f"counts do not sum to the shot total {shots}")
+        if (seed := self.metadata.get("seed")) is not None and whole_number(seed, "metadata seed") < 0:
+            raise ValueError(f"metadata seed must be a whole number >= 0, got {seed!r}")
+        if not isinstance(noise := self.metadata.get("noise"), (str, type(None))):
+            raise ValueError(f"metadata noise must be a string or null, got {noise!r}")
+        if "exact" in self.metadata and (exact := self.metadata["exact"]) is not (shots is None):
+            raise ValueError(f"metadata exact must be {shots is None} when shots={shots}, got {exact!r}")
         object.__setattr__(self, "outcomes", x)
         object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
 
@@ -392,15 +400,20 @@ CPTP_MAX_ITER = 100
 class ProjectionResult:
     """Projected Choi matrix; ``iterations`` counts Newton steps and ``delta``
     is the final trace-preserving residual ``||Tr_out C - I||_F``.  With R the
-    Hermitian part of the raw estimate, ``distance`` is ``||C - R||_F`` and
-    ``raw_min_eig`` the least eigenvalue of R."""
+    Hermitian part of the raw estimate, kept as ``raw_hermitian``, ``distance``
+    is ``||C - R||_F`` and ``raw_min_eig`` the least eigenvalue of R, computed
+    on first use."""
 
     choi: ChoiMatrix
     converged: bool
     iterations: int
     delta: float
     distance: float
-    raw_min_eig: float
+    raw_hermitian: np.ndarray = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def raw_min_eig(self) -> float:
+        return float(np.linalg.eigvalsh(self.raw_hermitian)[0])
 
 
 def _dual_point(r4: np.ndarray, eye: np.ndarray, eye_b: np.ndarray, lam: np.ndarray):
@@ -501,8 +514,7 @@ def project_cptp(
                 break
             alpha /= 2
         lam, delta, (w, v, c, grad, theta) = trial_lam, trial_delta, trial
-    distance, raw_min_eig = frobenius(c - r), float(np.linalg.eigvalsh(r)[0])
-    return ProjectionResult(ChoiMatrix(d, d, c), delta < tol, steps, delta, distance, raw_min_eig)
+    return ProjectionResult(ChoiMatrix(d, d, c), delta < tol, steps, delta, frobenius(c - r), r)
 
 
 # ---------------------------------------------------------------------------

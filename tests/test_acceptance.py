@@ -250,6 +250,11 @@ def test_criterion_11_dual_path_probability():
 
 
 def test_criterion_12_cli_determinism(tmp_path):
+    """Two identical ``qpt run`` calls write byte-identical JSON.
+
+    Byte identity is claimed on one host and BLAS kernel.  Across hosts the
+    sampled counts and the SVGs stay the same, and every other number agrees
+    to 1e-12 but may differ in its last digits."""
     sw = Stopwatch(120.0)
     args = [
         "run",

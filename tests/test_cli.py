@@ -201,6 +201,37 @@ def test_rerun_into_same_out_writes_new_files(command, tmp_path):
     assert {name: (kept / name).read_bytes() for name in old} == old  # old contents untouched
 
 
+@pytest.mark.parametrize("command", sorted(RERUNS))
+def test_short_writes_still_write_every_byte(command, tmp_path, monkeypatch):
+    # os.write may write less than it is given; each artifact loops until all of it is written
+    argv = [command, "--circuit", data_path("sqscz_circuit.json"), "--shots", "300"]
+    assert run_cli(*argv, "--out", str(tmp_path / "whole")) == 0
+    write, calls = os.write, []
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(os, "write", short_write)
+    assert run_cli(*argv, "--out", str(tmp_path / "short")) == 0
+    whole = _files(tmp_path / "whole")
+    assert _files(tmp_path / "short") == whole
+    assert len(calls) == sum(-(-len(data) // 7) for data in whole.values())
+
+
+@pytest.mark.parametrize(
+    "flags", [["--exact"], ["--shots", "300"], ["--calib", data_path("ibm_perth_tab1.json")]]
+)
+def test_run_artifacts_are_ascii(flags, tmp_path):
+    # the CLI writes text.encode() (UTF-8): on ASCII text that is what write_text wrote in any locale
+    out = tmp_path / "out"
+    assert run_cli("run", "--circuit", data_path("sqscz_circuit.json"), *flags, "--out", str(out)) == 0
+    files = _files(out)
+    assert len(files) == 9
+    for name, data in files.items():
+        assert data.isascii(), name
+
+
 def test_many_calls_in_one_process_match_each_call_alone(tmp_path):
     assert build_parser() is build_parser()
     circuit = ["--circuit", data_path("sqscz_circuit.json")]

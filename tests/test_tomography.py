@@ -950,6 +950,43 @@ def test_dataset_from_dict_rejects_impossible_records(edit, message):
         TomographyDataset.from_dict(d)
 
 
+@pytest.mark.parametrize(
+    "shots, metadata, message",
+    [
+        (16, {"seed": 1.5}, "metadata seed must be a whole number, got 1.5"),
+        (16, {"seed": -1}, "metadata seed must be a whole number >= 0, got -1"),
+        (16, {"seed": "3"}, "metadata seed must be a whole number, got '3'"),
+        (16, {"seed": True}, "metadata seed must be a whole number, got True"),
+        (16, {"noise": 3}, "metadata noise must be a string or null, got 3"),
+        (16, {"noise": ["tab1"]}, r"metadata noise must be a string or null, got \['tab1'\]"),
+        (16, {"exact": True}, "metadata exact must be False when shots=16, got True"),
+        (None, {"exact": False}, "metadata exact must be True when shots=None, got False"),
+        (None, {"exact": 1}, "metadata exact must be True when shots=None, got 1"),
+        (None, {"exact": None}, "metadata exact must be True when shots=None, got None"),
+    ],
+    ids=[
+        "seed_fractional", "seed_negative", "seed_a_string", "seed_a_boolean", "noise_a_number",
+        "noise_a_list", "exact_on_a_sampled_plan", "not_exact_on_an_exact_plan", "exact_a_number",
+        "exact_null",
+    ],
+)
+def test_dataset_rejects_metadata_that_contradicts_it(shots, metadata, message):
+    ds = execute_plan(build_plan(1, shots), Circuit(1, (ga("H", 0),)), seed=3)
+    with pytest.raises(ValueError, match=message):
+        TomographyDataset(ds.plan, ds.outcomes, {**ds.metadata, **metadata})
+    d = json.loads(ds.to_json())
+    d["metadata"].update(metadata)
+    with pytest.raises(ValueError, match=message):
+        TomographyDataset.from_dict(d)
+
+
+def test_dataset_metadata_fields_may_be_null_or_absent():
+    ds = execute_plan(build_plan(1, 16), Circuit(1), seed=2)
+    for metadata in ({}, {"seed": None, "noise": None}, {"seed": 0, "noise": "tab1", "exact": False},
+                     {"seed": 2.0, "other": [1, {"x": None}]}):
+        assert TomographyDataset(ds.plan, ds.outcomes, metadata).metadata == metadata
+
+
 def test_exact_mode_rejects_non_stochastic_confusion():
     bad = np.array([[0.9, 0.2], [0.2, 0.8]])
     model = NoiseModel(gate_noise={}, readout_confusion={0: bad, 1: bad})
@@ -1079,6 +1116,17 @@ def test_project_cptp_takes_one_eigh_per_dual_point(perth_noise, monkeypatch):
     res = project_cptp(raw)
     # the start and one accepted trial per Newton step: this estimate never backtracks
     assert res.iterations >= 2 and shapes == [(16, 16)] * (res.iterations + 1)
+
+
+def test_project_cptp_finds_raw_min_eig_on_first_use(perth_noise, monkeypatch):
+    raw = linear_inversion(execute_plan(build_plan(2, shots=4000), SQSCZ_CIRCUIT, perth_noise))
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    res = project_cptp(raw)
+    assert calls == []  # the projection itself needs no spectrum of R
+    r = 0.5 * (raw.matrix + raw.matrix.conj().T)
+    assert res.raw_min_eig == eigvalsh(r)[0] and res.raw_min_eig == res.raw_min_eig
+    assert len(calls) == 1 and calls[0] is res.raw_hermitian
 
 
 def test_project_cptp_diagnostics_exact_estimate():
@@ -1254,7 +1302,10 @@ _JSON_VALUES = st.recursive(
     num_qubits=st.integers(1, 3),
     mode=st.sampled_from(["exact", "exact_noisy", "clean", "noisy", "sparse"]),
     seed=st.integers(0, 2**32 - 1),
-    metadata=st.dictionaries(st.text(), _JSON_VALUES, min_size=1, max_size=4),
+    # any JSON value under any key but the three that the dataset checks against its plan
+    metadata=st.dictionaries(
+        st.text().filter(lambda key: key not in ("seed", "noise", "exact")), _JSON_VALUES, min_size=1, max_size=4
+    ),
 )
 def test_dataset_to_json_matches_oracle(num_qubits, mode, seed, metadata):
     noise = _tab1_noise(num_qubits) if mode in ("exact_noisy", "noisy") else None

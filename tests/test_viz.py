@@ -1,3 +1,4 @@
+import sys
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from choiqpt import viz
 from choiqpt.channels import choi_from_unitary, choi_to_chi
+from choiqpt.linalg import product_labels
 from choiqpt.viz import _text, _two_decimals, svg_city, svg_counts_bar, svg_hinton
 from choiqpt.simulator import sample_counts
 from conftest import oracle_svg_city, oracle_svg_counts_bar, oracle_svg_hinton
@@ -147,3 +150,49 @@ def test_svg_text_is_escaped():
         (svg_counts_bar({"<t>": 3, "a&b": 1}, 4, title), "<t>"),
     ):
         assert {title, label} <= set(texts(doc))
+
+
+@pytest.mark.parametrize("writer, oracle, frame", [
+    (svg_city, oracle_svg_city, viz._city_frame),
+    (svg_hinton, oracle_svg_hinton, viz._hinton_frame),
+])
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_writers_match_oracle_with_frames_cold_and_warm(writer, oracle, frame, num_qubits):
+    rng = np.random.default_rng(num_qubits)
+    n = 4**num_qubits
+    labels = product_labels("01", 2 * num_qubits)
+    frame.cache_clear()
+    for _ in range(2):  # the first call builds the frame, the second reuses it for another matrix
+        m = rng.normal(size=(n, n))
+        assert writer(m, labels, "Re C") == oracle(m, labels, "Re C")
+    m[0, 1] = np.nan  # a NaN scale puts the city's base plane at NaN: a frame of its own
+    assert writer(m, labels, "Re C") == oracle(m, labels, "Re C")
+    assert writer(m[::-1], labels, "") == oracle(m[::-1], labels, "")
+    assert frame.cache_info().hits >= 2
+
+
+@pytest.mark.parametrize("writer, oracle, frame", [
+    (svg_city, oracle_svg_city, viz._city_frame),
+    (svg_hinton, oracle_svg_hinton, viz._hinton_frame),
+])
+def test_frames_are_keyed_by_size_and_label_texts(writer, oracle, frame):
+    m = np.array([[1.0, -0.5], [0.25, 0.0]])
+    frame.cache_clear()
+    for labels in (["a", "b"], ["c", "d"], ["<", "&"], [">", "&amp;"], ["a", "b"]):
+        assert writer(m, labels) == oracle(m, labels)
+    assert writer(m[:1, :1], ["a"]) == oracle(m[:1, :1], ["a"])  # same first label, other size
+    # 1, 1.0 and True hash alike, but each plot writes its own text
+    docs = [writer(m[:1, :1], [label]) for label in (1, 1.0, True)]
+    for doc, text in zip(docs, ("1", "1.0", "True")):
+        assert doc == oracle(m[:1, :1], [text])
+    assert len(set(docs)) == 3
+
+
+def test_frame_caches_are_bounded():
+    # a city and a Hinton frame at K = 4 (256 x 256), each cache full of frames that size
+    sizes = {
+        viz._city_frame: sys.getsizeof(viz._city_frame(256, tuple(product_labels("01", 8)), False)),
+        viz._hinton_frame: sys.getsizeof(viz._hinton_frame(256, tuple(product_labels("IXYZ", 4)))),
+    }
+    assert all(0 < frame.cache_info().maxsize < 16 for frame in sizes)
+    assert sum(size * frame.cache_info().maxsize for frame, size in sizes.items()) < 1_000_000
