@@ -227,29 +227,7 @@ _PI = math.pi
 
 def sqscz_decomposition() -> Circuit:
     """Two-CNOT realization of SQSCZ over the {RZ, SX, CNOT} gate set."""
-    gates = [
-        ga("RZ", 0, _PI / 4),
-        ga("RZ", 1, _PI / 4),
-        ga("SX", 0),
-        ga("SX", 1),
-        ga("CNOT", (0, 1)),
-        # RX(pi/4) on qubit 0
-        ga("RZ", 0, _PI / 2),
-        ga("SX", 0),
-        ga("RZ", 0, _PI / 4 + _PI),
-        ga("SX", 0),
-        ga("RZ", 0, _PI / 2),
-        ga("RZ", 1, _PI / 4),
-        ga("CNOT", (0, 1)),
-        # RX(-pi/2) on both qubits
-        ga("RZ", 0, _PI),
-        ga("SX", 0),
-        ga("RZ", 0, _PI),
-        ga("RZ", 1, _PI),
-        ga("SX", 1),
-        ga("RZ", 1, _PI),
-    ]
-    return Circuit(2, tuple(gates))
+    return Circuit(2, tuple(_sqscz_native(0, 1)))
 
 
 def cnot_from_sqscz() -> Circuit:
@@ -306,32 +284,39 @@ def _cphase_native(q0: int, q1: int, theta: float) -> list[GateApplication]:
     ]
 
 
-def _lower_gate(g: GateApplication) -> list[GateApplication]:
-    q = g.qubits
-    if g.name in NATIVE_GATES:
-        return [g]
-    if g.name == "Ph":
-        # identical channel to RZ; the phase difference is global
-        return [ga("RZ", q[0], g.params[0])]
-    if g.name == "H":
-        return _h_native(q[0])
-    if g.name == "RX":
-        return _rx_native(q[0], g.params[0])
-    if g.name == "CZ":
-        return _h_native(q[1]) + [ga("CNOT", q)] + _h_native(q[1])
-    if g.name == "SQRT_CZ":
-        return _cphase_native(q[0], q[1], _PI / 2)
-    if g.name == "SWAP":
-        return [ga("CNOT", q), ga("CNOT", (q[1], q[0])), ga("CNOT", q)]
-    if g.name == "SQSCZ":
-        return [GateApplication(h.name, tuple(q[i] for i in h.qubits), h.params)
-                for h in sqscz_decomposition().gates]
-    if g.name == "SQRT_SWAP":
-        # sqrt(SWAP) = SQSCZ . CPhase(-pi/2), the two factors commute
-        head = _cphase_native(q[0], q[1], -_PI / 2)
-        tail = _lower_gate(GateApplication("SQSCZ", q))
-        return head + tail
-    raise ValueError(f"no native lowering for gate {g.name}")
+def _sqscz_native(q0: int, q1: int) -> list[GateApplication]:
+    return [
+        ga("RZ", q0, _PI / 4),
+        ga("RZ", q1, _PI / 4),
+        ga("SX", q0),
+        ga("SX", q1),
+        ga("CNOT", (q0, q1)),
+        *_rx_native(q0, _PI / 4),
+        ga("RZ", q1, _PI / 4),
+        ga("CNOT", (q0, q1)),
+        # RX(-pi/2) on both qubits
+        ga("RZ", q0, _PI),
+        ga("SX", q0),
+        ga("RZ", q0, _PI),
+        ga("RZ", q1, _PI),
+        ga("SX", q1),
+        ga("RZ", q1, _PI),
+    ]
+
+
+# gate name -> its native sequence, built from the gate's qubits q and parameters p
+_LOWERINGS = {
+    **{name: lambda q, p, name=name: [GateApplication(name, q, p)] for name in NATIVE_GATES},
+    "Ph": lambda q, p: [ga("RZ", q[0], p[0])],  # identical channel to RZ; the phase difference is global
+    "H": lambda q, p: _h_native(q[0]),
+    "RX": lambda q, p: _rx_native(q[0], p[0]),
+    "CZ": lambda q, p: _h_native(q[1]) + [ga("CNOT", q)] + _h_native(q[1]),
+    "SQRT_CZ": lambda q, p: _cphase_native(*q, _PI / 2),
+    "SWAP": lambda q, p: [ga("CNOT", q), ga("CNOT", q[::-1]), ga("CNOT", q)],
+    "SQSCZ": lambda q, p: _sqscz_native(*q),
+    # sqrt(SWAP) = SQSCZ . CPhase(-pi/2), the two factors commute
+    "SQRT_SWAP": lambda q, p: _cphase_native(*q, -_PI / 2) + _sqscz_native(*q),
+}
 
 
 @lru_cache(maxsize=32)
@@ -345,7 +330,7 @@ def to_native(c: Circuit) -> Circuit:
     """
     gates: list[GateApplication] = []
     for g in c.gates:
-        gates.extend(_lower_gate(g))
+        gates.extend(_LOWERINGS[g.name](g.qubits, g.params))
     return Circuit(c.num_qubits, tuple(gates))
 
 

@@ -9,8 +9,9 @@ that reading.
 
 The model applied per gate is depolarizing (at the reported gate error)
 composed after T1/T2 damping over the gate duration, plus a per-qubit
-column-stochastic readout confusion matrix, which the simulator's read-out
-applies to outcome probabilities (``simulator.apply_confusion``).
+readout confusion matrix, checked column-stochastic when a model is built
+(:func:`column_stochastic`); tomography folds it into each qubit's frame, and
+``simulator.apply_confusion`` applies it to outcome probabilities.
 Reported errors exist only for SX/X and CNOT; RZ and Ph are virtual
 (zero duration, zero error).  Missing CNOT pairs fall back to the fleet
 median error.
@@ -130,7 +131,7 @@ def parse_calibration(source) -> DeviceCalibration:
     Units are converted here (us -> s, GHz -> Hz, ns -> s).  ``sx_error`` may
     be omitted, in which case the fleet median is substituted.  Each qubit
     index, CNOT pair and gate duration has one row; durations are
-    non-negative.
+    non-negative, and each CNOT row's qubits are rows of ``qubits``.
     """
     if isinstance(source, dict):
         raw = source
@@ -149,6 +150,8 @@ def parse_calibration(source) -> DeviceCalibration:
         for r in raw.get("cnot", ()):
             pair = tuple(whole_number(r[k], k) for k in ("control", "target"))
             c = CnotCalibration(*pair, finite_number(r["error"], "error"))
+            if unlisted := sorted(set(pair) - qubits.keys()):
+                raise ValueError(f"CNOT pair {pair} is on qubit(s) {unlisted}, not in the qubit table")
             _insert(cnot, pair, c, f"CNOT pair {pair}")
         for name, ns in raw.get("durations_ns", {}).items():
             ns = finite_number(ns, f"durations_ns.{name}")
@@ -222,6 +225,14 @@ def compose_kraus(first: KrausSet, then: KrausSet) -> KrausSet:
     return KrausSet(tuple(b @ a for b in then.operators for a in first.operators))
 
 
+def column_stochastic(m, qubit: int) -> np.ndarray:
+    """``m`` as a float array; raises unless it is 2x2 and each column sums to 1 within 1e-12."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (2, 2) or not np.abs(m.sum(axis=0) - 1.0).max() <= 1e-12:  # a nan fails too
+        raise ValueError(f"confusion matrix for qubit {qubit} is not column-stochastic")
+    return m
+
+
 def confusion_matrix(p_meas0_prep1: float, p_meas1_prep0: float) -> np.ndarray:
     """Column-stochastic readout matrix; column j is the prepared bit j."""
     zeta, eta = p_meas0_prep1, p_meas1_prep0
@@ -243,8 +254,8 @@ class NoiseModel:
     apply it right before sampling.  Gates without an entry are noiseless
     (RZ/Ph are virtual).  Gate durations enter only through these Kraus
     sets; ``label`` is keyword-only.  Both maps are read-only copies of the
-    caller's dicts, confusion matrices read-only float arrays.  Models compare
-    and hash by value through :attr:`_key`, built once; ``label`` is left out.
+    caller's dicts, confusion matrices read-only :func:`column_stochastic` arrays.
+    Models compare and hash by value through :attr:`_key`, built once; ``label`` is left out.
     """
 
     gate_noise: Mapping[tuple[str, tuple[int, ...]], KrausSet]
@@ -252,7 +263,7 @@ class NoiseModel:
     label: str = field(default="calibrated", kw_only=True)
 
     def __post_init__(self):
-        confusion = {q: read_only(np.asarray(m, dtype=float)) for q, m in self.readout_confusion.items()}
+        confusion = {q: read_only(column_stochastic(m, q)) for q, m in self.readout_confusion.items()}
         object.__setattr__(self, "gate_noise", MappingProxyType(dict(self.gate_noise)))
         object.__setattr__(self, "readout_confusion", MappingProxyType(confusion))
 

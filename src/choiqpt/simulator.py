@@ -10,9 +10,10 @@ lowered again).  Each gate acts as one local superoperator: the unitary's
 contracted by :func:`linalg.apply_local` with the gate's row and column
 axes of the ``(2,) * 2K`` state tensor; readout decay acts the same way.
 Readout confusion acts on outcome probabilities (:func:`apply_confusion`),
-so one multinomial draw samples the recorded outcomes.  :func:`evolve` runs
-any states; :func:`simulate` runs from the ground state, memoised
-(:func:`_from_ground`) under the package's one memo policy, :func:`_memo_upto`.
+so one multinomial draw samples the recorded outcomes; tomography folds it
+into each qubit's frame instead.  :func:`evolve` runs any states;
+:func:`simulate` runs from the ground state, memoised (:func:`_from_ground`)
+under the package's one memo policy, :func:`_memo_upto`.
 
 Sampling uses numpy's PCG64 generator seeded by an int, a ``SeedSequence``
 or a ``Generator``; a fixed seed reproduces counts exactly, which
@@ -32,7 +33,7 @@ import numpy as np
 from .channels import kraus_superop, read_only
 from .gates import Circuit, ga, gate_unitary, to_native
 from .linalg import apply_local, as_complex_matrix, product_labels, whole_number
-from .noise import NoiseModel
+from .noise import NoiseModel, column_stochastic
 
 _C = np.complex128
 
@@ -146,7 +147,7 @@ def measure_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
     num_qubits = len(setting)
     if rho.shape != (2**num_qubits, 2**num_qubits):
         raise ValueError(f"state dim {rho.shape[0]} does not match setting {setting!r}")
-    return recorded_probabilities(np.diagonal(evolve(rho, measurement_circuit(setting))).real, None)
+    return recorded_probabilities(np.diagonal(evolve(rho, measurement_circuit(setting))).real)
 
 
 def apply_confusion(probs: np.ndarray, confusion) -> np.ndarray:
@@ -160,18 +161,15 @@ def apply_confusion(probs: np.ndarray, confusion) -> np.ndarray:
         raise ValueError(f"{k} confusion matrices for {probs.shape[-1]} outcomes; 2^K outcomes take K")
     t = probs.reshape(probs.shape[:-1] + (2,) * k)
     for q, m in enumerate(confusion):
-        m = np.asarray(m, dtype=float)
-        if m.shape != (2, 2) or np.abs(m.sum(axis=0) - 1.0).max() > 1e-12:
-            raise ValueError(f"confusion matrix for qubit {q} is not column-stochastic")
-        t = apply_local(t, m, [t.ndim - k + q])
+        t = apply_local(t, column_stochastic(m, q), [t.ndim - k + q])
     return t.reshape(probs.shape)
 
 
-def recorded_probabilities(probs: np.ndarray, noise: NoiseModel | None) -> np.ndarray:
-    """Recorded outcome probabilities from computational-basis ones (a vector or a stack).
-
-    Each vector must sum to 1 within 1e-9; it is then clipped at 0,
-    renormalised and, with noise, mapped through the readout confusion.
+def recorded_probabilities(probs: np.ndarray) -> np.ndarray:
+    """Outcome probabilities (a vector or a stack) as recorded: each vector must sum
+    to 1 within 1e-9; it is then clipped at 0 and renormalised.  Readout confusion
+    is not applied here: tomography folds it into each qubit's frame, and
+    :func:`circuit_probabilities` applies it to the result.
     """
     total = probs.sum(axis=-1)
     if np.abs(total - 1.0).max() > 1e-9:
@@ -179,8 +177,7 @@ def recorded_probabilities(probs: np.ndarray, noise: NoiseModel | None) -> np.nd
         raise ValueError(f"probabilities sum to {bad:.6g}, state is not normalized")
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum(axis=-1, keepdims=True)
-    num_qubits = probs.shape[-1].bit_length() - 1
-    return probs if noise is None else apply_confusion(probs, noise.confusion_for(num_qubits))
+    return probs
 
 
 def circuit_probabilities(c: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
@@ -191,7 +188,8 @@ def circuit_probabilities(c: Circuit, noise: NoiseModel | None = None) -> np.nda
     (:func:`apply_measure_noise`) and confusion act in the read-out.
     """
     rho = apply_measure_noise(simulate(c, noise), noise, c.num_qubits)
-    return recorded_probabilities(np.diagonal(rho).real, noise)
+    probs = recorded_probabilities(np.diagonal(rho).real)
+    return probs if noise is None else apply_confusion(probs, noise.confusion_for(c.num_qubits))
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ The pipeline mirrors how one characterizes a gate on hardware:
    on one qubit at a time, so each qubit's Born rule is one 24 x 16 frame
    (:func:`_frame`) of its SPAM table (:func:`_spam_table`: its 4 prepared
    states and its read-out tensor, simulated on one wire from the two gate
-   tables).  Applying each frame along its qubit's axes of the Choi matrix
-   (:func:`linalg.along_qubits`) gives the (4^K, 3^K, 2^K) probabilities,
-   axes (preparation, setting, outcome).  They depend on neither seed nor
-   shots, so :func:`_probabilities` memoises them under the package's one
-   memo policy (``simulator._memo_upto``),
+   tables, its readout confusion folded in).  Applying each frame along its
+   qubit's axes of the Choi matrix (:func:`linalg.along_qubits`) gives the
+   (4^K, 3^K, 2^K) recorded probabilities, axes (preparation, setting,
+   outcome).  They depend on neither seed nor shots, so :func:`_probabilities`
+   memoises them under the package's one memo policy (``simulator._memo_upto``),
 4. invert the Born rule the same way: the pseudo-inverse of the noiseless
    frame acts along each qubit's axes of the frequencies (again
    :func:`linalg.along_qubits`; no dense 24^K x 16^K system is built),
@@ -100,9 +100,10 @@ class TomographyPlan:
         return (len(PREP_TOKENS) * len(SETTING_TOKENS)) ** self.num_qubits
 
     def jobs(self):
-        """Canonical job order: preparation-major, setting-minor."""
-        for prep in self.preparations:
-            for setting in self.settings:
+        """Canonical job order: preparation-major, setting-minor; labels are built lazily."""
+        k = self.num_qubits
+        for prep in map("".join, itertools.product(PREP_TOKENS, repeat=k)):
+            for setting in map("".join, itertools.product(SETTING_TOKENS, repeat=k)):
                 yield prep, setting
 
     def has_job(self, key: tuple[str, str]) -> bool:
@@ -127,16 +128,18 @@ def _spam_table(noise: NoiseModel | None) -> tuple[np.ndarray, np.ndarray]:
     """One qubit's prepared states and read-out tensor, from one-qubit simulations.
 
     Returns the states of ``PREP_TOKENS`` prepared from ``|0>``, shape
-    ``(4, 2, 2)``, and ``R[b, o, i, j] = <o| decay(basis_b(|i><j|)) |o>``,
+    ``(4, 2, 2)``, and ``R[b, o, i, j] = sum_m C[o, m] <m| decay(basis_b(|i><j|)) |m>``,
     shape ``(3, 2, 2, 2)``: the four matrix units ``|i><j|`` run through the
-    basis change of each of ``SETTING_TOKENS``, then readout decay.  ``noise``
-    is a one-qubit model (:meth:`NoiseModel.on_qubit`) or ``None``; its
-    confusion is not applied here.
+    basis change of each of ``SETTING_TOKENS``, readout decay and the qubit's
+    confusion matrix ``C`` (a complex product: no imaginary part is dropped).
+    ``noise`` is a one-qubit model (:meth:`NoiseModel.on_qubit`), or ``None``: ``C = I``.
     """
     prep = np.concatenate([evolve(ground_state(1)[None], prep_circuit(t, 1), noise) for t in PREP_TOKENS])
     units = np.eye(4, dtype=complex).reshape(4, 2, 2)
     rotated = np.concatenate([evolve(units, measurement_circuit(b, 1), noise) for b in SETTING_TOKENS])
     diag = np.diagonal(apply_measure_noise(rotated, noise, 1), axis1=-2, axis2=-1)
+    if noise is not None:
+        diag = diag @ noise.confusion_for(1)[0].T
     return prep, diag.reshape(len(SETTING_TOKENS), 2, 2, 2).transpose(0, 3, 1, 2)
 
 
@@ -227,7 +230,8 @@ class TomographyDataset:
             ints = ",\n".join(f'          "{o}": %d' for o in labels)  # the %d stay for the rows
             block = '"counts": {\n        "counts": {\n%s\n        },\n        "shots": %d\n      }'
             template = _JOB % (block % (ints, self.plan.shots))
-        jobs = [template % (*row, *key) for key, row in zip(self.plan.jobs(), self._rows())]
+        keys = itertools.product(self.plan.preparations, self.plan.settings)  # plan.jobs() order
+        jobs = [template % (*row, *key) for key, row in zip(keys, self._rows())]
         metadata = json.dumps(dict(self.metadata), indent=2, sort_keys=True).replace("\n", "\n  ")
         return '{\n  "jobs": [\n%s\n  ],\n  "metadata": %s,\n  "num_qubits": %d,\n  "shots": %s\n}' % (
             ",\n".join(jobs), metadata, self.plan.num_qubits, json.dumps(self.plan.shots)
@@ -248,13 +252,8 @@ class TomographyDataset:
                 if key in jobs:
                     raise ValueError(f"job {key} has more than one record")
                 jobs[key] = j
-            if missing := plan.num_jobs - len(jobs):  # a wide plan is too long to list: walk it lazily
-                walk = (
-                    (p, s)
-                    for p in map("".join, itertools.product(PREP_TOKENS, repeat=k))
-                    for s in map("".join, itertools.product(SETTING_TOKENS, repeat=k))
-                )
-                first = next(key for key in walk if key not in jobs)
+            if missing := plan.num_jobs - len(jobs):  # a wide plan is too long to list: jobs() is lazy
+                first = next(key for key in plan.jobs() if key not in jobs)
                 raise ValueError(f"dataset is missing {missing} plan job(s), e.g. {first}")
             labels, rows = product_labels("01", k), []
             for key in plan.jobs():
@@ -317,15 +316,15 @@ def _probabilities(target: Circuit, noise: NoiseModel | None) -> np.ndarray:
     The target runs once (:func:`channel_choi`), and each qubit's frame acts
     along its axes of the Choi matrix (:func:`linalg.along_qubits`): ``_FRAME``
     without noise, else :func:`_frame` of its :func:`_spam_table` under
-    :meth:`NoiseModel.on_qubit`; clipping, renormalising and readout
-    confusion follow.
+    :meth:`NoiseModel.on_qubit`, readout confusion included; only clipping
+    and renormalising (:func:`simulator.recorded_probabilities`) follow.
     """
     k = target.num_qubits
     frames = [_FRAME if noise is None else _frame(*_spam_table(noise.on_qubit(q))) for q in range(k)]
     x = along_qubits(channel_choi(target, noise).matrix, frames, (2, 2, 2, 2), (4, 3, 2))
     shape = (len(PREP_TOKENS) ** k, len(SETTING_TOKENS) ** k, 2**k)
     x = x.real.reshape(shape)  # a float copy: the complex product is freed here
-    return recorded_probabilities(x, noise)
+    return recorded_probabilities(x)
 
 
 def execute_plan(

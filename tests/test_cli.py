@@ -385,6 +385,7 @@ def test_malformed_circuit_is_input_error(tmp_path, capsys):
         lambda c: c["cnot"][0].update(target=True),
         lambda c: c["cnot"][0].update(error="0.5"),
         lambda c: c["durations_ns"].update(sx="35"),
+        lambda c: c["cnot"][0].update(target=10**30),
     ],
     ids=[
         "null_t1", "qubits_not_a_list", "durations_not_an_object", "fractional_index",
@@ -392,6 +393,7 @@ def test_malformed_circuit_is_input_error(tmp_path, capsys):
         "infinite_sx_duration", "negative_sx_duration", "negative_readout_length", "self_cnot",
         "negative_index", "duplicate_qubit", "duplicate_cnot_pair", "duplicate_duration",
         "string_t1", "boolean_index", "boolean_cnot_target", "string_cnot_error", "string_duration",
+        "unlisted_cnot_target",
     ],
 )
 def test_malformed_calibration_is_input_error(tmp_path, capsys, edit):

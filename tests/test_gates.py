@@ -204,11 +204,18 @@ def test_to_native_equivalence(name):
     assert ok
 
 
-def test_to_native_on_remapped_wires():
-    base = Circuit(3, (ga("SQSCZ", (2, 0)),))
+@pytest.mark.parametrize("wires", [(1, 0), (2, 0)], ids=["1-0", "2-0"])
+@pytest.mark.parametrize("name", sorted(name for name, (arity, _, _) in GATE_DEFS.items() if arity == 2))
+def test_to_native_on_remapped_wires(name, wires):
+    base = Circuit(3, (ga(name, wires),))
     low = to_native(base)
+    assert {q for g in low.gates for q in g.qubits} == set(wires)
     ok, _ = equal_up_to_global_phase(circuit_unitary(low), circuit_unitary(base), 1e-10)
     assert ok
+
+
+def test_sqscz_decomposition_is_the_native_lowering():
+    assert sqscz_decomposition().gates == to_native(Circuit(2, (ga("SQSCZ", (0, 1)),))).gates
 
 
 def test_circuit_json_roundtrip(tmp_path):

@@ -91,12 +91,13 @@ def tab1_record() -> dict:
         (lambda c: c["cnot"][0].update(target=True), "target must be a whole number, got True"),
         (lambda c: c["cnot"][0].update(error="0.5"), "error must be a number, got '0.5'"),
         (lambda c: c["durations_ns"].update(sx="35"), "durations_ns.sx must be a number"),
+        (lambda c: c["cnot"][0].update(control=7), "CNOT pair (7, 1) is on qubit(s) [7], not in the qubit table"),
     ],
     ids=[
         "duplicate_qubit", "duplicate_cnot_pair", "duplicate_duration", "negative_duration",
         "negative_readout_length", "self_cnot", "negative_cnot_control", "negative_index",
         "string_qubit_number", "boolean_index", "numpy_boolean_index", "boolean_cnot_control",
-        "boolean_cnot_target", "string_cnot_error", "string_duration",
+        "boolean_cnot_target", "string_cnot_error", "string_duration", "unlisted_cnot_control",
     ],
 )
 def test_calibration_record_errors_name_the_field(edit, named):

@@ -340,12 +340,16 @@ def _oracle_noise(tab1_path, num_qubits: int, noisy: bool = True):
     return noise_model_from_calibration(parse_calibration(tab1_path), num_qubits=num_qubits)
 
 
+# noisy: False, True (under tab1) or the bundled calibration table to run under
+@pytest.mark.filterwarnings("ignore:qubit 2. t2=.* clamping t2")  # tab3's and tab4's qubit 2
 @pytest.mark.parametrize(
-    "num_qubits, noisy", [(k, noisy) for k in (1, 2, 3) for noisy in (False, True)] + [(4, True)]
+    "num_qubits, noisy",
+    [(k, noisy) for k in (1, 2, 3) for noisy in (False, True, "tab3", "tab4")] + [(4, True)],
 )
 def test_execute_plan_matches_composed_circuit_oracle(num_qubits, noisy, tab1_path):
     target = ORACLE_TARGETS[num_qubits]
-    noise = _oracle_noise(tab1_path, num_qubits, noisy)
+    path = data_path(f"ibm_perth_{noisy}.json") if isinstance(noisy, str) else tab1_path
+    noise = _oracle_noise(path, num_qubits, bool(noisy))
     plan = build_plan(num_qubits)
     data = execute_plan(build_plan(num_qubits, None), target, noise=noise)
     want_by_job = oracle_job_frequencies(plan, target, noise, _oracle_jobs(plan))
@@ -988,10 +992,11 @@ def test_dataset_metadata_fields_may_be_null_or_absent():
 
 
 def test_exact_mode_rejects_non_stochastic_confusion():
-    bad = np.array([[0.9, 0.2], [0.2, 0.8]])
-    model = NoiseModel(gate_noise={}, readout_confusion={0: bad, 1: bad})
-    with pytest.raises(ValueError, match="confusion matrix for qubit 0 is not column-stochastic"):
-        execute_plan(build_plan(2, shots=None), SQSCZ_CIRCUIT, noise=model)
+    # the model checks its confusion matrices when it is built, so no plan runs on them
+    for bad in ([[0.9, 0.2], [0.2, 0.8]], np.eye(3), [[np.nan, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="confusion matrix for qubit 0 is not column-stochastic"):
+            model = NoiseModel(gate_noise={}, readout_confusion={0: bad, 1: bad})
+            execute_plan(build_plan(2, shots=None), SQSCZ_CIRCUIT, noise=model)
 
 
 def test_dataset_rejects_bad_frequency_length():
