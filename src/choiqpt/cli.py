@@ -82,20 +82,15 @@ def _write_files(out: str, files: dict[str, str]) -> Path:
 def cmd_run(args) -> int:
     circuit = load_circuit(args.circuit)
     noise = _load_noise(args, circuit.num_qubits)
-    method = "linear_inversion" if args.no_cptp else "linear_inversion_then_cptp"
-    options = ReconstructionOptions(method=method)
+    options = ReconstructionOptions("linear_inversion" if args.no_cptp else "linear_inversion_then_cptp")
     shots = None if args.exact else args.shots
     result = qpt(circuit, noise=noise, shots=shots, seed=args.seed, options=options)
-    report = result.report_dict(shots=result.dataset.plan.shots, seed=args.seed)
-    report["method"] = method
-    report["exact"] = args.exact
-    report["noise"] = noise.label if noise is not None else None
     labels = product_labels("01", 2 * circuit.num_qubits)  # (input, output) basis states
     chi = choi_to_chi(result.choi)
     files = {
         "dataset.json": result.dataset.to_json() + "\n",
         "choi.json": choi_to_json(result.choi) + "\n",
-        "report.json": _json_dumps(report),
+        "report.json": _json_dumps(result.report_dict()),
         "choi_re.csv": matrix_csv(result.choi.matrix, "re"),
         "choi_im.csv": matrix_csv(result.choi.matrix, "im"),
         "choi_re_city.svg": viz.svg_city(result.choi.matrix.real, labels, "Re C"),
@@ -174,7 +169,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, json.JSONDecodeError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:  # a json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

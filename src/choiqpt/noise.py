@@ -226,9 +226,9 @@ def compose_kraus(first: KrausSet, then: KrausSet) -> KrausSet:
 
 
 def column_stochastic(m, qubit: int) -> np.ndarray:
-    """``m`` as a float array; raises unless it is 2x2 and each column sums to 1 within 1e-12."""
+    """``m`` as a float array; raises unless it is 2x2, non-negative, with column sums 1 within 1e-12."""
     m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2) or not np.abs(m.sum(axis=0) - 1.0).max() <= 1e-12:  # a nan fails too
+    if m.shape != (2, 2) or not (abs(m.sum(0) - 1).max() <= 1e-12 and m.min() >= 0):  # a nan fails too
         raise ValueError(f"confusion matrix for qubit {qubit} is not column-stochastic")
     return m
 

@@ -68,6 +68,11 @@ PREP_TOKENS = tuple(_PREP_GATES)
 SETTING_TOKENS = tuple(MEAS_GATES)
 
 
+def _record_shape(k: int) -> tuple[int, int, int]:
+    """A K-qubit plan's record axes: (preparation, setting, outcome)."""
+    return len(PREP_TOKENS) ** k, len(SETTING_TOKENS) ** k, 2**k
+
+
 @dataclass(frozen=True)
 class TomographyPlan:
     """Full factorial schedule: every K-fold product of ``PREP_TOKENS`` (4^K
@@ -162,8 +167,7 @@ class TomographyDataset:
     metadata: Mapping = field(default_factory=dict)
 
     def __post_init__(self):  # the one check, for the constructor and for from_dict
-        k, shots = self.plan.num_qubits, self.plan.shots
-        shape = (len(PREP_TOKENS) ** k, len(SETTING_TOKENS) ** k, 2**k)
+        shots, shape = self.plan.shots, _record_shape(self.plan.num_qubits)
         x = read_only(np.asarray(self.outcomes))
         dtype = np.dtype(np.float64 if shots is None else np.int64)
         if x.dtype != dtype or x.shape != shape:
@@ -281,8 +285,7 @@ class TomographyDataset:
                     rows.append([f if type(f) is float else finite_number(f, "frequency") for f in row])
                 except ValueError:
                     raise ValueError(f"job {key} frequencies {row} are not all numbers") from None
-            shape = (len(PREP_TOKENS) ** k, len(SETTING_TOKENS) ** k, 2**k)
-            outcomes = np.array(rows, dtype=np.int64 if sampled else np.float64).reshape(shape)
+            outcomes = np.array(rows, dtype=np.int64 if sampled else np.float64).reshape(_record_shape(k))
         except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: a count past int64
             raise ValueError(f"malformed dataset record: {exc}") from exc
         return cls(plan, outcomes, d.get("metadata", {}))
@@ -322,8 +325,7 @@ def _probabilities(target: Circuit, noise: NoiseModel | None) -> np.ndarray:
     k = target.num_qubits
     frames = [_FRAME if noise is None else _frame(*_spam_table(noise.on_qubit(q))) for q in range(k)]
     x = along_qubits(channel_choi(target, noise).matrix, frames, (2, 2, 2, 2), (4, 3, 2))
-    shape = (len(PREP_TOKENS) ** k, len(SETTING_TOKENS) ** k, 2**k)
-    x = x.real.reshape(shape)  # a float copy: the complex product is freed here
+    x = x.real.reshape(_record_shape(k))  # a float copy: the complex product is freed here
     return recorded_probabilities(x)
 
 
@@ -545,17 +547,19 @@ class QptResult:
     projection: ProjectionResult | None = None  # diagnostics; not written to report.json
 
     def report_dict(self, shots: int | None = None, seed: int | None = None) -> dict:
-        if shots is not None and (shots := whole_number(shots, "shots")) != self.dataset.plan.shots:
-            raise ValueError(f"shots {shots} are not the plan's {self.dataset.plan.shots}")
-        if seed is not None and (seed := whole_number(seed, "seed")) < 0:
-            raise ValueError(f"seed must be a whole number >= 0, got {seed}")
-        out = self.report.to_dict()
-        out["converged"] = self.converged
-        if shots is not None:
-            out["shots"] = shots
-        if seed is not None:
-            out["seed"] = seed
-        return out
+        """The ``report.json`` record, read from the result: ``shots`` and ``exact`` from the plan,
+        ``seed`` and ``noise`` from the dataset's metadata, ``method`` from ``choi is not raw_choi``.
+        The keywords supply no value: a ValueError names each that is not the value recorded."""
+        plan, meta = self.dataset.plan, self.dataset.metadata
+        items = ("shots", plan.shots), ("seed", meta.get("seed"))  # as ints (3.0 is 3); None left out
+        recorded = {key: whole_number(value, key) for key, value in items if value is not None}
+        if shots is not None and (shots := whole_number(shots, "shots")) != plan.shots:
+            raise ValueError(f"shots {shots} are not the plan's {plan.shots}")
+        if seed is not None and (seed := whole_number(seed, "seed")) != recorded.get("seed"):
+            raise ValueError(f"seed {seed} is not the dataset's {recorded.get('seed')}")
+        method = "linear_inversion_then_cptp" if self.choi is not self.raw_choi else "linear_inversion"
+        out = {**self.report.to_dict(), "converged": self.converged, "exact": plan.shots is None}
+        return {**out, "method": method, "noise": meta.get("noise"), **recorded}
 
 
 @_memo_upto(4)

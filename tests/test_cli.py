@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from choiqpt import gates, noise_model_from_calibration, parse_calibration, qpt, simulator, tomography, viz
-from choiqpt.channels import choi_to_chi, choi_to_json, is_cptp
+from choiqpt.channels import choi_from_unitary, choi_to_chi, choi_to_json, is_cptp
 from choiqpt.cli import build_parser, main
+from choiqpt.metrics import fidelity_report
 from choiqpt.simulator import CountsTable
 from choiqpt.tomography import TomographyDataset, linear_inversion, project_cptp
 from conftest import (
@@ -147,21 +148,29 @@ def test_run_files_match_oracle_writers(tmp_path, num_qubits, mode):
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2])
-@pytest.mark.parametrize("mode", ["exact", "clean", "tab1"])
+@pytest.mark.parametrize("mode", ["exact", "clean", "tab1", "no_cptp"])
 def test_run_dataset_json_reconstructs_its_choi_json(tmp_path, num_qubits, mode):
-    # the frequencies a loaded dataset derives from its outcomes invert to the run's own estimate
+    # the frequencies a loaded dataset derives from its outcomes invert to the run's own estimate,
+    # and the result built from that estimate and the circuit writes the run's own report.json
     name, qubits = ("SQSCZ", [0, 1]) if num_qubits > 1 else ("H", [0])
-    gates = [{"name": name, "params": [], "qubits": qubits}]
+    gate = {"name": name, "params": [], "qubits": qubits}
     circuit = tmp_path / "circuit.json"
-    circuit.write_text(json.dumps({"num_qubits": num_qubits, "gates": gates}))
+    circuit.write_text(json.dumps({"num_qubits": num_qubits, "gates": [gate]}))
     out = tmp_path / "out"
-    flags = {"exact": ["--exact"], "clean": [], "tab1": ["--calib", data_path("ibm_perth_tab1.json")]}
+    flags = {"exact": ["--exact"], "clean": [], "no_cptp": ["--no-cptp"],
+             "tab1": ["--calib", data_path("ibm_perth_tab1.json")]}
     args = ["run", "--circuit", str(circuit), "--shots", "500", "--seed", "3", "--out", str(out)]
     assert run_cli(*args, *flags[mode]) == 0
     dataset = TomographyDataset.from_dict(json.loads((out / "dataset.json").read_text()))
     assert (dataset.plan.shots is None) == (mode == "exact")
-    rebuilt = choi_to_json(project_cptp(linear_inversion(dataset)).choi) + "\n"
-    assert rebuilt == (out / "choi.json").read_text()
+    raw = linear_inversion(dataset)
+    proj = None if mode == "no_cptp" else project_cptp(raw)
+    choi, converged = (raw, True) if proj is None else (proj.choi, proj.converged)
+    assert choi_to_json(choi) + "\n" == (out / "choi.json").read_text()
+    ideal = choi_from_unitary(gates.circuit_unitary(gates.load_circuit(str(circuit))))
+    result = tomography.QptResult(choi, raw, ideal, fidelity_report(choi, ideal), dataset, converged)
+    report = json.dumps(result.report_dict(), indent=2, sort_keys=True) + "\n"
+    assert report == (out / "report.json").read_text()
 
 
 def _files(out: Path) -> dict[str, bytes]:
@@ -358,6 +367,20 @@ def test_malformed_circuit_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"gates": "what"}')
     assert run_cli("run", "--circuit", str(bad)) == 2
+
+
+@pytest.mark.parametrize("flag", ["--circuit", "--calib"])
+def test_file_that_is_not_json_is_input_error(flag, tmp_path, capsys):
+    # json's JSONDecodeError is a ValueError, so main's ValueError branch reports it
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json {")
+    paths = {"--circuit": data_path("sqscz_circuit.json"), "--calib": data_path("ibm_perth_tab1.json")}
+    paths[flag] = str(bad)
+    out = tmp_path / "out"
+    for cmd in ("run", "execute"):
+        assert run_cli(cmd, *(x for item in paths.items() for x in item), "--out", str(out)) == 2
+        assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import runpy
 import shutil
@@ -107,4 +108,69 @@ def test_qpt_experiments_rejects_bad_counts(script, flag, value, message, tmp_pa
         run_script(monkeypatch, script, "--out", str(out), flag, value)
     assert exc.value.code == 2
     assert f"{script}: error: argument {flag}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# a small stand-in for two kernels' experiment trees, one file per rule of compare()
+PORTABILITY_TREE = {
+    "exact_probabilities/seed1/dataset.json": '{"frequencies": [0.25, 0.75], "shots": null}\n',
+    "clean_simulator/seed1/dataset.json": '{"counts": {"00": 7, "01": 3}, "shots": 10}\n',
+    "clean_simulator/seed1/choi.json": '{"im": [[0.0, -0.125]], "re": [[12.3456789012, 0.5]]}\n',
+    "clean_simulator/seed1/choi_re.csv": "12.3456789012,0.5\n",
+    "clean_simulator/seed1/choi_re_city.svg": '<svg width="10"><rect x="1.5"/></svg>\n',
+}
+
+# (file, old text, new text, whether compare() reports the edit)
+PORTABILITY_EDITS = {
+    "sampled_count": ("clean_simulator/seed1/dataset.json", '"00": 7, "01": 3', '"00": 6, "01": 4', True),
+    "svg_byte": ("clean_simulator/seed1/choi_re_city.svg", 'x="1.5"', 'x="1.6"', True),
+    "exact_by_1e-10": ("exact_probabilities/seed1/dataset.json", "0.25", "0.2500000001", True),
+    "exact_by_1e-14": ("exact_probabilities/seed1/dataset.json", "0.25", "0.25000000000001", False),
+    "csv_last_digit": ("clean_simulator/seed1/choi_re.csv", "12.3456789012", "12.3456789013", False),
+    "json_last_digit": ("clean_simulator/seed1/choi.json", "12.3456789012", "12.3456789013", True),
+    "text_between_numbers": ("clean_simulator/seed1/choi.json", '"im"', '"imag"', True),
+}
+
+
+def _write_tree(root: Path, files: dict[str, str]) -> Path:
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    return root
+
+
+@pytest.mark.parametrize("edit", sorted(PORTABILITY_EDITS))
+def test_kernel_portability_compare_reports_only_what_its_rules_forbid(edit, tmp_path):
+    compare = _load_script("check_kernel_portability.py").compare
+    rel, old, new, reported = PORTABILITY_EDITS[edit]
+    a = _write_tree(tmp_path / "a", PORTABILITY_TREE)
+    b = _write_tree(tmp_path / "b", PORTABILITY_TREE)
+    assert compare(a, b) == []
+    assert old in PORTABILITY_TREE[rel]
+    (b / rel).write_text(PORTABILITY_TREE[rel].replace(old, new))
+    # each problem starts with the file it is about
+    assert [problem.split()[0].rstrip(":") for problem in compare(a, b)] == ([rel] if reported else [])
+
+
+def test_kernel_portability_compare_reports_different_file_sets(tmp_path):
+    compare = _load_script("check_kernel_portability.py").compare
+    a = _write_tree(tmp_path / "a", PORTABILITY_TREE)
+    b = _write_tree(tmp_path / "b", {**PORTABILITY_TREE, "clean_simulator/seed1/extra.json": "{}\n"})
+    assert compare(a, b) == compare(b, a) == ["the two runs wrote different files"]
+
+
+def test_kernel_portability_skips_without_a_dynamic_arch_openblas(tmp_path, monkeypatch, capsys):
+    script = _load_script("check_kernel_portability.py")
+    monkeypatch.setattr(script, "dynamic_arch_openblas", lambda: False)
+    out = tmp_path / "kernels"
+    monkeypatch.setattr(sys, "argv", ["check_kernel_portability.py", "--out", str(out)])
+    assert script.main() == 0
+    assert capsys.readouterr().out.startswith("skipped:")
     assert not out.exists()

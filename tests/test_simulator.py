@@ -312,6 +312,13 @@ def test_sample_counts_rejects_bad_confusion():
         sample_counts(np.array([1.0, 0.0]), 10, seed=0, confusion=bad)
 
 
+def test_apply_confusion_rejects_negative_entries():
+    # columns summing to 1 are not enough: [1, 0] would be recorded as [1.5, -0.5]
+    bad = [np.array([[1.5, -0.5], [-0.5, 1.5]])]
+    with pytest.raises(ValueError, match="confusion matrix for qubit 0 is not column-stochastic"):
+        apply_confusion(np.array([1.0, 0.0]), bad)
+
+
 def test_apply_measure_noise_decays_excited_population(perth_noise):
     rho = state("11")
     out = apply_measure_noise(rho, perth_noise, 2)

@@ -993,7 +993,8 @@ def test_dataset_metadata_fields_may_be_null_or_absent():
 
 def test_exact_mode_rejects_non_stochastic_confusion():
     # the model checks its confusion matrices when it is built, so no plan runs on them
-    for bad in ([[0.9, 0.2], [0.2, 0.8]], np.eye(3), [[np.nan, 0.0], [0.0, 1.0]]):
+    negative = [[1.5, -0.5], [-0.5, 1.5]]  # columns sum to 1, but entries leave [0, 1]
+    for bad in ([[0.9, 0.2], [0.2, 0.8]], np.eye(3), [[np.nan, 0.0], [0.0, 1.0]], negative):
         with pytest.raises(ValueError, match="confusion matrix for qubit 0 is not column-stochastic"):
             model = NoiseModel(gate_noise={}, readout_confusion={0: bad, 1: bad})
             execute_plan(build_plan(2, shots=None), SQSCZ_CIRCUIT, noise=model)
@@ -1215,11 +1216,40 @@ def test_qpt_carries_projection_diagnostics():
 
 def test_report_dict_rejects_shots_that_are_not_the_plans():
     sampled, exact = qpt(SQSCZ_CIRCUIT, shots=500, seed=2), qpt(SQSCZ_CIRCUIT, shots=None)
-    assert sampled.report_dict(shots=500, seed=2)["shots"] == 500
-    assert "shots" not in exact.report_dict(seed=2) and "shots" not in sampled.report_dict()
+    assert sampled.report_dict(shots=500, seed=2) == sampled.report_dict()
+    assert sampled.report_dict()["shots"] == 500 and "shots" not in exact.report_dict()
     for result, shots in ((sampled, 499), (sampled, 4000), (exact, 500)):
         with pytest.raises(ValueError, match=f"shots {shots} are not the plan's"):
-            result.report_dict(shots=shots, seed=2)
+            result.report_dict(shots=shots)
+
+
+def test_report_dict_rejects_a_seed_that_is_not_the_datasets():
+    result = qpt(SQSCZ_CIRCUIT, shots=500, seed=2)
+    for seed in (0, 3):
+        with pytest.raises(ValueError, match=f"seed {seed} is not the dataset's 2"):
+            result.report_dict(seed=seed)
+    unseeded = TomographyDataset(result.dataset.plan, result.dataset.outcomes, {"seed": None})
+    unrecorded = dataclasses.replace(result, dataset=unseeded)
+    assert "seed" not in unrecorded.report_dict()
+    with pytest.raises(ValueError, match="seed 2 is not the dataset's None"):
+        unrecorded.report_dict(seed=2)
+
+
+def test_report_dict_reads_every_run_key_from_the_result():
+    calib = parse_calibration(data_path("ibm_perth_tab1.json"))
+    noise = noise_model_from_calibration(calib, 2, label="tab1")
+    no_cptp, cptp = ReconstructionOptions(method="linear_inversion"), "linear_inversion_then_cptp"
+    for result, keys in (
+        (qpt(SQSCZ_CIRCUIT, shots=None, seed=4), (None, True, None, 4, cptp)),
+        (qpt(SQSCZ_CIRCUIT, noise, shots=300, seed=1), (300, False, "tab1", 1, cptp)),
+        (qpt(SQSCZ_CIRCUIT, shots=300, options=no_cptp), (300, False, None, 0, "linear_inversion")),
+    ):
+        report = result.report_dict()
+        assert tuple(report.get(k) for k in ("shots", "exact", "noise", "seed", "method")) == keys
+    # a projected result built without its ProjectionResult still reports the projection
+    r = qpt(SQSCZ_CIRCUIT, shots=300)
+    bare = tomography.QptResult(r.choi, r.raw_choi, r.ideal_choi, r.report, r.dataset, r.converged)
+    assert bare.report_dict() == r.report_dict()
 
 
 def test_report_dict_takes_shots_and_seed_only_as_whole_numbers():
@@ -1229,13 +1259,17 @@ def test_report_dict_takes_shots_and_seed_only_as_whole_numbers():
         ({"shots": 1.5}, "shots must be a whole number, got 1.5"),
         ({"seed": False}, "seed must be a whole number, got False"),
         ({"seed": "3"}, "seed must be a whole number, got '3'"),
-        ({"seed": -3}, "seed must be a whole number >= 0, got -3"),
+        ({"seed": -3}, "seed -3 is not the dataset's 0"),
     ):
         with pytest.raises(ValueError, match=message):
             result.report_dict(**kwargs)
-    report = result.report_dict(shots=1.0, seed=3.0)  # written as the ints they are
-    assert (report["shots"], report["seed"]) == (1, 3)
+    report = result.report_dict(shots=1.0, seed=0.0)  # written as the ints they are
+    assert (report["shots"], report["seed"]) == (1, 0)
     assert type(report["shots"]) is int and type(report["seed"]) is int
+    # a hand-written dataset may record its seed as 3.0; report.json writes 3, as qpt run does
+    floated = TomographyDataset(result.dataset.plan, result.dataset.outcomes, {"seed": 3.0})
+    report = dataclasses.replace(result, dataset=floated).report_dict(seed=3)
+    assert report["seed"] == 3 and type(report["seed"]) is int
 
 
 def test_qpt_no_cptp_option():
