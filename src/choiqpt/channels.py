@@ -29,7 +29,6 @@ from .linalg import (
     frobenius,
     is_unitary,
     kron_all,
-    partial_trace,
     product_labels,
 )
 
@@ -296,13 +295,14 @@ def is_cptp(c: ChoiMatrix) -> CptpReport:
 
     Complete positivity is the minimum eigenvalue of the symmetrized matrix.
     ``passes`` bounds the first two by ``PSD_TOL`` (1e-9) and the residual by 1e-8.
+    The residual is the one :func:`~choiqpt.tomography.project_cptp` stops on, computed
+    the same way, so for a projected estimate it equals ``ProjectionResult.delta``.
     """
-    m = c.matrix
-    herm_dev = float(np.abs(m - dagger(m)).max())
-    h = 0.5 * (m + dagger(m))
-    w = np.linalg.eigvalsh(h)
-    tr_out = partial_trace(m, c.dim_in, c.dim_out, keep="a")
-    tp_dev = frobenius(tr_out - np.eye(c.dim_in))
+    m, d = c.matrix, c.dim_in
+    m_dag = m.conj().T
+    herm_dev = float(np.abs(m - m_dag).max())
+    w = np.linalg.eigvalsh(0.5 * (m + m_dag))
+    tp_dev = frobenius(m.reshape(d, d, d, d).trace(axis1=1, axis2=3) - np.eye(d))
     return CptpReport(herm_dev, float(w.min()), tp_dev)
 
 

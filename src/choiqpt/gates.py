@@ -139,6 +139,7 @@ class Circuit:
     gates: tuple[GateApplication, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "num_qubits", whole_number(self.num_qubits, "num_qubits"))
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.num_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
@@ -364,7 +365,7 @@ def circuit_from_dict(d: dict) -> Circuit:
             qubits = _field(g["qubits"], list, "a gate's qubits must be a list")
             params = _field(g.get("params", []), list, "a gate's params must be a list")
             gates.append(GateApplication(g["name"], tuple(qubits), tuple(params)))
-        return Circuit(whole_number(d["num_qubits"], "num_qubits"), tuple(gates))
+        return Circuit(d["num_qubits"], tuple(gates))
     except KeyError as exc:
         raise ValueError(f"malformed circuit record: missing field {exc}") from exc
 

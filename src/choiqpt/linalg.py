@@ -66,24 +66,6 @@ def kron_all(mats) -> np.ndarray:
     return reduce(np.kron, [as_complex_matrix(m) for m in mats])
 
 
-def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str = "a") -> np.ndarray:
-    """Trace out one tensor factor of a (dim_a*dim_b)-dimensional operator.
-
-    ``keep="a"`` returns the dim_a x dim_a marginal (factor B traced out),
-    ``keep="b"`` the dim_b x dim_b one.  The total trace is preserved.
-    """
-    m = as_complex_matrix(m)
-    d = dim_a * dim_b
-    if m.shape != (d, d):
-        raise ValueError(f"matrix shape {m.shape} incompatible with dims ({dim_a},{dim_b})")
-    t = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep.lower() == "a":
-        return np.einsum("ijkj->ik", t)
-    if keep.lower() == "b":
-        return np.einsum("ijil->jl", t)
-    raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")
-
-
 def eig_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 

@@ -93,11 +93,23 @@ class CnotCalibration:
 
 @dataclass(frozen=True)
 class DeviceCalibration:
-    """Calibration rows keyed as they are looked up: qubits by index, CNOTs by (control, target)."""
+    """Calibration rows keyed as they are looked up: qubits by index, CNOTs by (control, target).
+
+    Each row must sit under its own key, and each CNOT row's qubits must be keys of ``qubits``."""
 
     qubits: dict[int, QubitCalibration]
     cnot: dict[tuple[int, int], CnotCalibration]
     durations: dict[str, float] = field(default_factory=dict)  # gate name -> seconds
+
+    def __post_init__(self):
+        for index, q in self.qubits.items():
+            if q.index != index:
+                raise ValueError(f"qubit {q.index}'s row is keyed as qubit {index}")
+        for pair, c in self.cnot.items():
+            if (c.control, c.target) != pair:
+                raise ValueError(f"CNOT pair {(c.control, c.target)}'s row is keyed as {pair}")
+            if unlisted := sorted(set(pair) - self.qubits.keys()):
+                raise ValueError(f"CNOT pair {pair} is on qubit(s) {unlisted}, not in the qubit table")
 
     def qubit(self, index: int) -> QubitCalibration:
         if index not in self.qubits:
@@ -150,17 +162,15 @@ def parse_calibration(source) -> DeviceCalibration:
         for r in raw.get("cnot", ()):
             pair = tuple(whole_number(r[k], k) for k in ("control", "target"))
             c = CnotCalibration(*pair, finite_number(r["error"], "error"))
-            if unlisted := sorted(set(pair) - qubits.keys()):
-                raise ValueError(f"CNOT pair {pair} is on qubit(s) {unlisted}, not in the qubit table")
             _insert(cnot, pair, c, f"CNOT pair {pair}")
         for name, ns in raw.get("durations_ns", {}).items():
             ns = finite_number(ns, f"durations_ns.{name}")
             if ns < 0:
                 raise ValueError(f"durations_ns.{name} must be non-negative, got {ns!r}")
             _insert(durations, name.upper(), ns * 1e-9, f"durations_ns.{name.upper()}")
+        return DeviceCalibration(qubits, cnot, durations)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed calibration record: {exc}") from exc
-    return DeviceCalibration(qubits, cnot, durations)
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,8 @@ def execute_plan(
     """
     if target.num_qubits != plan.num_qubits:
         raise ValueError("target width does not match the plan")
+    if (seed := whole_number(seed, "seed")) < 0:
+        raise ValueError(f"seed must be a whole number >= 0, got {seed}")
     outcomes = _probabilities(target, noise)
     metadata = {"seed": seed, "exact": plan.shots is None, "noise": getattr(noise, "label", None)}
     if plan.shots is not None:

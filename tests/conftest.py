@@ -8,7 +8,7 @@ import pytest
 
 from choiqpt import ground_state, noise_model_from_calibration, parse_calibration, to_native
 from choiqpt.channels import ChoiMatrix, matrix_to_json_dict, pauli_basis
-from choiqpt.linalg import dagger, frobenius, kron_all, partial_trace, product_labels
+from choiqpt.linalg import dagger, frobenius, kron_all, product_labels
 from choiqpt.simulator import CountsTable
 from choiqpt.tomography import measurement_circuit, prep_circuit
 
@@ -138,16 +138,18 @@ def oracle_measure_noise(rho: np.ndarray, noise, num_qubits: int) -> np.ndarray:
 
 
 def oracle_job_frequencies(plan, target, noise, job_indices) -> dict:
-    """Exact frequencies of the given plan jobs, one composed circuit per job (oracle)."""
+    """Exact frequencies of the given plan jobs, gate by gate through each job's composed circuit
+    (oracle).  Lowering is per gate, so each preparation's ``prep + target`` runs once and each
+    setting's basis change runs on from that state: the gate sequence is the composed circuit's."""
     k = plan.num_qubits
     jobs = list(plan.jobs())
-    out = {}
+    lower = (lambda c: c) if noise is None else to_native
+    prepared, out = {}, {}
     for i in job_indices:
         prep, setting = jobs[i]
-        circ = prep_circuit(prep, k).extended(target, measurement_circuit(setting, k))
-        if noise is not None:
-            circ = to_native(circ)
-        rho = oracle_simulate(circ, noise)
+        if prep not in prepared:
+            prepared[prep] = oracle_simulate(lower(prep_circuit(prep, k).extended(target)), noise)
+        rho = oracle_simulate(lower(measurement_circuit(setting, k)), noise, initial=prepared[prep])
         if noise is not None:
             rho = oracle_measure_noise(rho, noise, k)
         p = np.clip(np.real(np.diag(rho)), 0.0, None)
@@ -167,10 +169,15 @@ def oracle_dataset_counts(plan, drawn: np.ndarray) -> dict:
     }
 
 
+def output_trace(m: np.ndarray, d: int) -> np.ndarray:
+    """``Tr_out`` of a d^2 x d^2 operator, input factor first, by ``np.einsum`` (oracle)."""
+    return np.einsum("ijkj->ik", np.reshape(m, (d, d, d, d)))
+
+
 def tp_step(m: np.ndarray, d: int) -> np.ndarray:
     """Orthogonal projection onto Tr_out C = I: add ``(I - Tr_out C) / d`` (x) I."""
     t = m.reshape(d, d, d, d)
-    shift = (np.eye(d) - np.einsum("ijkj->ik", t)) / d
+    shift = (np.eye(d) - output_trace(m, d)) / d
     return (t + shift[:, None, :, None] * np.eye(d)[None, :, None, :]).reshape(m.shape)
 
 
@@ -200,7 +207,7 @@ def _oracle_dual_point(r: np.ndarray, lam: np.ndarray):
     w, v = np.linalg.eigh(r + np.kron(lam, np.eye(d)))
     p = np.clip(w, 0.0, None)
     c = (v * p) @ dagger(v)
-    return w, v, c, partial_trace(c, d, d) - np.eye(d), 0.5 * p @ p - np.trace(lam).real
+    return w, v, c, output_trace(c, d) - np.eye(d), 0.5 * p @ p - np.trace(lam).real
 
 
 def oracle_newton_step(grad, w, v, mu, tol):
@@ -233,11 +240,11 @@ def oracle_newton_step(grad, w, v, mu, tol):
 
 
 def oracle_project_cptp(m: np.ndarray, d: int, tol: float = 1e-10, max_iter: int = 100):
-    """The dual Newton-CG projection with ``np.kron``, ``partial_trace`` and
+    """The dual Newton-CG projection with ``np.kron``, ``output_trace`` and
     ``np.clip`` on every dual point (oracle): ``(choi, iterations, delta,
     distance, raw_min_eig)`` as ``tomography.project_cptp`` computes them."""
     r = 0.5 * (m + dagger(m))
-    lam = (np.eye(d) - partial_trace(r, d, d)) / d
+    lam = (np.eye(d) - output_trace(r, d)) / d
     w, v, c, grad, theta = _oracle_dual_point(r, lam)
     delta, steps = frobenius(grad), 0
     while delta >= tol and steps < max_iter:

@@ -33,6 +33,7 @@ from conftest import (
     oracle_choi_to_ptm,
     oracle_kraus_to_choi,
     oracle_matrix_csv,
+    output_trace,
     random_density,
     random_effect,
     random_kraus_ops,
@@ -361,6 +362,16 @@ def test_is_cptp_reports():
     rep2 = is_cptp(shifted)
     assert rep2.min_eig == pytest.approx(-0.01, abs=1e-9)
     assert not rep2.passes
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+def test_is_cptp_tp_dev_is_the_einsum_output_trace_residual(num_qubits):
+    d = 2**num_qubits
+    rng = np.random.default_rng(num_qubits)
+    channel = kraus_to_choi(KrausSet(tuple(random_kraus_ops(rng, d)))).matrix
+    shape = (d * d, d * d)
+    for m in (channel, 1.1 * channel, rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+        assert is_cptp(ChoiMatrix(d, d, m)).tp_dev == frobenius(output_trace(m, d) - np.eye(d))
 
 
 def test_kraus_set_validation():

@@ -22,6 +22,7 @@ from choiqpt.gates import (
     to_native,
     verify_gate_identities,
 )
+from choiqpt.tomography import qpt
 from conftest import embed_operator, random_unitary
 
 SQSCZ = gate_unitary("SQSCZ")
@@ -263,6 +264,18 @@ def test_circuit_from_dict_malformed():
             circuit_from_dict(record)
     with pytest.raises(ValueError, match="unknown gate name 5"):
         circuit_from_dict({"num_qubits": 1, "gates": [{"name": 5, "qubits": [0]}]})
+
+
+def test_circuit_width_is_a_whole_number_stored_as_an_int():
+    for width in (1.5, True):
+        with pytest.raises(ValueError, match=f"num_qubits must be a whole number, got {width}"):
+            Circuit(width)
+    gates = (ga("SQSCZ", (0, 1)),)
+    c = Circuit(2.0, gates)
+    assert type(c.num_qubits) is int and c == Circuit(2, gates) and hash(c) == hash(Circuit(2, gates))
+    a, b = qpt(c, shots=500, seed=1), qpt(Circuit(2, gates), shots=500, seed=1)
+    assert a.dataset.to_json() == b.dataset.to_json() and a.report_dict() == b.report_dict()
+    assert np.array_equal(a.choi.matrix, b.choi.matrix)
 
 
 def test_circuit_dict_roundtrip_identity():

@@ -13,7 +13,6 @@ from choiqpt.linalg import (
     eig_hermitian,
     finite_number,
     kron_all,
-    partial_trace,
     product_labels,
     psd_sqrt,
     whole_number,
@@ -86,36 +85,6 @@ def test_kron_associative(seed):
     assert np.allclose(left, right, rtol=1e-13, atol=1e-15)
 
 
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(1)
-    rho_a = random_density(rng, 2)
-    rho_b = random_density(rng, 3)
-    joint = np.kron(rho_a, rho_b)
-    assert np.allclose(partial_trace(joint, 2, 3, keep="a"), rho_a, atol=1e-12)
-    assert np.allclose(partial_trace(joint, 2, 3, keep="b"), rho_b, atol=1e-12)
-
-
-def test_partial_trace_bell_marginal():
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1 / np.sqrt(2)
-    proj = np.outer(bell, bell.conj())
-    assert np.allclose(partial_trace(proj, 2, 2, keep="a"), I2 / 2, atol=1e-12)
-
-
-def test_partial_trace_dimension_mismatch():
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(6), 2, 2)
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_partial_trace_preserves_trace(seed):
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    for keep in ("a", "b"):
-        assert np.isclose(np.trace(partial_trace(m, 2, 3, keep=keep)), np.trace(m))
-
-
 def test_identity_choi_evolution_recovers_state():
     # Tr_in[(rho^T (x) I) C_id] == rho, with C_id assembled by the raw sum
     # over basis matrix units (independent of the channels module).
@@ -127,7 +96,7 @@ def test_identity_choi_evolution_recovers_state():
             unit = np.zeros((2, 2), dtype=complex)
             unit[k, m] = 1
             c_id += np.kron(unit, unit)
-    evolved = partial_trace(np.kron(rho.T, I2) @ c_id, 2, 2, keep="b")
+    evolved = np.einsum("ijil->jl", (np.kron(rho.T, I2) @ c_id).reshape(2, 2, 2, 2))
     assert np.abs(evolved - rho).max() < 1e-12
 
 

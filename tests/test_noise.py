@@ -1,5 +1,6 @@
 import collections
 import json
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from choiqpt.metrics import process_fidelity
 from choiqpt.noise import (
     MEDIAN_CNOT_ERROR,
     CnotCalibration,
+    DeviceCalibration,
     NoiseModel,
     compose_kraus,
     confusion_matrix,
@@ -106,6 +108,24 @@ def test_calibration_record_errors_name_the_field(edit, named):
     with pytest.raises(ValueError, match="malformed calibration record") as exc:
         parse_calibration(record)
     assert named in str(exc.value)
+
+
+def test_device_calibration_checks_each_row_against_its_key():
+    calib = parse_calibration(tab1_record())
+    qubits, cnot = calib.qubits, calib.cnot
+    cases = [
+        ({**qubits, 0: qubits[1], 1: qubits[0]}, cnot, "qubit 1's row is keyed as qubit 0"),
+        (qubits, {**cnot, (0, 1): cnot[(1, 0)]}, "CNOT pair (1, 0)'s row is keyed as (0, 1)"),
+        (
+            {i: q for i, q in qubits.items() if i != 6},
+            cnot,
+            "CNOT pair (5, 6) is on qubit(s) [6], not in the qubit table",
+        ),
+    ]
+    for bad_qubits, bad_cnot, named in cases:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            DeviceCalibration(bad_qubits, bad_cnot, calib.durations)
+    assert DeviceCalibration(dict(qubits), dict(cnot), calib.durations) == calib
 
 
 def test_cnot_error_reads_the_pair_then_the_reversed_pair_then_the_median():

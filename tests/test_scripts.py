@@ -47,19 +47,32 @@ def test_exact_agreement_check_fails_only_on_a_moved_exact_entry(tmp_path, monke
     shutil.copytree(base, head)
     sampled = head / "clean_simulator" / "seed3" / "report.json"
     sampled.write_text(sampled.read_text().replace('"seed": 3', '"seed": 4'))  # not compared
+    report_path = head / "exact_probabilities" / "seed3" / "report.json"
+    report = json.loads(report_path.read_text())
+    report["method"], report["added"] = "another_method", 1.0  # a string and a head-only key
+    report_path.write_text(json.dumps(report))
     check = ["check_exact_agreement.py", str(base), str(head)]
     with pytest.raises(SystemExit) as exc:
         run_script(monkeypatch, *check)
     assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in ("tp_deviation", "min_eigenvalue", "seed"):
+        assert f"ok    seed3 {name}: max deviation 0.000e+00" in out
+    assert "method" not in out and "added" not in out
     choi_path = head / "exact_probabilities" / "seed3" / "choi.json"
     choi = json.loads(choi_path.read_text())
     choi["im"][3][5] += 2e-12
     choi_path.write_text(json.dumps(choi))
+    report["tp_deviation"] += 2e-12
+    del report["min_eigenvalue"]
+    report_path.write_text(json.dumps(report))
     with pytest.raises(SystemExit) as exc:
         run_script(monkeypatch, *check)
     assert exc.value.code == 1
     out = capsys.readouterr().out
     assert "FAIL  seed3 choi.json im: max deviation 2.000e-12" in out
+    assert "FAIL  seed3 tp_deviation: max deviation 2.000e-12" in out
+    assert "FAIL  seed3 min_eigenvalue: not a number in" in out
     assert "ok    seed3 process_fidelity" in out
 
 

@@ -21,7 +21,7 @@ from choiqpt.channels import (
     pauli_basis,
 )
 from choiqpt.gates import Circuit, circuit_unitary, ga, gate_unitary, to_native
-from choiqpt.linalg import frobenius, partial_trace
+from choiqpt.linalg import frobenius
 from choiqpt.noise import (
     NoiseModel,
     compose_kraus,
@@ -60,6 +60,7 @@ from conftest import (
     oracle_job_frequencies,
     oracle_newton_step,
     oracle_project_cptp,
+    output_trace,
     random_density,
     random_hermitian,
     random_kraus_ops,
@@ -185,6 +186,17 @@ def test_qpt_rejects_shots_beyond_the_generator():
         qpt(SQSCZ_CIRCUIT, shots=2**63)
     assert tomography._probabilities.cache_info() == before  # rejected before any simulation
     assert build_plan(2, shots=2**63 - 1).shots == 2**63 - 1
+
+
+def test_execute_plan_checks_its_seed_before_it_simulates_and_records_an_int():
+    plan, before = build_plan(2, shots=500), tomography._probabilities.cache_info()
+    for seed, named in ((1.5, "got 1.5"), (True, "got True"), ("3", "got '3'"), (-1, ">= 0, got -1")):
+        with pytest.raises(ValueError, match=f"seed must be a whole number.*{named}"):
+            execute_plan(plan, SQSCZ_CIRCUIT, seed=seed)
+    assert tomography._probabilities.cache_info() == before  # rejected before any simulation
+    want = execute_plan(plan, SQSCZ_CIRCUIT, seed=3).to_json()
+    for seed in (np.int64(3), 3.0):
+        assert execute_plan(plan, SQSCZ_CIRCUIT, seed=seed).to_json() == want
 
 
 def test_plan_labels_are_built_once_and_stay_out_of_eq_and_hash():
@@ -323,7 +335,7 @@ ORACLE_TARGETS = {
     4: Circuit(4, (ga("SQSCZ", (3, 1)), ga("H", 0), ga("CNOT", (2, 0)), ga("RX", 3, 0.4))),
 }
 # Random jobs the composed-circuit oracle checks at each width; None is every job
-# (the oracle needs over a minute for all 1,728 noisy 3-qubit jobs).
+# (the oracle needs about 3 s for all 1,728 noisy 3-qubit jobs).
 ORACLE_JOBS = {1: None, 2: None, 3: 48, 4: 24}
 
 
@@ -1028,10 +1040,10 @@ def test_linear_inversion_sampled_is_hermitian():
 def test_tp_step_matches_kron_oracle(num_qubits):
     d = 2**num_qubits
     m = random_hermitian(np.random.default_rng(num_qubits), d * d)
-    want = m + np.kron((np.eye(d) - partial_trace(m, d, d, keep="a")) / d, np.eye(d))
+    want = m + np.kron((np.eye(d) - output_trace(m, d)) / d, np.eye(d))
     got = tp_step(m, d)
     assert np.abs(got - want).max() <= 1e-15
-    assert np.abs(partial_trace(got, d, d, keep="a") - np.eye(d)).max() <= 1e-12
+    assert np.abs(output_trace(got, d) - np.eye(d)).max() <= 1e-12
 
 
 def test_project_cptp_fixed_point():
@@ -1329,6 +1341,17 @@ _TARGETS = {
     2: SQSCZ_CIRCUIT,
     3: Circuit(3, (ga("SQSCZ", (0, 1)), ga("H", 2))),
 }
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["exact", "clean", "tab1"])
+def test_report_tp_deviation_is_the_projections_stopping_residual(num_qubits, mode):
+    noise = _tab1_noise(num_qubits) if mode == "tab1" else None
+    shots = {"exact": None, "clean": 11000, "tab1": 4000}[mode]
+    result = qpt(_TARGETS[num_qubits], noise=noise, shots=shots, seed=num_qubits)
+    assert result.report.tp_deviation == result.projection.delta
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
