@@ -63,6 +63,7 @@ from .tomography import (
     linear_inversion,
     project_cptp,
     qpt,
+    reconstruct,
 )
 
 __all__ = [
@@ -84,7 +85,7 @@ __all__ = [
     "CountsTable", "circuit_probabilities", "ground_state", "measure_probabilities",
     "sample_counts", "simulate",
     # tomography
-    "ProjectionResult", "QptResult", "ReconstructionOptions", "TomographyDataset",
-    "TomographyPlan", "build_plan", "execute_plan", "linear_inversion", "project_cptp", "qpt",
+    "ProjectionResult", "QptResult", "ReconstructionOptions", "TomographyDataset", "TomographyPlan",
+    "build_plan", "execute_plan", "linear_inversion", "project_cptp", "qpt", "reconstruct",
 ]
 __version__ = "0.1.0"

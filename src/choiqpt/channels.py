@@ -30,6 +30,7 @@ from .linalg import (
     is_unitary,
     kron_all,
     product_labels,
+    whole_number,
 )
 
 _C = np.complex128
@@ -64,6 +65,10 @@ class ChoiMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
+        for name in ("dim_in", "dim_out"):
+            if (dim := whole_number(getattr(self, name), name)) < 1:
+                raise ValueError(f"{name} must be at least 1, got {dim}")
+            object.__setattr__(self, name, dim)
         if self.dim_in != self.dim_out:
             raise ValueError(f"Choi matrix needs dim_in == dim_out, got {self.dim_in} and {self.dim_out}")
         m = as_complex_matrix(self.matrix)

@@ -26,7 +26,7 @@ from .gates import load_circuit, verify_gate_identities
 from .linalg import product_labels
 from .noise import noise_model_from_calibration, parse_calibration
 from .simulator import circuit_probabilities, sample_counts
-from .tomography import ReconstructionOptions, qpt
+from .tomography import QptResult, ReconstructionOptions, qpt
 
 
 def _json_dumps(obj) -> str:
@@ -79,15 +79,11 @@ def _write_files(out: str, files: dict[str, str]) -> Path:
     return out
 
 
-def cmd_run(args) -> int:
-    circuit = load_circuit(args.circuit)
-    noise = _load_noise(args, circuit.num_qubits)
-    options = ReconstructionOptions("linear_inversion" if args.no_cptp else "linear_inversion_then_cptp")
-    shots = None if args.exact else args.shots
-    result = qpt(circuit, noise=noise, shots=shots, seed=args.seed, options=options)
-    labels = product_labels("01", 2 * circuit.num_qubits)  # (input, output) basis states
+def run_artifacts(result: QptResult) -> dict[str, str]:
+    """The nine files of a ``qpt run`` directory, by name, built from the result alone."""
+    labels = product_labels("01", 2 * result.dataset.plan.num_qubits)  # (input, output) basis states
     chi = choi_to_chi(result.choi)
-    files = {
+    return {
         "dataset.json": result.dataset.to_json() + "\n",
         "choi.json": choi_to_json(result.choi) + "\n",
         "report.json": _json_dumps(result.report_dict()),
@@ -98,7 +94,15 @@ def cmd_run(args) -> int:
         "chi_re_hinton.svg": viz.svg_hinton(chi.matrix.real, chi.labels, "Re chi"),
         "chi_im_hinton.svg": viz.svg_hinton(chi.matrix.imag, chi.labels, "Im chi"),
     }
-    out = _write_files(args.out, files)
+
+
+def cmd_run(args) -> int:
+    circuit = load_circuit(args.circuit)
+    noise = _load_noise(args, circuit.num_qubits)
+    options = ReconstructionOptions("linear_inversion" if args.no_cptp else "linear_inversion_then_cptp")
+    shots = None if args.exact else args.shots
+    result = qpt(circuit, noise=noise, shots=shots, seed=args.seed, options=options)
+    out = _write_files(args.out, run_artifacts(result))
 
     rep = result.report
     print(

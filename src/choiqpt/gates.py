@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -144,6 +145,8 @@ class Circuit:
         if self.num_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
         for g in self.gates:
+            if not isinstance(g, GateApplication):
+                raise ValueError(f"circuit gates must be GateApplication entries, got {g!r}")
             if max(g.qubits) >= self.num_qubits:
                 raise ValueError(
                     f"gate {g.name} on qubits {g.qubits} exceeds width {self.num_qubits}"
@@ -167,7 +170,7 @@ class Circuit:
 
 def ga(name: str, qubits, *params: float) -> GateApplication:
     """Shorthand constructor used when building circuits in code."""
-    if isinstance(qubits, int):
+    if isinstance(qubits, numbers.Integral):
         qubits = (qubits,)
     return GateApplication(name, tuple(qubits), tuple(params))
 

@@ -405,7 +405,9 @@ class ProjectionResult:
     is the final trace-preserving residual ``||Tr_out C - I||_F``.  With R the
     Hermitian part of the raw estimate, kept as ``raw_hermitian``, ``distance``
     is ``||C - R||_F`` and ``raw_min_eig`` the least eigenvalue of R, computed
-    on first use."""
+    on first use.  ``dual`` is the final d x d multiplier L, so ``C = P+(R + L (x) I)``; ``eigh``
+    reads only L's lower triangle and real diagonal there, and its upper triangle may drift off
+    Hermitian in rounding."""
 
     choi: ChoiMatrix
     converged: bool
@@ -413,6 +415,7 @@ class ProjectionResult:
     delta: float
     distance: float
     raw_hermitian: np.ndarray = field(repr=False, compare=False)
+    dual: np.ndarray = field(repr=False, compare=False)
 
     @functools.cached_property
     def raw_min_eig(self) -> float:
@@ -517,7 +520,7 @@ def project_cptp(
                 break
             alpha /= 2
         lam, delta, (w, v, c, grad, theta) = trial_lam, trial_delta, trial
-    return ProjectionResult(ChoiMatrix(d, d, c), delta < tol, steps, delta, frobenius(c - r), r)
+    return ProjectionResult(ChoiMatrix(d, d, c), delta < tol, steps, delta, frobenius(c - r), r, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +573,26 @@ def _ideal_choi(target: Circuit, noise: None) -> np.ndarray:
     return choi_from_unitary(circuit_unitary(target)).matrix
 
 
+def reconstruct(
+    dataset: TomographyDataset, target: Circuit, options: ReconstructionOptions | None = None
+) -> QptResult:
+    """Invert a recorded dataset, project it unless ``options.method`` is ``linear_inversion``,
+    and score it against the target's ideal Choi matrix, memoised per target (:func:`_ideal_choi`)."""
+    if (k := dataset.plan.num_qubits) != target.num_qubits:
+        raise ValueError(f"a {k}-qubit dataset cannot reconstruct a {target.num_qubits}-qubit target")
+    raw = linear_inversion(dataset)
+    proj = None
+    if (options or ReconstructionOptions()).method == "linear_inversion_then_cptp":
+        proj = project_cptp(raw)
+        choi, converged = proj.choi, proj.converged
+    else:
+        choi, converged = raw, True
+    d = 2**k
+    ideal = ChoiMatrix(d, d, _ideal_choi(target, None))  # shares the memoised read-only matrix
+    report = fidelity_report(choi, ideal)
+    return QptResult(choi, raw, ideal, report, dataset, converged, proj)
+
+
 def qpt(
     target: Circuit,
     noise: NoiseModel | None = None,
@@ -577,23 +600,6 @@ def qpt(
     seed: int = 0,
     options: ReconstructionOptions | None = None,
 ) -> QptResult:
-    """Full tomography of a circuit: plan, execute, invert, project, score.
-
-    ``shots=None`` uses exact probabilities.  The fidelity in the report
-    compares the estimate against the Choi matrix of the target's ideal unitary,
-    memoised per target (:func:`_ideal_choi`).
-    """
-    options = options or ReconstructionOptions()
-    plan = build_plan(target.num_qubits, shots)
-    dataset = execute_plan(plan, target, noise=noise, seed=seed)
-    raw = linear_inversion(dataset)
-    proj = None
-    if options.method == "linear_inversion_then_cptp":
-        proj = project_cptp(raw)
-        choi, converged = proj.choi, proj.converged
-    else:
-        choi, converged = raw, True
-    d = 2**target.num_qubits
-    ideal = ChoiMatrix(d, d, _ideal_choi(target, None))  # shares the memoised read-only matrix
-    report = fidelity_report(choi, ideal)
-    return QptResult(choi, raw, ideal, report, dataset, converged, proj)
+    """Plan and execute the target's tomography, then :func:`reconstruct` it; ``shots=None`` is exact."""
+    dataset = execute_plan(build_plan(target.num_qubits, shots), target, noise=noise, seed=seed)
+    return reconstruct(dataset, target, options)

@@ -181,6 +181,25 @@ def tp_step(m: np.ndarray, d: int) -> np.ndarray:
     return (t + shift[:, None, :, None] * np.eye(d)[None, :, None, :]).reshape(m.shape)
 
 
+def kkt_residuals(result) -> tuple[float, float, float, float]:
+    """The optimality conditions of a CPTP projection, read from its result: min eig C and min
+    eig Z (each >= 0), |<C, Z>| and ||Tr_out C - I||_F (each 0), with the PSD-cone multiplier
+    ``Z = C - (R + L (x) I)`` for R the raw estimate's Hermitian part and L the dual.  Together
+    they certify that C is the nearest CPTP point to R, whatever path the solver took.  L is
+    the Hermitian matrix of the dual's lower triangle and real diagonal, which is what numpy's
+    ``eigh`` reads of ``R + L (x) I``: the upper triangle drifts off Hermitian in rounding."""
+    c, r, lam = result.choi.matrix, result.raw_hermitian, result.dual
+    d = lam.shape[0]
+    low = np.tril(lam, -1)
+    z = c - (r + np.kron(low + low.conj().T + np.diag(lam.diagonal().real), np.eye(d)))
+    return (
+        np.linalg.eigvalsh(c)[0],
+        np.linalg.eigvalsh(z)[0],
+        abs(np.vdot(c, z)),
+        frobenius(output_trace(c, d) - np.eye(d)),
+    )
+
+
 def dykstra_cptp(m: np.ndarray, d: int, tol: float, max_iter: int = 100_000) -> np.ndarray:
     """Nearest CPTP matrix by Dykstra-corrected alternating projections (oracle).
 

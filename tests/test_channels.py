@@ -25,6 +25,7 @@ from choiqpt.channels import (
 )
 from choiqpt.gates import PAULI_X, gate_unitary
 from choiqpt.linalg import frobenius, product_labels
+from choiqpt.tomography import project_cptp
 from conftest import (
     apply_kraus,
     oracle_chi_to_choi,
@@ -304,6 +305,31 @@ def test_choi_matrix_rejects_unequal_dimensions():
     # choi.json carries one dim, so only a d-to-d Choi matrix could round-trip
     with pytest.raises(ValueError, match="Choi matrix needs dim_in == dim_out, got 2 and 4$"):
         ChoiMatrix(2, 4, np.eye(8))
+
+
+@pytest.mark.parametrize(
+    "dims, message",
+    [
+        ((True, True), "dim_in must be a whole number, got True"),
+        ((2.5, 2.5), "dim_in must be a whole number, got 2.5"),
+        ((2, True), "dim_out must be a whole number, got True"),
+        ((0, 0), "dim_in must be at least 1, got 0"),
+        ((1, -1), "dim_out must be at least 1, got -1"),
+    ],
+    ids=["bool", "fraction", "bool_out", "zero", "negative_out"],
+)
+def test_choi_matrix_rejects_dimensions_that_are_not_whole_numbers_from_1(dims, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ChoiMatrix(*dims, np.eye(1))
+
+
+def test_choi_matrix_stores_whole_float_dimensions_as_ints():
+    # before, ChoiMatrix(2.0, 2.0, m) built, and is_cptp and project_cptp then raised TypeError
+    m = choi_from_unitary(gate_unitary("H")).matrix - 0.01 * np.eye(4)
+    a, b = ChoiMatrix(2.0, 2.0, m), ChoiMatrix(np.int64(2), 2, m)
+    assert (type(a.dim_in), type(a.dim_out), type(b.dim_in)) == (int, int, int)
+    assert is_cptp(a) == is_cptp(b) == is_cptp(ChoiMatrix(2, 2, m))
+    assert project_cptp(a).choi.matrix.tobytes() == project_cptp(ChoiMatrix(2, 2, m)).choi.matrix.tobytes()
 
 
 def test_pauli_labels_need_no_basis_operators():

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from choiqpt import gates, noise_model_from_calibration, parse_calibration, qpt, simulator, tomography, viz
-from choiqpt.channels import choi_from_unitary, choi_to_chi, choi_to_json, is_cptp
-from choiqpt.cli import build_parser, main
-from choiqpt.metrics import fidelity_report
+from choiqpt.channels import choi_to_chi, is_cptp
+from choiqpt.cli import build_parser, main, run_artifacts
 from choiqpt.simulator import CountsTable
-from choiqpt.tomography import TomographyDataset, linear_inversion, project_cptp
+from choiqpt.tomography import ReconstructionOptions, TomographyDataset, reconstruct
 from conftest import (
     data_path,
     oracle_choi_json,
@@ -150,8 +149,8 @@ def test_run_files_match_oracle_writers(tmp_path, num_qubits, mode):
 @pytest.mark.parametrize("num_qubits", [1, 2])
 @pytest.mark.parametrize("mode", ["exact", "clean", "tab1", "no_cptp"])
 def test_run_dataset_json_reconstructs_its_choi_json(tmp_path, num_qubits, mode):
-    # the frequencies a loaded dataset derives from its outcomes invert to the run's own estimate,
-    # and the result built from that estimate and the circuit writes the run's own report.json
+    # a run directory is a function of its dataset.json, its circuit and its method: the loaded
+    # dataset, reconstructed against the circuit, rebuilds all nine files byte for byte
     name, qubits = ("SQSCZ", [0, 1]) if num_qubits > 1 else ("H", [0])
     gate = {"name": name, "params": [], "qubits": qubits}
     circuit = tmp_path / "circuit.json"
@@ -163,14 +162,9 @@ def test_run_dataset_json_reconstructs_its_choi_json(tmp_path, num_qubits, mode)
     assert run_cli(*args, *flags[mode]) == 0
     dataset = TomographyDataset.from_dict(json.loads((out / "dataset.json").read_text()))
     assert (dataset.plan.shots is None) == (mode == "exact")
-    raw = linear_inversion(dataset)
-    proj = None if mode == "no_cptp" else project_cptp(raw)
-    choi, converged = (raw, True) if proj is None else (proj.choi, proj.converged)
-    assert choi_to_json(choi) + "\n" == (out / "choi.json").read_text()
-    ideal = choi_from_unitary(gates.circuit_unitary(gates.load_circuit(str(circuit))))
-    result = tomography.QptResult(choi, raw, ideal, fidelity_report(choi, ideal), dataset, converged)
-    report = json.dumps(result.report_dict(), indent=2, sort_keys=True) + "\n"
-    assert report == (out / "report.json").read_text()
+    options = ReconstructionOptions("linear_inversion" if mode == "no_cptp" else "linear_inversion_then_cptp")
+    files = run_artifacts(reconstruct(dataset, gates.load_circuit(str(circuit)), options))
+    assert {f: text.encode() for f, text in files.items()} == _files(out)
 
 
 def _files(out: Path) -> dict[str, bytes]:

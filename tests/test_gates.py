@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choiqpt import gates
+from choiqpt import gates, noise_model_from_calibration, parse_calibration
+from choiqpt.channels import choi_from_unitary
 from choiqpt.gates import (
     Circuit,
     GateApplication,
@@ -22,8 +24,9 @@ from choiqpt.gates import (
     to_native,
     verify_gate_identities,
 )
-from choiqpt.tomography import qpt
-from conftest import embed_operator, random_unitary
+from choiqpt.metrics import process_fidelity
+from choiqpt.tomography import channel_choi, qpt
+from conftest import data_path, embed_operator, random_unitary
 
 SQSCZ = gate_unitary("SQSCZ")
 CNOT = gate_unitary("CNOT")
@@ -189,6 +192,30 @@ def test_cnot_from_sqscz_contract():
     assert ok
 
 
+# true F_P of the simulated channel and F_P of its exact-probability estimate, each against the
+# circuit's own ideal (CNOT), under each calibration table
+CNOT_FROM_SQSCZ_FIDELITIES = {
+    "tab1": (0.94350, 0.85371), "tab3": (0.93396, 0.84747), "tab4": (0.93548, 0.84971),
+}
+
+
+@pytest.mark.parametrize("table", sorted(CNOT_FROM_SQSCZ_FIDELITIES))
+def test_shipped_cnot_from_sqscz_circuit(tmp_path, table):
+    path = data_path("cnot_from_sqscz_circuit.json")
+    circuit = load_circuit(path)
+    assert circuit == cnot_from_sqscz()
+    save_circuit(cnot_from_sqscz(), tmp_path / "cnot.json")
+    assert (tmp_path / "cnot.json").read_bytes() == Path(path).read_bytes()
+    native = to_native(circuit)
+    assert (len(native.gates), native.count("CNOT")) == (54, 4)
+    calib = parse_calibration(data_path(f"ibm_perth_{table}.json"))
+    noise = noise_model_from_calibration(calib, num_qubits=2)
+    ideal = choi_from_unitary(circuit_unitary(circuit))
+    true_fp = process_fidelity(channel_choi(circuit, noise), ideal)
+    estimate_fp = qpt(circuit, noise=noise, shots=None).report.process_fidelity
+    assert (true_fp, estimate_fp) == pytest.approx(CNOT_FROM_SQSCZ_FIDELITIES[table], abs=5e-6)
+
+
 def test_cnot_synthesis_is_exact_with_these_conventions():
     # the single-qubit sandwich reproduces CNOT with zero global phase
     u = circuit_unitary(cnot_from_sqscz())
@@ -276,6 +303,20 @@ def test_circuit_width_is_a_whole_number_stored_as_an_int():
     a, b = qpt(c, shots=500, seed=1), qpt(Circuit(2, gates), shots=500, seed=1)
     assert a.dataset.to_json() == b.dataset.to_json() and a.report_dict() == b.report_dict()
     assert np.array_equal(a.choi.matrix, b.choi.matrix)
+
+
+def test_ga_takes_any_integer_as_one_qubit():
+    # before, ga("H", np.int64(0)) raised TypeError: 'numpy.int64' object is not iterable
+    g = ga("H", np.int64(0))
+    assert g == ga("H", 0) and type(g.qubits[0]) is int
+    with pytest.raises(ValueError, match="qubit must be a whole number, got True"):
+        ga("H", True)
+
+
+def test_circuit_rejects_an_entry_that_is_not_a_gate_application():
+    # before, Circuit(2, ("H",)) raised AttributeError
+    with pytest.raises(ValueError, match="circuit gates must be GateApplication entries, got 'H'"):
+        Circuit(2, ("H",))
 
 
 def test_circuit_dict_roundtrip_identity():

@@ -35,7 +35,8 @@ def test_all_lists_every_export_and_nothing_else():
 def test_submodules_stay_importable_outside_all():
     from choiqpt import tomography, viz
 
-    assert tomography.qpt is choiqpt.qpt and callable(viz.svg_city)
+    assert tomography.qpt is choiqpt.qpt and tomography.reconstruct is choiqpt.reconstruct
+    assert callable(viz.svg_city)
     assert not {"tomography", "viz", "simulator"} & set(choiqpt.__all__)
 
 

@@ -50,11 +50,13 @@ from choiqpt.tomography import (
     prep_circuit,
     project_cptp,
     qpt,
+    reconstruct,
 )
 from conftest import (
     Stopwatch,
     data_path,
     dykstra_cptp,
+    kkt_residuals,
     oracle_dataset_counts,
     oracle_dataset_json,
     oracle_job_frequencies,
@@ -1064,16 +1066,22 @@ def test_project_cptp_restores_physicality():
     assert rep.tp_dev < 1e-8
 
 
-@pytest.mark.parametrize("num_qubits", [1, 2, 3])
-@pytest.mark.parametrize("raw", [0.02, 0.1, 1, 5, "zero", "minus_identity"])
-def test_project_cptp_matches_dykstra_oracle(num_qubits, raw):
+DYKSTRA_RAW = [0.02, 0.1, 1, 5, "zero", "minus_identity"]
+
+
+def _dykstra_input(num_qubits: int, raw) -> np.ndarray:
     d = 2**num_qubits
     if raw == "zero":
-        m = np.zeros((d * d, d * d))
-    elif raw == "minus_identity":
-        m = -np.eye(d * d)
-    else:
-        m = random_hermitian(np.random.default_rng([num_qubits, int(100 * raw)]), d * d, raw)
+        return np.zeros((d * d, d * d))
+    if raw == "minus_identity":
+        return -np.eye(d * d)
+    return random_hermitian(np.random.default_rng([num_qubits, int(100 * raw)]), d * d, raw)
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+@pytest.mark.parametrize("raw", DYKSTRA_RAW)
+def test_project_cptp_matches_dykstra_oracle(num_qubits, raw):
+    d, m = 2**num_qubits, _dykstra_input(num_qubits, raw)
     res = project_cptp(ChoiMatrix(d, d, m))
     assert res.converged
     assert res.iterations <= 15
@@ -1167,15 +1175,49 @@ def test_project_cptp_diagnostics_bound_distance(num_qubits, scale):
     assert res.distance >= -res.raw_min_eig - 1e-12
 
 
+def _backtracking_input() -> np.ndarray:
+    return random_hermitian(np.random.default_rng([2, 100, 0]), 16, 100)
+
+
 def test_project_cptp_backtracks_far_from_cptp():
     # full Newton steps overshoot this far out: without backtracking it takes 58 steps
-    m = random_hermitian(np.random.default_rng([2, 100, 0]), 16, 100)
+    m = _backtracking_input()
     res = project_cptp(ChoiMatrix(4, 4, m))
     assert res.converged
     assert res.iterations <= 15
     rep = is_cptp(res.choi)
     assert rep.min_eig >= -1e-12
     assert rep.tp_dev < 1e-9
+
+
+def _tab1_estimate(num_qubits: int) -> np.ndarray:
+    """The linear-inversion estimate of SQSCZ (H on one qubit) and H on the rest, tab1 at 4k shots."""
+    head = [ga("H", 0)] if num_qubits == 1 else [ga("SQSCZ", (0, 1))]
+    target = Circuit(num_qubits, (*head, *(ga("H", q) for q in range(2, num_qubits))))
+    calib = parse_calibration(data_path("ibm_perth_tab1.json"))
+    noise = noise_model_from_calibration(calib, num_qubits=num_qubits)
+    dataset = execute_plan(build_plan(num_qubits, 4000), target, noise=noise, seed=num_qubits)
+    return linear_inversion(dataset).matrix
+
+
+@pytest.mark.parametrize(
+    "num_qubits, build",
+    [pytest.param(k, functools.partial(_dykstra_input, k, raw), id=f"dykstra-{k}-{raw}")
+     for k in (1, 2, 3) for raw in DYKSTRA_RAW]
+    + [pytest.param(k, functools.partial(_tab1_estimate, k), id=f"tab1-{k}") for k in (1, 2, 3, 4)]
+    + [pytest.param(2, _backtracking_input, id="backtracking")],
+)
+def test_project_cptp_certifies_its_optimality(num_qubits, build):
+    # the KKT conditions of the nearest CPTP point, checked on the result alone: they pin the
+    # answer without pinning the solver's floating-point order
+    d = 2**num_qubits
+    res = project_cptp(ChoiMatrix(d, d, build()))
+    tol = 1e-9 * max(1.0, frobenius(res.raw_hermitian))
+    min_eig_c, min_eig_z, complementarity, tp_residual = kkt_residuals(res)
+    assert min_eig_c >= -tol
+    assert min_eig_z >= -tol
+    assert complementarity <= tol
+    assert tp_residual <= tol
 
 
 @pytest.mark.parametrize(
@@ -1224,6 +1266,14 @@ def test_qpt_carries_projection_diagnostics():
     assert result.projection.converged == result.converged
     assert result.projection.choi is result.choi
     assert "projection" not in json.dumps(result.report_dict(shots=500, seed=2))
+
+
+def test_reconstruct_rejects_a_dataset_of_another_width():
+    dataset = qpt(SQSCZ_CIRCUIT, shots=None).dataset
+    for width in (1, 3):
+        message = f"^a 2-qubit dataset cannot reconstruct a {width}-qubit target$"
+        with pytest.raises(ValueError, match=message):
+            reconstruct(dataset, Circuit(width, (ga("H", 0),)))
 
 
 def test_report_dict_rejects_shots_that_are_not_the_plans():
