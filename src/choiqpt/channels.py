@@ -38,7 +38,7 @@ _C = np.complex128
 _PAULI_1Q = {"I": ID2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as arrays have no ==
 class PauliBasis:
     """Ordered tensor-product Pauli operators for ``num_qubits`` wires."""
 
@@ -119,7 +119,7 @@ class KrausSet:
         return read_only(kraus_superop(self.operators))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as arrays have no ==
 class ChiMatrix:
     """Process matrix over an operator basis (labels track the ordering)."""
 
@@ -127,7 +127,7 @@ class ChiMatrix:
     labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as arrays have no ==
 class PTMatrix:
     """Real transfer matrix R[m,n] = Tr(W_m E(W_n)) / d over the Pauli basis."""
 

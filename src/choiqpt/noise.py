@@ -24,7 +24,6 @@ import json
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -254,7 +253,7 @@ def confusion_matrix(p_meas0_prep1: float, p_meas1_prep0: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as arrays have no ==
 class NoiseModel:
     """Per-gate Kraus noise plus per-qubit readout confusion, immutable once built.
 
@@ -265,7 +264,6 @@ class NoiseModel:
     (RZ/Ph are virtual).  Gate durations enter only through these Kraus
     sets; ``label`` is keyword-only.  Both maps are read-only copies of the
     caller's dicts, confusion matrices read-only :func:`column_stochastic` arrays.
-    Models compare and hash by value through :attr:`_key`, built once; ``label`` is left out.
     """
 
     gate_noise: Mapping[tuple[str, tuple[int, ...]], KrausSet]
@@ -276,19 +274,6 @@ class NoiseModel:
         confusion = {q: read_only(column_stochastic(m, q)) for q, m in self.readout_confusion.items()}
         object.__setattr__(self, "gate_noise", MappingProxyType(dict(self.gate_noise)))
         object.__setattr__(self, "readout_confusion", MappingProxyType(confusion))
-
-    @cached_property
-    def _key(self) -> tuple:
-        """Entry keys with Kraus dims and operator bytes, then confusion shapes and bytes."""
-        gates = self.gate_noise.items()
-        kraus = tuple((k, ks.dim, b"".join(map(np.ndarray.tobytes, ks.operators))) for k, ks in gates)
-        return kraus, tuple((q, m.shape, m.tobytes()) for q, m in self.readout_confusion.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NoiseModel) and (self is other or self._key == other._key)
-
-    def __hash__(self) -> int:
-        return hash(self._key)
 
     def kraus_for(self, name: str, qubits: tuple[int, ...]) -> KrausSet | None:
         return self.gate_noise.get((name, tuple(qubits)))
@@ -331,14 +316,19 @@ def noise_model_from_calibration(
     """Assemble a NoiseModel for a ``num_qubits`` register.
 
     ``qubit_map[i]`` names the calibration qubit backing circuit qubit ``i``
-    (defaults to the identity mapping).  SX, X and CNOT durations come from
+    (defaults to the identity mapping); its entries are distinct whole numbers,
+    and ``num_qubits`` is a whole number >= 1.  SX, X and CNOT durations come from
     the calibration's ``durations_ns``, else from ``DEFAULT_DURATIONS_NS``;
     the measurement duration is each qubit's readout length.
     """
-    if qubit_map is None:
-        qubit_map = tuple(range(num_qubits))
+    if (num_qubits := whole_number(num_qubits, "num_qubits")) < 1:
+        raise ValueError(f"num_qubits must be at least 1, got {num_qubits}")
+    qubits = range(num_qubits) if qubit_map is None else qubit_map
+    qubit_map = tuple(whole_number(q, "qubit_map entry") for q in qubits)
     if len(qubit_map) != num_qubits:
         raise ValueError("qubit_map length must equal num_qubits")
+    if len(set(qubit_map)) != num_qubits:
+        raise ValueError(f"qubit_map entries must be distinct, got {qubit_map}")
     dur = {k: v * 1e-9 for k, v in DEFAULT_DURATIONS_NS.items()} | calib.durations
 
     gate_noise: dict[tuple[str, tuple[int, ...]], KrausSet] = {}

@@ -80,7 +80,7 @@ def _memo_upto(max_qubits: int):
     for its last 4 pairs of at most ``max_qubits`` qubits (the wrapper's ``max_qubits``); a wider
     call runs uncached and keeps nothing.  Worst cases: 4 x 1 MB for ``_from_ground`` (cap 8),
     4 x 2.65 MB for ``tomography._probabilities`` (cap 4), 4 x 1 MB for ``tomography._ideal_choi``
-    (cap 4, called with ``noise=None``).  Equal noise models hit."""
+    (cap 4, called with ``noise=None``).  A noise model is keyed by identity."""
     def decorate(f):
         kept = lru_cache(maxsize=4)(lambda c, noise: read_only(f(c, noise)))
         def memo(c, noise):
@@ -199,11 +199,16 @@ class CountsTable:
     shots: int
     counts: dict[str, int]
 
-    def __post_init__(self):
-        if any(n < 0 for n in self.counts.values()):
+    def __post_init__(self):  # stores shots and counts as ints
+        if (shots := whole_number(self.shots, "shots")) < 1:
+            raise ValueError(f"shots must be at least 1, got {shots}")
+        counts = {k: whole_number(n, f"count of {k!r}") for k, n in self.counts.items()}
+        if any(n < 0 for n in counts.values()):
             raise ValueError("counts must be non-negative")
-        if sum(self.counts.values()) != self.shots:
+        if sum(counts.values()) != shots:
             raise ValueError("counts do not sum to the shot total")
+        object.__setattr__(self, "shots", shots)
+        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def _unchecked(cls, shots: int, counts: dict[str, int]) -> "CountsTable":
@@ -253,7 +258,7 @@ def sample_counts(
     tables.  When ``confusion`` (a sequence of 2x2 column-stochastic
     matrices, one per qubit) is given, :func:`apply_confusion` maps ``probs``
     before the draw, as if each sampled bit flipped per its matrix.  Raises
-    unless ``shots`` is a whole number > 0, no probability is below -1e-8,
+    unless ``shots`` is a whole number > 0, no probability is nan or below -1e-8,
     and ``probs`` is one vector of length 2^K that sums to 1 within 1e-8.
     """
     probs = np.asarray(probs, dtype=float)
@@ -262,12 +267,12 @@ def sample_counts(
         raise ValueError("shots > 0 required")
     if probs.ndim != 1:
         raise ValueError(f"probabilities must be one vector, not an array of shape {probs.shape}")
-    if probs.min() < -1e-8:
-        raise ValueError(f"negative probability {probs.min():.3e}")
+    if not probs.min() >= -1e-8:  # written as negations, so that a nan entry fails too
+        raise ValueError(f"probabilities must be >= -1e-8, got a minimum of {probs.min():.3e}")
     num_qubits = int(round(np.log2(probs.shape[-1])))
     if 2**num_qubits != probs.shape[-1]:
         raise ValueError("probability vector length must be a power of two")
-    if abs(probs.sum() - 1.0) > 1e-8:
+    if not abs(probs.sum() - 1.0) <= 1e-8:
         raise ValueError(f"probabilities sum to {probs.sum():.6g}")
     p = probs if confusion is None else apply_confusion(probs, confusion)
     vec = draw_counts(p[None], shots, seed)[0].tolist()

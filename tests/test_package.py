@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import sys
 from pathlib import Path
@@ -38,6 +39,18 @@ def test_submodules_stay_importable_outside_all():
     assert tomography.qpt is choiqpt.qpt and tomography.reconstruct is choiqpt.reconstruct
     assert callable(viz.svg_city)
     assert not {"tomography", "viz", "simulator"} & set(choiqpt.__all__)
+
+
+def test_no_exported_dataclass_compares_an_array_field():
+    # a generated == over an array raises "truth value ... is ambiguous", and hash() raises:
+    # a dataclass holding arrays is declared eq=False, or leaves those fields out of ==
+    checked = [getattr(choiqpt, name) for name in choiqpt.__all__]
+    checked = [cls for cls in checked if dataclasses.is_dataclass(cls)]
+    assert checked
+    for cls in checked:
+        if cls.__dataclass_params__.eq:
+            compared = [f for f in dataclasses.fields(cls) if f.compare and "ndarray" in str(f.type)]
+            assert not compared, f"{cls.__name__} compares array field(s) {[f.name for f in compared]}"
 
 
 def test_package_imports_nothing_beyond_the_standard_library_and_numpy():

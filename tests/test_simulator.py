@@ -260,6 +260,9 @@ def test_sample_counts_validation():
         sample_counts(np.array([1.2, -0.2]), 10, seed=1)
     with pytest.raises(ValueError):
         sample_counts(np.array([0.4, 0.4]), 10, seed=1)  # does not sum to 1
+    for probs in ([np.nan, 1.0], [1.0, np.nan], [np.nan] * 4):  # numpy's own nan check is never reached
+        with pytest.raises(ValueError, match="probabilities must be >= -1e-8, got a minimum of nan"):
+            sample_counts(probs, 10, 0)
 
 
 def test_sample_counts_confusion_statistics(perth_noise):
@@ -349,6 +352,29 @@ def test_counts_table_roundtrip_and_invariant():
         CountsTable(11, {"00": 4, "01": 6})
     with pytest.raises(ValueError, match="counts must be non-negative"):
         CountsTable(10, {"00": 11, "01": -1})
+
+
+@pytest.mark.parametrize(
+    "shots, counts, message",
+    [
+        (2, {"0": 1.5, "1": 0.5}, "count of '0' must be a whole number, got 1.5"),
+        (2, {"0": True, "1": 1}, "count of '0' must be a whole number, got True"),
+        (True, {"0": 1}, "shots must be a whole number, got True"),
+        (2.5, {"0": 2}, "shots must be a whole number, got 2.5"),
+        (0, {}, "shots must be at least 1, got 0"),
+        (-1, {"0": -1}, "shots must be at least 1, got -1"),
+    ],
+    ids=["fraction_count", "bool_count", "bool_shots", "fraction_shots", "zero_shots", "negative_shots"],
+)
+def test_counts_table_takes_whole_shots_from_1_and_whole_counts(shots, counts, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CountsTable(shots, counts)
+
+
+def test_counts_table_stores_whole_numbers_as_ints():
+    t = CountsTable(4.0, {"0": np.int64(3), "1": 1.0})
+    assert type(t.shots) is int and all(type(n) is int for n in t.counts.values())
+    assert t == CountsTable(4, {"0": 3, "1": 1}) and t.frequency("0") == 0.75
 
 
 def test_ground_state():

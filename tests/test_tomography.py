@@ -14,7 +14,10 @@ from choiqpt import simulator, tomography
 from choiqpt.channels import (
     ChoiMatrix,
     KrausSet,
+    PauliBasis,
     choi_from_unitary,
+    choi_to_chi,
+    choi_to_ptm,
     is_cptp,
     kraus_to_choi,
     outcome_probability,
@@ -543,14 +546,14 @@ def test_memoised_probabilities_equal_a_cold_run(num_qubits, noisy, tab1_path, m
     assert all(_same_dataset(w, c) for w, c in zip(warm, cold))
 
 
-def test_memo_hits_an_equal_model_and_misses_a_changed_one(tab1_path, monkeypatch):
+def test_memo_hits_the_same_model_and_misses_a_rebuilt_or_changed_one(tab1_path, monkeypatch):
     plan, target = build_plan(2, shots=400), ORACLE_TARGETS[2]
     noise = _oracle_noise(tab1_path, 2)
     tomography._probabilities.cache_clear()
     base = execute_plan(plan, target, noise, seed=4)
     calls = _counting_evolve(monkeypatch)
-    assert _same_dataset(execute_plan(plan, target, _oracle_noise(tab1_path, 2), seed=4), base)
-    assert calls == []  # a freshly parsed, equal calibration is the same key
+    assert _same_dataset(execute_plan(plan, target, noise, seed=4), base)
+    assert calls == []  # the same model object is the same key
 
     sx = noise.gate_noise[("SX", (1,))]
     other_kraus = dict(noise.gate_noise) | {("SX", (1,)): compose_kraus(sx, sx)}
@@ -559,6 +562,10 @@ def test_memo_hits_an_equal_model_and_misses_a_changed_one(tab1_path, monkeypatc
         NoiseModel(other_kraus, noise.readout_confusion),
         NoiseModel(noise.gate_noise, other_confusion),
     ]
+    rebuilt = _oracle_noise(tab1_path, 2)  # models are keyed by identity, so an equal rebuild misses
+    calls.clear()
+    assert _same_dataset(execute_plan(plan, target, rebuilt, seed=4), base)
+    assert calls, "a rebuilt model must be simulated"
     for model in changed:
         calls.clear()
         warm = execute_plan(plan, target, model, seed=4)
@@ -662,10 +669,16 @@ def test_qpt_ideal_choi_is_memoised_read_only_and_bit_identical(num_qubits):
 
 
 def test_dataset_and_choi_matrix_compare_and_hash_by_identity():
-    # generated == and hash would compare and hash their arrays, which raises
+    # every array-holding value: generated == and hash would compare and hash its arrays, which raises
+    choi, basis = choi_from_unitary(gate_unitary("H")), pauli_basis(1)
     pairs = [
         [execute_plan(build_plan(1, 16), Circuit(1), seed=2) for _ in range(2)],
         [ChoiMatrix(2, 2, np.eye(4)) for _ in range(2)],
+        [KrausSet((np.eye(2),)) for _ in range(2)],
+        [NoiseModel({("X", (0,)): depolarizing_kraus(0.1, 1)}, {0: np.eye(2)}) for _ in range(2)],
+        [choi_to_chi(choi) for _ in range(2)],
+        [choi_to_ptm(choi) for _ in range(2)],
+        [basis, PauliBasis(basis.labels, tuple(op.copy() for op in basis.operators))],
     ]
     for a, b in pairs:
         assert a == a and a != b and hash(a) == hash(a)
